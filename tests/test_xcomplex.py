@@ -37,6 +37,27 @@ def test_dd_zero_small(corpus_algebras):
         assert not fails and checked > 0
 
 
+@pytest.mark.parametrize("graded", [False, True])
+def test_small_quotient_matches_generated(corpus_algebras, dual, graded):
+    from xchern.algebra import matrix_algebra
+    algebras = list(corpus_algebras) + [
+        matrix_algebra(dual, 2, graded=graded), rationals()]
+    for alg in algebras:
+        old = XSmallQuotient(alg, graded=graded)
+        new = XGenerated(TableAlg(alg), graded=graded, exact_quotient=True)
+        assert old.odd_basis() == new.odd_basis(), alg.name
+        labels = [(z, y) for z in [None] + list(range(alg.dim))
+                  for y in range(alg.dim)]
+        for z, y in labels:
+            assert old.omega1_class(z, y) == new.omega1_class(z, y)
+            assert old.canonical_odd({(z, y): ONE}) == \
+                new.canonical_odd({(z, y): ONE})
+        for y in range(alg.dim):
+            assert old.bdry_even({y: ONE}) == new.bdry_even({y: ONE})
+        for lab in labels:
+            assert old.bdry_odd({lab: ONE}) == new.bdry_odd({lab: ONE})
+
+
 def test_dd_zero_generated(dual):
     sp = FormSpace(dual, 3)
     for cx in (XGenerated(FedosovAlg(sp), exact_quotient=True),
