@@ -10,7 +10,6 @@ block and the odd trace picks its coefficient with the factor sqrt(2i).
 
 from .scalars import Scalar, ZERO, ONE, HALF, gamma_half, SQRT_2I
 from .linalg import vec_axpy, vec_scale
-from .algebra import Algebra
 from . import forms as F
 from . import tensoralg as T
 from .qalgebra import UnitalForm
@@ -191,46 +190,30 @@ def _supertrace(mats, nsize):
     return out
 
 
+def _plain_trace(mats, nsize):
+    out = {}
+    for k in range(nsize):
+        vec_axpy(out, ONE, mats[k][k])
+    return out
+
+
 def _drop_unit(vec):
     return {k: c for k, c in vec.items() if k is not None}
 
 
-class _OneFormMat:
-    """Matrix with entries in span of z.d(y): dicts over (zkey, ykey)."""
-
-    def __init__(self, n):
-        self.e = [[{} for _ in range(n)] for _ in range(n)]
-
-
-def _mat_d(alg, A, B, n):
-    """A . d(B) as a one-form matrix; d kills unit components of B."""
-    out = _OneFormMat(n)
-    loss = False
+def _mat_d(A, B, n):
+    """A . d(B) as a matrix of one-forms, entries over (zkey, ykey); d
+    kills unit components of B."""
+    out = [[{} for _ in range(n)] for _ in range(n)]
     for r in range(n):
         for c in range(n):
-            acc = out.e[r][c]
+            acc = out[r][c]
             for k in range(n):
                 for zk, c1 in A[r][k].items():
                     for yk, c2 in B[k][c].items():
                         if yk is None:
                             continue
                         vec_axpy(acc, c1 * c2, {(zk, yk): ONE})
-    return out, loss
-
-
-def _oneform_trace_even(M, nsize):
-    out = {}
-    for k in range(nsize):
-        vec_axpy(out, ONE, M.e[k][k])
-    for k in range(nsize, 2 * nsize):
-        vec_axpy(out, -ONE, M.e[k][k])
-    return out
-
-
-def _oneform_trace_plain(M, nsize):
-    out = {}
-    for k in range(nsize):
-        vec_axpy(out, ONE, M.e[k][k])
     return out
 
 
@@ -293,12 +276,6 @@ def retracted_cocycle(M, n, src, tgt, name=None):
             return _supertrace(mat_or_pair, nsize)
         return vec_scale(_plain_trace(mat_or_pair.y, nsize), SQRT_2I)
 
-    def _plain_trace(mats, k):
-        out = {}
-        for j in range(k):
-            vec_axpy(out, ONE, mats[j][j])
-        return out
-
     def value_deg_n(word):
         """Slot at degree n: the cyclic supertrace formula."""
         u = word[0]
@@ -360,30 +337,30 @@ def retracted_cocycle(M, n, src, tgt, name=None):
                 head, l4 = word_value(rot[:-1])
                 loss = loss or l4
                 if parity == 0:
-                    of, _ = _mat_d(alg, head, M.rho[rot[-1]], 2 * nsize)
-                    tr = _oneform_trace_even(of, nsize)
+                    of = _mat_d(head, M.rho[rot[-1]], 2 * nsize)
+                    tr = _supertrace(of, nsize)
                     vec, l5 = _natural_of_pairs(tgt, tr)
                     loss = loss or l5
                     vec_axpy(out, s, vec)
                     full, l6 = word_value(rot)
                     loss = loss or l6
-                    of2, _ = _mat_d(alg, full, M.fmat, 2 * nsize)
-                    tr2 = _oneform_trace_even(of2, nsize)
+                    of2 = _mat_d(full, M.fmat, 2 * nsize)
+                    tr2 = _supertrace(of2, nsize)
                     vec2, l7 = _natural_of_pairs(tgt, tr2)
                     loss = loss or l7
                     vec_axpy(out, -s * HALF, vec2)
                 else:
-                    of, _ = _mat_d(alg, head.y, M.rho[rot[-1]].x
-                                   if isinstance(M.rho[rot[-1]], PairMat)
-                                   else M.rho[rot[-1]], nsize)
-                    tr = _oneform_trace_plain(of, nsize)
+                    of = _mat_d(head.y, M.rho[rot[-1]].x
+                                if isinstance(M.rho[rot[-1]], PairMat)
+                                else M.rho[rot[-1]], nsize)
+                    tr = _plain_trace(of, nsize)
                     vec, l5 = _natural_of_pairs(tgt, tr)
                     loss = loss or l5
                     vec_axpy(out, s * SQRT_2I, vec)
                     full, l6 = word_value(rot)
                     loss = loss or l6
-                    of2, _ = _mat_d(alg, full.x, M.fmat, nsize)
-                    tr2 = _oneform_trace_plain(of2, nsize)
+                    of2 = _mat_d(full.x, M.fmat, nsize)
+                    tr2 = _plain_trace(of2, nsize)
                     vec2, l7 = _natural_of_pairs(tgt, tr2)
                     loss = loss or l7
                     vec_axpy(out, s * HALF * SQRT_2I, vec2)

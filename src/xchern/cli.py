@@ -17,8 +17,6 @@ from .linalg import vec_axpy
 from .algebra import (Algebra, dual_numbers, matrix_units,
                       group_algebra_z2, split_pair, rationals)
 from . import forms as F
-from . import tensoralg as T
-from . import qalgebra as Q
 from . import xcomplex as X
 from . import chern as C
 from . import quasihom as QH
@@ -38,9 +36,38 @@ class SpecError(Exception):
     pass
 
 
+def _field(spec, key):
+    if not isinstance(spec, dict) or key not in spec:
+        raise SpecError("spec lacks the field %r" % key)
+    return spec[key]
+
+
+def _scalar(text):
+    try:
+        return parse_scalar(text)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise SpecError("bad scalar %r: %s" % (text, exc))
+
+
+def _int(value, what):
+    try:
+        return int(value)
+    except (ValueError, TypeError):
+        raise SpecError("%s must be an integer, got %r" % (what, value))
+
+
+def _size(spec):
+    n = _int(_field(spec, "nsize"), "nsize")
+    if n < 1:
+        raise SpecError("nsize must be positive, got %d" % n)
+    return n
+
+
 def load_algebra(spec):
     if isinstance(spec, str):
         spec = {"builtin": spec}
+    if not isinstance(spec, dict):
+        raise SpecError("an algebra is a builtin name or a table")
     if "builtin" in spec:
         name = spec["builtin"]
         if name not in BUILTINS:
@@ -52,13 +79,13 @@ def load_algebra(spec):
         for key, vec in spec["products"].items():
             a, b = key.split("*")
             i, j = names.index(a), names.index(b)
-            mul[(i, j)] = {names.index(k): parse_scalar(v)
+            mul[(i, j)] = {names.index(k): _scalar(v)
                            for k, v in vec.items()}
         unit = None
         if "unit" in spec:
-            unit = {names.index(k): parse_scalar(v)
+            unit = {names.index(k): _scalar(v)
                     for k, v in spec["unit"].items()}
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise SpecError("malformed algebra spec: %s" % exc)
     try:
         return Algebra(names, mul, unit=unit, name=spec.get("name", "algebra"))
@@ -66,16 +93,34 @@ def load_algebra(spec):
         raise SpecError("algebra rejected: %s" % exc)
 
 
-def _parse_entry(entry):
+def _parse_entry(entry, dim):
+    """Entry over the unitalization: "unit" or a basis index below dim."""
+    if not isinstance(entry, dict):
+        raise SpecError("matrix entry must be an object, got %r" % (entry,))
     out = {}
     for k, v in entry.items():
-        key = None if k == "unit" else int(k)
-        out[key] = parse_scalar(v)
+        key = None if k == "unit" else _int(k, "entry key")
+        if key is not None and not 0 <= key < dim:
+            raise SpecError("entry key %d outside the basis of size %d"
+                            % (key, dim))
+        out[key] = _scalar(v)
     return out
 
 
-def load_matrix(rows):
-    return [[_parse_entry(e) for e in row] for row in rows]
+def load_matrix(rows, n, dim):
+    """n x n matrix with entries over an algebra of dimension dim."""
+    if not isinstance(rows, list) or len(rows) != n or any(
+            not isinstance(row, list) or len(row) != n for row in rows):
+        raise SpecError("expected a %d x %d matrix" % (n, n))
+    return [[_parse_entry(e, dim) for e in row] for row in rows]
+
+
+def _matrices(spec, key, count, n, dim):
+    """The list of count n x n matrices under key."""
+    mats = _field(spec, key)
+    if not isinstance(mats, list) or len(mats) != count:
+        raise SpecError("%s must list %d matrices" % (key, count))
+    return [load_matrix(m, n, dim) for m in mats]
 
 
 def load_spec(path):
@@ -84,17 +129,17 @@ def load_spec(path):
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SpecError("not valid JSON: %s" % exc)
-    if "kind" not in spec:
+    if not isinstance(spec, dict) or "kind" not in spec:
         raise SpecError("spec file lacks a kind")
     return spec
 
 
 def load_quasihom(spec):
-    base = load_algebra(spec["base"])
-    target = load_algebra(spec["target"])
-    n = int(spec["nsize"])
-    rp = [load_matrix(m) for m in spec["rho_plus"]]
-    rm = [load_matrix(m) for m in spec["rho_minus"]]
+    base = load_algebra(_field(spec, "base"))
+    target = load_algebra(_field(spec, "target"))
+    n = _size(spec)
+    rp = _matrices(spec, "rho_plus", base.dim, n, target.dim)
+    rm = _matrices(spec, "rho_minus", base.dim, n, target.dim)
     try:
         return QH.Quasihomomorphism(base, target, n, rp, rm, None,
                                     name=spec.get("name", "phi"))
@@ -103,10 +148,10 @@ def load_quasihom(spec):
 
 
 def load_extension(spec):
-    base = load_algebra(spec["base"])
-    target = load_algebra(spec["target"])
-    n = int(spec["nsize"])
-    alpha = [load_matrix(m) for m in spec["alpha"]]
+    base = load_algebra(_field(spec, "base"))
+    target = load_algebra(_field(spec, "target"))
+    n = _size(spec)
+    alpha = _matrices(spec, "alpha", base.dim, 2 * n, target.dim)
     try:
         return QH.InvertibleExtension(base, target, n, alpha, None,
                                       name=spec.get("name", "ext"))
@@ -115,12 +160,16 @@ def load_extension(spec):
 
 
 def load_fredholm(spec):
-    base = load_algebra(spec["base"])
-    parity = int(spec.get("parity", 0))
-    n = int(spec["nsize"])
-    rho = [load_matrix(m) for m in spec["rho"]]
-    fmat = load_matrix(spec["F"])
-    target = X.TableAlg(load_algebra(spec.get("target", "q")))
+    base = load_algebra(_field(spec, "base"))
+    parity = _int(spec.get("parity", 0), "parity")
+    if parity not in (0, 1):
+        raise SpecError("parity must be 0 or 1, got %d" % parity)
+    n = _size(spec)
+    target_alg = load_algebra(spec.get("target", "q"))
+    size = 2 * n if parity == 0 else n
+    rho = _matrices(spec, "rho", base.dim, size, target_alg.dim)
+    fmat = load_matrix(_field(spec, "F"), size, target_alg.dim)
+    target = X.TableAlg(target_alg)
     try:
         if parity == 1:
             zero = [[{} for _ in range(n)] for _ in range(n)]
@@ -132,15 +181,35 @@ def load_fredholm(spec):
         raise SpecError("bimodule rejected: %s" % exc)
 
 
+def load_idempotent(idem, base):
+    """(size k, k x k matrix of (scalar, body over base indices))."""
+    k = _int(_field(idem, "size"), "idempotent size")
+    if k < 1:
+        raise SpecError("idempotent size must be positive, got %d" % k)
+    scalars, bodies = _field(idem, "scalar"), _field(idem, "body")
+    for rows in (scalars, bodies):
+        if not isinstance(rows, list) or len(rows) != k or any(
+                not isinstance(row, list) or len(row) != k for row in rows):
+            raise SpecError("expected a %d x %d idempotent" % (k, k))
+    mat = [[(_scalar(scalars[i][j]), _parse_entry(bodies[i][j], base.dim))
+            for j in range(k)] for i in range(k)]
+    if any(None in body for row in mat for _, body in row):
+        raise SpecError("idempotent bodies are keyed by basis indices")
+    return k, mat
+
+
 def load_complex_matrix(rows):
     import numpy as np
-    return np.array([[complex(e[0], e[1]) for e in row] for row in rows])
+    try:
+        return np.array([[complex(e[0], e[1]) for e in row] for row in rows])
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise SpecError("bad complex matrix: %s" % exc)
 
 
 def load_spectral_triple(spec):
-    base = load_algebra(spec["base"])
-    rho = [load_complex_matrix(m) for m in spec["rho"]]
-    D = load_complex_matrix(spec["D"])
+    base = load_algebra(_field(spec, "base"))
+    rho = [load_complex_matrix(m) for m in _field(spec, "rho")]
+    D = load_complex_matrix(_field(spec, "D"))
     try:
         return base, J.SpectralTriple(base.dim, rho, D)
     except ValueError as exc:
@@ -157,14 +226,6 @@ class Report:
         self.command = command
         self.checks = []
         self.timings = timings
-
-    def add(self, name, anchor, ok, detail=None):
-        rec = {"name": name, "anchor": anchor,
-               "status": "pass" if ok else "fail"}
-        if detail is not None:
-            rec["detail"] = detail
-        self.checks.append(rec)
-        return ok
 
     def run(self, name, anchor, fn):
         t0 = time.monotonic()
@@ -367,8 +428,15 @@ def universal_suite(algebra, n, parity, q_window, src_len, report,
             ch_hi = C.universal_ch_odd(algebra, 1, xt, xq)
         diff = ch_hi.sub(ch_lo)
         def run_solve():
-            h, witness = X.homotopy_solve(diff)
-            return h is not None, None if h is not None else "no primitive"
+            h, _ = X.homotopy_solve(diff)
+            if h is None:
+                return False, "no primitive"
+            rep = X.verify_homotopy(diff, h)
+            detail = None
+            if not rep["ok"]:
+                detail = "primitive fails at %s" % (
+                    [lab for _, lab, _ in rep["failures"][:3]],)
+            return rep["ok"], detail
         report.run("coboundary solve", "consecutive cocycles differ by a "
                    "coboundary on the window", run_solve)
 
@@ -547,15 +615,13 @@ def cmd_pair(args):
             raise SpecError("pair expects a fredholm spec")
         M = load_fredholm(spec)
         idems = spec.get("idempotents", [])
+        if not isinstance(idems, list):
+            raise SpecError("idempotents must be a list")
+        idems = [load_idempotent(idem, M.base) for idem in idems]
     except SpecError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 3
-    for idx, idem in enumerate(idems):
-        k = int(idem["size"])
-        mat = [[(parse_scalar(idem["scalar"][i][j]),
-                 {int(b): parse_scalar(v)
-                  for b, v in idem["body"][i][j].items()})
-                for j in range(k)] for i in range(k)]
+    for idx, (k, mat) in enumerate(idems):
 
         def one_pair(mat=mat, k=k):
             try:

@@ -11,7 +11,7 @@ space's max_degree are dropped and the result is flagged lossy; identities
 are only ever asserted where no loss occurred.
 """
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import ZERO, ONE
 from .linalg import vec_axpy, Span
 
 
@@ -361,12 +361,9 @@ def cyclic_projection(space, n):
     image_span = Span(power.values())
     kernel = _nullspace_of_columns(power, words)
     # assemble the projector: write each unit vector as k + w, keep k
-    from .linalg import ProvSpan
     mixed = list(kernel) + list(image_span.basis())
     keep = len(kernel)
-    prov = ProvSpan()
-    for vec in mixed:
-        prov.add(vec)
+    prov = Span(mixed, track=True)
     proj = {}
     for w in words:
         co = prov.coordinates({w: ONE})

@@ -210,21 +210,6 @@ def tuple_B(tup):
 # ---------------------------------------------------------------------------
 
 
-def integrate_t(f, t_max, order=40):
-    """Integral of f over (0, t_max], split at 1 where the Gaussian weight
-    turns over; Gauss-Legendre on both pieces."""
-    nodes, weights = gauss_nodes(order)
-    total = 0.0 + 0.0j
-    cut = min(1.0, t_max)
-    for a, b in ((0.0, cut), (cut, t_max)):
-        if b <= a:
-            continue
-        ts = a + (b - a) * nodes
-        for t, w in zip(ts, weights):
-            total += (b - a) * w * f(t)
-    return total
-
-
 def cs_values_over_ts(triple, m, tup, ts, order, chunk=600000):
     """cs^m(t)(tup) for every t in ts, as one batched quadrature.
 

@@ -9,6 +9,13 @@ runs.
 from .scalars import ONE
 
 
+class _Last:
+    """Label that sorts after every other label."""
+
+
+_RHS = _Last()
+
+
 def label_key(label):
     """Total order on heterogeneous labels (None, ints, strings, tuples)."""
     if label is None:
@@ -17,6 +24,8 @@ def label_key(label):
         return (2, tuple(label_key(x) for x in label))
     if isinstance(label, str):
         return (1, label)
+    if label is _RHS:
+        return (3,)
     return (0, label)
 
 
@@ -25,18 +34,6 @@ def vec_add(u, v):
     for k, c in v.items():
         s = out.get(k)
         s = c if s is None else s + c
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
-
-
-def vec_sub(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k)
-        s = -c if s is None else s - c
         if s:
             out[k] = s
         elif k in out:
@@ -64,24 +61,22 @@ def vec_axpy(out, coeff, v):
     return out
 
 
-def vec_neg(u):
-    return {k: -c for k, c in u.items()}
-
-
-def vec_eq(u, v):
-    return vec_sub(u, v) == {}
-
-
 class Span:
     """Row space in reduced echelon form over arbitrary labels.
 
-    Rows are normalized so the pivot coefficient is one; insertion order is
-    irrelevant to the resulting space, and the pivot choice (smallest label)
-    makes the representation canonical.
+    Each row's pivot is the smallest label of its support (by label_key)
+    with coefficient one, and no row contains another row's pivot.  That
+    form is canonical: the pivot set, every row and every residual depend
+    on the space only, not on the order of insertion.
+
+    With track set, each row also records how it combines the inserted
+    vectors, as a dict over insertion indices (its provenance).
     """
 
-    def __init__(self, vectors=()):
+    def __init__(self, vectors=(), track=False):
         self.rows = {}  # pivot label -> row vector
+        self.prov = {} if track else None  # pivot label -> provenance
+        self.count = 0  # vectors inserted so far
         for v in vectors:
             self.add(v)
 
@@ -89,178 +84,61 @@ class Span:
     def dim(self):
         return len(self.rows)
 
+    def _eliminate(self, vec, combo=None):
+        """Residual of vec; combo, if given, takes away the provenance of
+        every row subtracted.  Rows hold no other pivot, so one pass over
+        the pivots present in vec clears them all."""
+        v = dict(vec)
+        for p in [k for k in v if k in self.rows]:
+            c = v[p]
+            vec_axpy(v, -c, self.rows[p])
+            if combo is not None:
+                vec_axpy(combo, -c, self.prov[p])
+        return v
+
     def reduce(self, vec):
         """Residual of vec modulo the span."""
-        v = dict(vec)
-        # iterate over pivots present in v until none remain
-        while True:
-            hit = None
-            for k in v:
-                if k in self.rows:
-                    hit = k
-                    break
-            if hit is None:
-                return v
-            vec_axpy(v, -v[hit], self.rows[hit])
+        return self._eliminate(vec)
 
     def contains(self, vec):
         return not self.reduce(vec)
 
     def add(self, vec):
         """Insert a vector; returns True if the span grew."""
-        r = self.reduce(vec)
-        if not r:
-            return False
-        piv = min(r, key=label_key)
-        inv = r[piv].inverse()
-        r = {k: c * inv for k, c in r.items()}
-        # back-substitute into existing rows to keep the form reduced
-        for p, row in self.rows.items():
-            if piv in row:
-                vec_axpy(row, -row[piv], r)
-        self.rows[piv] = r
-        return True
-
-    def basis(self):
-        return [self.rows[p] for p in sorted(self.rows, key=label_key)]
-
-    def coordinates(self, vec):
-        """Coefficients of vec on the echelon rows, or None if outside."""
-        v = dict(vec)
-        coeffs = {}
-        while True:
-            hit = None
-            for k in v:
-                if k in self.rows:
-                    hit = k
-                    break
-            if hit is None:
-                break
-            coeffs[hit] = v[hit]
-            vec_axpy(v, -v[hit], self.rows[hit])
-        if v:
-            return None
-        return coeffs
-
-
-def quotient_basis(all_labels, subspace):
-    """Lexicographically earliest completion of a subspace to the full space.
-
-    Returns the labels whose unit vectors complete `subspace` (a Span) to the
-    span of all unit vectors on all_labels.
-    """
-    out = []
-    probe = Span()
-    for row in subspace.rows.values():
-        probe.add(row)
-    for label in sorted(all_labels, key=label_key):
-        if probe.add({label: ONE}):
-            out.append(label)
-    return out
-
-
-class FastSpan:
-    """Append-only echelon span; rows keep their pivot minimal, reductions
-    always eliminate the smallest pivot present, which guarantees
-    termination without the cost of keeping rows fully reduced."""
-
-    def __init__(self, vectors=()):
-        self.rows = {}
-        for v in vectors:
-            self.add(v)
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def reduce(self, vec):
-        v = dict(vec)
-        while True:
-            hit = None
-            hk = None
-            for k in v:
-                if k in self.rows:
-                    kk = label_key(k)
-                    if hit is None or kk < hk:
-                        hit, hk = k, kk
-            if hit is None:
-                return v
-            vec_axpy(v, -v[hit], self.rows[hit])
-
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-    def add(self, vec):
-        r = self.reduce(vec)
-        if not r:
-            return False
-        piv = min(r, key=label_key)
-        inv = r[piv].inverse()
-        self.rows[piv] = {k: c * inv for k, c in r.items()}
-        return True
-
-    def basis(self):
-        return [self.rows[p] for p in sorted(self.rows, key=label_key)]
-
-
-class ProvSpan:
-    """Echelon span that remembers how each row combines the inserted
-    vectors, so arbitrary vectors can be rewritten in the original family."""
-
-    def __init__(self):
-        self.rows = {}   # pivot -> (row, provenance over insertion indices)
-        self.count = 0
-
-    def add(self, vec):
-        idx = self.count
+        combo = None
+        if self.prov is not None:
+            combo = {self.count: ONE}
         self.count += 1
-        v = dict(vec)
-        prov = {idx: ONE}
-        while True:
-            hit = None
-            for k in v:
-                if k in self.rows:
-                    hit = k
-                    break
-            if hit is None:
-                break
-            row, rprov = self.rows[hit]
-            c = v[hit]
-            vec_axpy(v, -c, row)
-            vec_axpy(prov, -c, rprov)
-        if not v:
+        r = self._eliminate(vec, combo)
+        if not r:
             return False
-        piv = min(v, key=label_key)
-        inv = v[piv].inverse()
-        v = {k: c * inv for k, c in v.items()}
-        prov = {k: c * inv for k, c in prov.items()}
-        for p, (row, rprov) in self.rows.items():
+        piv = min(r, key=label_key)
+        inv = r[piv].inverse()
+        r = vec_scale(r, inv)
+        if combo is not None:
+            combo = vec_scale(combo, inv)
+        # clear the new pivot from the other rows to keep the form reduced
+        for p, row in self.rows.items():
             c = row.get(piv)
             if c:
-                vec_axpy(row, -c, v)
-                vec_axpy(rprov, -c, prov)
-        self.rows[piv] = (v, prov)
+                vec_axpy(row, -c, r)
+                if combo is not None:
+                    vec_axpy(self.prov[p], -c, combo)
+        self.rows[piv] = r
+        if combo is not None:
+            self.prov[piv] = combo
         return True
 
+    def basis(self):
+        return [self.rows[p] for p in sorted(self.rows, key=label_key)]
+
     def coordinates(self, vec):
-        """Coefficients over the inserted vectors, or None if outside."""
-        v = dict(vec)
-        out = {}
-        while True:
-            hit = None
-            for k in v:
-                if k in self.rows:
-                    hit = k
-                    break
-            if hit is None:
-                break
-            row, rprov = self.rows[hit]
-            c = v[hit]
-            vec_axpy(v, -c, row)
-            vec_axpy(out, c, rprov)
-        if v:
+        """Coefficients of vec over the inserted vectors (by insertion
+        index), or None if vec lies outside the span.  Needs track."""
+        combo = {}
+        if self._eliminate(vec, combo):
             return None
-        return out
+        return {k: -c for k, c in combo.items()}
 
 
 def solve(equations, rhs, track_witness=False):
@@ -270,48 +148,25 @@ def solve(equations, rhs, track_witness=False):
     Returns (solution dict, None) with unassigned unknowns implicitly zero,
     or (None, witness) when inconsistent.  The witness is a dict over
     equation indices whose combination yields 0 = nonzero when
-    track_witness is set, else the index of one offending reduced equation.
+    track_witness is set, else the index of the first equation that makes
+    the system inconsistent.
+
+    Each equation enters a Span with its right-hand side under a label
+    that sorts last, so a row pivots on that label exactly when it reads
+    0 = nonzero.  In reduced form every pivot unknown equals its row's
+    right-hand side once the free unknowns are zero.
     """
-    rows = {}      # pivot unknown -> (eq vector, rhs, provenance)
+    span = Span(track=track_witness)
     for idx, (eq, b) in enumerate(zip(equations, rhs)):
-        v = dict(eq)
-        prov = {idx: ONE} if track_witness else None
-        while True:
-            hit = None
-            for k in v:
-                if k in rows:
-                    hit = k
-                    break
-            if hit is None:
-                break
-            row, rb, rprov = rows[hit]
-            c = v[hit]
-            vec_axpy(v, -c, row)
-            b = b - c * rb
-            if track_witness:
-                prov = vec_axpy(dict(prov), -c, rprov)
-        if not v:
-            if b:
-                return None, (prov if track_witness else idx)
-            continue
-        piv = min(v, key=label_key)
-        inv = v[piv].inverse()
-        v = {k: c * inv for k, c in v.items()}
-        b = b * inv
-        if track_witness:
-            prov = {k: c * inv for k, c in prov.items()}
-        rows[piv] = (v, b, prov)
-    # back substitution: process pivots from largest to smallest
-    solution = {}
-    for piv in sorted(rows, key=label_key, reverse=True):
-        v, b, _ = rows[piv]
-        acc = b
-        for k, c in v.items():
-            if k == piv:
-                continue
-            s = solution.get(k)
-            if s is not None:
-                acc = acc - c * s
-        if acc:
-            solution[piv] = acc
-    return solution, None
+        row = dict(eq)
+        if b:
+            row[_RHS] = b
+        span.add(row)
+        if _RHS in span.rows:
+            if not track_witness:
+                return None, idx
+            # the new row is this equation's residual scaled to pivot one;
+            # scale back so the equation itself enters with coefficient one
+            combo = span.prov[_RHS]
+            return None, vec_scale(combo, combo[idx].inverse())
+    return {p: row[_RHS] for p, row in span.rows.items() if _RHS in row}, None

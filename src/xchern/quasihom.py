@@ -39,23 +39,13 @@ class Quasihomomorphism:
             self._check()
 
     def _check(self):
-        talg = TableAlg(self.target)
         for rho in (self.rho_plus, self.rho_minus):
             if len(rho) != self.base.dim:
                 raise ValueError("one matrix per basis element required")
-        # multiplicativity on basis pairs
         for rho in (self.rho_plus, self.rho_minus):
-            for i in range(self.base.dim):
-                for j in range(self.base.dim):
-                    lhs, _ = mat_mul(talg, rho[i], rho[j])
-                    rhs = [[{} for _ in range(self.nsize)]
-                           for _ in range(self.nsize)]
-                    for k, c in self.base.product_basis(i, j).items():
-                        for r in range(self.nsize):
-                            for cc in range(self.nsize):
-                                vec_axpy(rhs[r][cc], c, rho[k][r][cc])
-                    if not mat_is_zero(mat_sub(lhs, rhs)):
-                        raise ValueError("representation is not multiplicative")
+            defect = _defect_table(self.base, self.target, rho, self.nsize)
+            if not all(mat_is_zero(m) for m in defect.values()):
+                raise ValueError("representation is not multiplicative")
         if self.ideal is not None:
             for i in range(self.base.dim):
                 diff = mat_sub(self.rho_plus[i], self.rho_minus[i])
@@ -99,6 +89,24 @@ class Quasihomomorphism:
                                  check=False)
 
 
+def _defect_table(base, target, table, nsize):
+    """sum_k c_ij^k table[k] - table[i] table[j] for every basis pair (i, j)
+    of base, where table lists nsize x nsize matrices over the
+    unitalized target."""
+    talg = TableAlg(target)
+    rows = {}
+    for i in range(base.dim):
+        for j in range(base.dim):
+            prod, _ = mat_mul(talg, table[i], table[j])
+            expect = [[{} for _ in range(nsize)] for _ in range(nsize)]
+            for k, c in base.product_basis(i, j).items():
+                for r in range(nsize):
+                    for cc in range(nsize):
+                        vec_axpy(expect[r][cc], c, table[k][r][cc])
+            rows[(i, j)] = mat_sub(expect, prod)
+    return rows
+
+
 def hom_quasi(base, target, nsize, rho, name="rho*0"):
     """The quasihomomorphism rho * 0 of a plain representation."""
     zero = [[[{} for _ in range(nsize)] for _ in range(nsize)]
@@ -122,18 +130,10 @@ class InvertibleExtension:
             self._check()
 
     def _check(self):
-        talg = TableAlg(self.target)
         two = 2 * self.nsize
-        for i in range(self.base.dim):
-            for j in range(self.base.dim):
-                lhs, _ = mat_mul(talg, self.alpha[i], self.alpha[j])
-                rhs = [[{} for _ in range(two)] for _ in range(two)]
-                for k, c in self.base.product_basis(i, j).items():
-                    for r in range(two):
-                        for cc in range(two):
-                            vec_axpy(rhs[r][cc], c, self.alpha[k][r][cc])
-                if not mat_is_zero(mat_sub(lhs, rhs)):
-                    raise ValueError("alpha is not multiplicative")
+        defect = _defect_table(self.base, self.target, self.alpha, two)
+        if not all(mat_is_zero(m) for m in defect.values()):
+            raise ValueError("alpha is not multiplicative")
         if self.ideal is not None:
             for i in range(self.base.dim):
                 for r in range(two):
@@ -177,7 +177,6 @@ def busby(ext):
     Returns a report dict; the defect entries are certified to lie in the
     declared ideal, and the complementary compression has the same defect
     ideal."""
-    talg = TableAlg(ext.target)
     n = ext.nsize
     two = 2 * n
     def compress(mat, lower):
@@ -189,20 +188,8 @@ def busby(ext):
         return out
     sigma = [compress(ext.alpha[i], False) for i in range(ext.base.dim)]
     sigma_inv = [compress(ext.alpha[i], True) for i in range(ext.base.dim)]
-    def defect(table):
-        rows = {}
-        for i in range(ext.base.dim):
-            for j in range(ext.base.dim):
-                prod, _ = mat_mul(talg, table[i], table[j])
-                expect = [[{} for _ in range(two)] for _ in range(two)]
-                for k, c in ext.base.product_basis(i, j).items():
-                    for r in range(two):
-                        for cc in range(two):
-                            vec_axpy(expect[r][cc], c, table[k][r][cc])
-                rows[(i, j)] = mat_sub(expect, prod)
-        return rows
-    d1 = defect(sigma)
-    d2 = defect(sigma_inv)
+    d1 = _defect_table(ext.base, ext.target, sigma, two)
+    d2 = _defect_table(ext.base, ext.target, sigma_inv, two)
     def in_ideal(rows):
         if ext.ideal is None:
             return True
@@ -227,91 +214,57 @@ def busby(ext):
 # ---------------------------------------------------------------------------
 
 
-def _embed_entry(entry):
-    """B~ entry dict -> word dict over the unital tensor letters."""
-    out = {}
-    for key, c in entry.items():
-        word = () if key is None else (key,)
-        out[word] = c
-    return out
-
-
-def _rep_on_window_word(quasi, word, talg):
-    """Free-product representation on a window form word over A."""
-    n = quasi.nsize
-    acc = mat_unit(n)
+def _rep_on_window_word(plus, minus, word, talg, nsize):
+    """Free-product representation on a window form word over A: a letter
+    a acts by (plus(a) + minus(a))/2 and da by (plus(a) - minus(a))/2."""
+    acc = mat_unit(nsize)
     factors = []
     if word[0] != 0:
-        factors.append(("elem", word[0] - 1))
+        factors.append((HALF, word[0] - 1))
     for j in word[1:]:
-        factors.append(("diff", j))
-    for kind, j in factors:
-        plus = quasi.rho_plus[j]
-        minus = quasi.rho_minus[j]
-        mat = [[{} for _ in range(n)] for _ in range(n)]
-        s = HALF if kind == "elem" else -HALF
-        for r in range(n):
-            for c in range(n):
-                vec_axpy(mat[r][c], HALF, plus[r][c])
-                vec_axpy(mat[r][c], s, minus[r][c])
+        factors.append((-HALF, j))
+    for s, j in factors:
+        mat = [[{} for _ in range(nsize)] for _ in range(nsize)]
+        for r in range(nsize):
+            for c in range(nsize):
+                vec_axpy(mat[r][c], HALF, plus[j][r][c])
+                vec_axpy(mat[r][c], s, minus[j][r][c])
         acc, _ = mat_mul(talg, acc, mat)
     return acc
+
+
+def _traced_lift(src_cx, letters, nsize, target, max_len_src, out_len, name,
+                 graded=False, half=1):
+    """X(lift) of matrix letters into X(M_N(T B~)) and the (super)trace
+    back to X(T B~); returns (X(lift), trace, matrix complex, X(T B~))."""
+    tb = TensorAlg(TableAlg(target), out_len, unital=True)
+    xmat = XGenerated(MatrixAlg(tb, nsize, graded=graded, half=half),
+                      graded=graded)
+    xtb = XGenerated(tb)
+    lift = T.LiftedHom(src_cx.alg, letters, nsize, max_len_src, out_len)
+
+    def lift_img(word):
+        mat, loss = lift.on_word(word)
+        return lift.flatten(mat), loss
+
+    xlift = x_of_hom(src_cx, xmat, lift_img, name=name)
+    tr = trace_map(xmat, xtb, nsize, graded=graded, half=half)
+    return xlift, tr, xmat, xtb
 
 
 def ch_even(quasi, n, windows, return_parts=False):
     """Bivariant even character: trace . X(lift) . gamma^{2n}."""
     W = windows
-    A = quasi.base
-    B = quasi.target
-    gamma, parts = gamma_even(A, n, W)
-    xtq = parts["xtq"]
-    talg = TableAlg(B)
-    nsize = quasi.nsize
-    tb_coeff = TableAlg(B)
-    tb = TensorAlg(tb_coeff, W.out_len, unital=True)
-    xmat_alg = MatrixAlg(tb, nsize)
-    xmat = XGenerated(xmat_alg)
-    xtb = XGenerated(tb)
-
-    rep_memo = {}
+    gamma, parts = gamma_even(quasi.base, n, W)
+    talg = TableAlg(quasi.target)
 
     def rep(word):
-        hit = rep_memo.get(word)
-        if hit is None:
-            hit = _rep_on_window_word(quasi, word, talg)
-            rep_memo[word] = hit
-        return hit
+        return _rep_on_window_word(quasi.rho_plus, quasi.rho_minus, word,
+                                   talg, quasi.nsize)
 
-    def lift_img(tqword):
-        """Matrix over the unital tensor algebra for a word of Q-letters."""
-        n_ = nsize
-        acc = [[({(): ONE} if r == c else {}) for c in range(n_)]
-               for r in range(n_)]
-        loss = False
-        for lett in tqword:
-            m = rep(lett)
-            emb = [[_embed_entry(m[r][c]) for c in range(n_)]
-                   for r in range(n_)]
-            nxt = [[{} for _ in range(n_)] for _ in range(n_)]
-            for r in range(n_):
-                for c in range(n_):
-                    for k in range(n_):
-                        for w1, c1 in acc[r][k].items():
-                            for w2, c2 in emb[k][c].items():
-                                if len(w1) + len(w2) > W.out_len:
-                                    loss = True
-                                    continue
-                                vec_axpy(nxt[r][c], c1 * c2, {w1 + w2: ONE})
-            acc = nxt
-        out = {}
-        for r in range(n_):
-            for c in range(n_):
-                for w, cc in acc[r][c].items():
-                    out[(r, c, w)] = cc
-        return out, loss
-
-    Xlift = x_of_hom(xtq, xmat, lift_img, name="X(lift)")
-    tr = trace_map(xmat, xtb, nsize, graded=False)
+    Xlift, tr, xmat, xtb = _traced_lift(parts["xtq"], rep, quasi.nsize,
+                                        quasi.target, W.out_len, W.out_len,
+                                        "X(lift)")
     ch = ChainMap.compose(tr, ChainMap.compose(Xlift, gamma),
                           name="ch%d(%s)" % (2 * n, quasi.name))
     if return_parts:
@@ -324,44 +277,10 @@ def x_of_t_rho(quasi, windows, branch="plus"):
     """X(T rho) for one branch of the pair, in the same target complex
     conventions as ch_even (unit letters merge)."""
     W = windows
-    A = quasi.base
-    B = quasi.target
-    talg = TableAlg(B)
-    nsize = quasi.nsize
-    tb = TensorAlg(TableAlg(B), W.out_len, unital=True)
-    xmat = XGenerated(MatrixAlg(tb, nsize))
-    xtb = XGenerated(tb)
-    xt = x_of_tensor_algebra(A, W.src_len)
+    xt = x_of_tensor_algebra(quasi.base, W.src_len)
     rho = quasi.rho_plus if branch == "plus" else quasi.rho_minus
-
-    def img(word):
-        n_ = nsize
-        acc = [[({(): ONE} if r == c else {}) for c in range(n_)]
-               for r in range(n_)]
-        loss = False
-        for i in word:
-            emb = [[_embed_entry(rho[i][r][c]) for c in range(n_)]
-                   for r in range(n_)]
-            nxt = [[{} for _ in range(n_)] for _ in range(n_)]
-            for r in range(n_):
-                for c in range(n_):
-                    for k in range(n_):
-                        for w1, c1 in acc[r][k].items():
-                            for w2, c2 in emb[k][c].items():
-                                if len(w1) + len(w2) > W.out_len:
-                                    loss = True
-                                    continue
-                                vec_axpy(nxt[r][c], c1 * c2, {w1 + w2: ONE})
-            acc = nxt
-        out = {}
-        for r in range(n_):
-            for c in range(n_):
-                for w, cc in acc[r][c].items():
-                    out[(r, c, w)] = cc
-        return out, loss
-
-    Xl = x_of_hom(xt, xmat, img, name="X(T%s)" % branch)
-    tr = trace_map(xmat, xtb, nsize, graded=False)
+    Xl, tr, _, xtb = _traced_lift(xt, rho, quasi.nsize, quasi.target,
+                                  W.src_len, W.out_len, "X(T%s)" % branch)
     return ChainMap.compose(tr, Xl, name="trX(T%s)" % branch), xt, xtb
 
 
@@ -369,70 +288,18 @@ def ch_odd(ext, n, windows, return_parts=False):
     """Bivariant odd character: sqrt(2 pi i) supertrace . X(lift) .
     gamma^{2n+1}."""
     W = windows
-    A = ext.base
-    B = ext.target
-    gamma, parts = gamma_odd(A, n, W)
-    xtqs = parts["xtq"]
-    talg = TableAlg(B)
+    gamma, parts = gamma_odd(ext.base, n, W)
+    talg = TableAlg(ext.target)
     two = 2 * ext.nsize
-    tb = TensorAlg(TableAlg(B), W.out_len, unital=True)
-    xmat_alg = MatrixAlg(tb, two, graded=True, half=ext.nsize)
-    xmat = XGenerated(xmat_alg, graded=True)
-    xtb = XGenerated(tb)
+    xax = [ext.conjugate_by_x(al) for al in ext.alpha]
 
     def rep(word):
         """phi^s on a window form word: iota -> alpha, bar -> X alpha X."""
-        acc = mat_unit(two)
-        factors = []
-        if word[0] != 0:
-            factors.append(("elem", word[0] - 1))
-        for j in word[1:]:
-            factors.append(("diff", j))
-        for kind, j in factors:
-            al = ext.alpha[j]
-            xax = ext.conjugate_by_x(al)
-            mat = [[{} for _ in range(two)] for _ in range(two)]
-            s = HALF if kind == "elem" else -HALF
-            for r in range(two):
-                for c in range(two):
-                    vec_axpy(mat[r][c], HALF, al[r][c])
-                    vec_axpy(mat[r][c], s, xax[r][c])
-            acc, _ = mat_mul(talg, acc, mat)
-        return acc
+        return _rep_on_window_word(ext.alpha, xax, word, talg, two)
 
-    rep_memo = {}
-
-    def lift_img(tqword):
-        acc = [[({(): ONE} if r == c else {}) for c in range(two)]
-               for r in range(two)]
-        loss = False
-        for lett in tqword:
-            m = rep_memo.get(lett)
-            if m is None:
-                m = rep(lett)
-                rep_memo[lett] = m
-            emb = [[_embed_entry(m[r][c]) for c in range(two)]
-                   for r in range(two)]
-            nxt = [[{} for _ in range(two)] for _ in range(two)]
-            for r in range(two):
-                for c in range(two):
-                    for k in range(two):
-                        for w1, c1 in acc[r][k].items():
-                            for w2, c2 in emb[k][c].items():
-                                if len(w1) + len(w2) > W.out_len:
-                                    loss = True
-                                    continue
-                                vec_axpy(nxt[r][c], c1 * c2, {w1 + w2: ONE})
-            acc = nxt
-        out = {}
-        for r in range(two):
-            for c in range(two):
-                for w, cc in acc[r][c].items():
-                    out[(r, c, w)] = cc
-        return out, loss
-
-    Xlift = x_of_hom(xtqs, xmat, lift_img, name="X(lift_s)")
-    tr = trace_map(xmat, xtb, two, graded=True, half=ext.nsize)
+    Xlift, tr, xmat, xtb = _traced_lift(parts["xtq"], rep, two, ext.target,
+                                        W.out_len, W.out_len, "X(lift_s)",
+                                        graded=True, half=ext.nsize)
     ch = ChainMap.compose(tr, ChainMap.compose(Xlift, gamma)) \
         .scale(bott_constant(), name="ch%d(%s)" % (2 * n + 1, ext.name))
     if return_parts:
@@ -465,7 +332,8 @@ def compose_quasihom(psi_plus, psi_minus, quasi2, base, target2, n1, window_deg)
                     if key is None:
                         block = mat_unit(n2)
                     else:
-                        block = _rep_on_window_word(quasi2, key, talg2)
+                        block = _rep_on_window_word(
+                            quasi2.rho_plus, quasi2.rho_minus, key, talg2, n2)
                     for rr in range(n2):
                         for cc in range(n2):
                             vec_axpy(out[r * n2 + rr][c * n2 + cc], coeff,

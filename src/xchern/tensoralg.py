@@ -188,10 +188,11 @@ class LiftedHom:
     """Lift of rho: A -> M_N(B~) to word level: matrix letters multiply,
     target letters stay tensored.
 
-    rho is given as a map from A basis indices to N x N matrices whose
-    entries are dicts over B~ keys (None = adjoined unit, k = basis of B).
-    Words map to matrices with entries in the unital truncated tensor
-    algebra over B: keys are tuples of B basis indices, () = unit.
+    rho is given as a list over source letters, or as a function on them,
+    of N x N matrices whose entries are dicts over B~ keys (None = adjoined
+    unit, k = basis of B); each letter is embedded once.  Words map to
+    matrices with entries in the unital truncated tensor algebra over B:
+    keys are tuples of B basis indices, () = unit.
     """
 
     def __init__(self, source, rho_matrices, nsize, max_len_src, max_len_tgt):
@@ -199,16 +200,19 @@ class LiftedHom:
         self.nsize = nsize
         self.max_len_src = max_len_src
         self.max_len_tgt = max_len_tgt
-        self.letters = [self._embed(m) for m in rho_matrices]
+        self._rho = rho_matrices if callable(rho_matrices) \
+            else rho_matrices.__getitem__
+        self._letters = {}
 
-    def _embed(self, m):
-        out = [[{} for _ in range(self.nsize)] for _ in range(self.nsize)]
-        for r in range(self.nsize):
-            for c in range(self.nsize):
-                for key, coeff in m[r][c].items():
-                    word = () if key is None else (key,)
-                    out[r][c][word] = coeff
-        return out
+    def letter(self, i):
+        """Embedded matrix of a source letter."""
+        hit = self._letters.get(i)
+        if hit is None:
+            hit = [[{() if key is None else (key,): coeff
+                     for key, coeff in entry.items() if coeff}
+                    for entry in row] for row in self._rho(i)]
+            self._letters[i] = hit
+        return hit
 
     def _matmul(self, A, B):
         n = self.nsize
@@ -230,12 +234,18 @@ class LiftedHom:
         """Image of a source tensor word, with the loss flag."""
         if len(word) > self.max_len_src:
             raise ValueError("word longer than the source window")
-        acc = self.letters[word[0]]
+        acc = self.letter(word[0])
         lossy = False
         for i in word[1:]:
-            acc, l = self._matmul(acc, self.letters[i])
+            acc, l = self._matmul(acc, self.letter(i))
             lossy = lossy or l
         return acc, lossy
+
+    @staticmethod
+    def flatten(mat):
+        """A matrix over words as one vector over (row, col, word)."""
+        return {(r, c, w): v for r, row in enumerate(mat)
+                for c, entry in enumerate(row) for w, v in entry.items()}
 
     def on_element(self, x):
         n = self.nsize

@@ -7,14 +7,10 @@ unitalization of R (None denotes the formal unit) and g a generator.  The
 reduction of a general z.d(y) runs the Leibniz rule through an ordered
 factorization of y and the trace property, with Koszul signs when the
 algebra is graded.
-
-Plain small algebras get the honest commutator quotient via column
-reduction instead.
 """
 
 from .scalars import Scalar, ZERO, ONE
-from .linalg import vec_axpy, vec_scale, Span, label_key, solve
-from .algebra import Algebra
+from .linalg import vec_add, vec_axpy, vec_scale, Span, label_key, solve
 from . import forms as F
 from . import tensoralg as T
 
@@ -316,8 +312,7 @@ class XGenerated:
     def relations(self):
         """Span of the reduced commutator classes red([r, z.dg])."""
         if self._relations is None:
-            from .linalg import FastSpan
-            span = FastSpan()
+            span = Span()
             basis = self.alg.basis()
             gens = self.alg.generators()
             for r in basis:
@@ -451,84 +446,6 @@ class XGenerated:
         return out, loss
 
 
-class XSmallQuotient:
-    """Honest X-complex of a small materialized algebra: the odd part is the
-    commutator quotient computed by column reduction, with the
-    lexicographically earliest basis completion as representatives."""
-
-    def __init__(self, algebra, graded=False):
-        self.algebra = algebra
-        self.graded = graded
-        self.name = "X(%s)" % algebra.name
-        dim = algebra.dim
-        par = algebra.parity
-        gens = []
-        zs = [None] + list(range(dim))
-        for r in range(dim):
-            pr = par(r) if graded else 0
-            for z in zs:
-                pz = (par(z) if z is not None else 0) if graded else 0
-                for y in range(dim):
-                    py = par(y) if graded else 0
-                    vec = {}
-                    # r . (z d y)
-                    left = {r: ONE} if z is None else algebra.product_basis(r, z)
-                    for k, c in left.items():
-                        vec_axpy(vec, c, {(k, y): ONE})
-                    sign = -ONE if (graded and pr and (pz + py) % 2) else ONE
-                    # minus (z d y) . r = z d(y r) - (z y) d r
-                    for k, c in algebra.product_basis(y, r).items():
-                        vec_axpy(vec, -sign * c, {(z, k): ONE})
-                    zy = {y: ONE} if z is None else algebra.product_basis(z, y)
-                    for k, c in zy.items():
-                        vec_axpy(vec, sign * c, {(k, r): ONE})
-                    if vec:
-                        gens.append(vec)
-        self.comm_span = Span(gens)
-        all_labels = [(z, y) for z in zs for y in range(dim)]
-        pivots = set(self.comm_span.rows)
-        self._odd_basis = [lab for lab in sorted(all_labels, key=label_key)
-                           if lab not in pivots]
-
-    def even_basis(self):
-        return list(range(self.algebra.dim))
-
-    def odd_basis(self):
-        return list(self._odd_basis)
-
-    def canonical_odd(self, vec):
-        return self.comm_span.reduce(vec)
-
-    def omega1_class(self, z, y):
-        return self.canonical_odd({(z, y): ONE}), False
-
-    def omega1_vec(self, zvec, yvec):
-        out = {}
-        for y, cy in yvec.items():
-            for z, cz in zvec.items():
-                vec_axpy(out, cy * cz, {(z, y): ONE})
-        return self.canonical_odd(out), False
-
-    def bdry_even(self, vec):
-        out = {}
-        for y, c in vec.items():
-            vec_axpy(out, c, {(None, y): ONE})
-        return self.canonical_odd(out), False
-
-    def bdry_odd(self, vec):
-        out = {}
-        par = self.algebra.parity
-        for (z, y), c in vec.items():
-            if z is None:
-                continue
-            sign = ONE
-            if self.graded and par(z) and par(y):
-                sign = -ONE
-            vec_axpy(out, c, self.algebra.product_basis(z, y))
-            vec_axpy(out, -c * sign, self.algebra.product_basis(y, z))
-        return out, False
-
-
 class OmegaComplex:
     """Forms with the (b + B) differential, split by parity of the degree."""
 
@@ -561,7 +478,7 @@ class OmegaComplex:
 
 def build_X(algebra, graded=False):
     """X-complex of a materialized algebra via the honest quotient."""
-    return XSmallQuotient(algebra, graded=graded)
+    return XGenerated(TableAlg(algebra), graded=graded, exact_quotient=True)
 
 
 def verify_dd(cx, even_labels=None, odd_labels=None):
@@ -679,11 +596,11 @@ class ChainMap:
         def efn(lab):
             v1, l1 = self.even_col(lab)
             v2, l2 = other.even_col(lab)
-            return vec_add_pair(v1, v2), l1 or l2
+            return vec_add(v1, v2), l1 or l2
         def ofn(lab):
             v1, l1 = self.odd_col(lab)
             v2, l2 = other.odd_col(lab)
-            return vec_add_pair(v1, v2), l1 or l2
+            return vec_add(v1, v2), l1 or l2
         return ChainMap(self.source, self.target, self.parity, efn, ofn,
                         name=name or ("%s+%s" % (self.name, other.name)))
 
@@ -699,12 +616,6 @@ class ChainMap:
 
     def sub(self, other, name=None):
         return self.add(other.scale(-ONE), name=name)
-
-
-def vec_add_pair(u, v):
-    out = dict(u)
-    vec_axpy(out, ONE, v)
-    return out
 
 
 def verify_chain_map(f, even_labels=None, odd_labels=None):
@@ -727,7 +638,7 @@ def verify_chain_map(f, even_labels=None, odd_labels=None):
             skipped += 1
             continue
         checked += 1
-        diff = vec_add_pair(lhs, vec_scale(rhs, -sign))
+        diff = vec_add(lhs, vec_scale(rhs, -sign))
         if diff:
             failures.append(("even", lab, diff))
     for lab in (odd_labels if odd_labels is not None else src.odd_basis()):
@@ -742,9 +653,45 @@ def verify_chain_map(f, even_labels=None, odd_labels=None):
             skipped += 1
             continue
         checked += 1
-        diff = vec_add_pair(lhs, vec_scale(rhs, -sign))
+        diff = vec_add(lhs, vec_scale(rhs, -sign))
         if diff:
             failures.append(("odd", lab, diff))
+    return {"ok": not failures, "checked": checked, "skipped": skipped,
+            "failures": failures}
+
+
+def verify_homotopy(f, h, even_labels=None, odd_labels=None):
+    """Exact check of bdry h - (-1)^{|h|} h bdry = f on the source columns
+    that feed homotopy_solve: those where f and the source boundary are
+    loss-free.  Returns a dict report like verify_chain_map."""
+    src, tgt = f.source, f.target
+    hsign = -ONE if h.parity else ONE
+    failures = []
+    checked = skipped = 0
+    sides = (("even", even_labels if even_labels is not None
+              else src.even_basis()),
+             ("odd", odd_labels if odd_labels is not None
+              else src.odd_basis()))
+    for side, labels in sides:
+        odd = side == "odd"
+        for lab in labels:
+            fcol, lf = (f.odd_col if odd else f.even_col)(lab)
+            dsrc, ls = (src.bdry_odd if odd else src.bdry_even)({lab: ONE})
+            if lf or ls:
+                skipped += 1
+                continue
+            checked += 1
+            hcol, _ = (h.odd_col if odd else h.even_col)(lab)
+            # h(lab) has parity |h| + |lab|; the solver reads target
+            # boundaries without their loss flags, and so does this check
+            odd_image = (h.parity + odd) % 2
+            bdry = tgt.bdry_odd if odd_image else tgt.bdry_even
+            diff = dict(bdry(hcol)[0])
+            vec_axpy(diff, -hsign,
+                     (h.apply_even if odd else h.apply_odd)(dsrc)[0])
+            vec_axpy(diff, -ONE, fcol)
+            if diff:
+                failures.append((side, lab, diff))
     return {"ok": not failures, "checked": checked, "skipped": skipped,
             "failures": failures}
 
@@ -760,7 +707,7 @@ def maps_equal(f, g, even_labels, odd_labels):
         if l1 or l2:
             skipped += 1
             continue
-        if vec_add_pair(v1, vec_scale(v2, -ONE)):
+        if vec_add(v1, vec_scale(v2, -ONE)):
             bad.append(("even", lab))
     for lab in odd_labels:
         v1, l1 = f.odd_col(lab)
@@ -768,7 +715,7 @@ def maps_equal(f, g, even_labels, odd_labels):
         if l1 or l2:
             skipped += 1
             continue
-        if vec_add_pair(v1, vec_scale(v2, -ONE)):
+        if vec_add(v1, vec_scale(v2, -ONE)):
             bad.append(("odd", lab))
     return {"ok": not bad, "failures": bad, "skipped": skipped}
 
@@ -869,34 +816,6 @@ def homotopy_solve(f, even_labels=None, odd_labels=None, track_witness=None):
 # ---------------------------------------------------------------------------
 # filtrations
 # ---------------------------------------------------------------------------
-
-
-class SpanFiltration:
-    """Explicit decreasing family of subcomplex spans per level."""
-
-    def __init__(self, levels, full_below=0):
-        self.levels = levels  # m -> (Span even, Span odd)
-        self.full_below = full_below
-
-    def member_even(self, m, vec):
-        if m < self.full_below or not vec:
-            return True
-        if m not in self.levels:
-            return False
-        return self.levels[m][0].contains(vec)
-
-    def member_odd(self, m, vec):
-        if m < self.full_below or not vec:
-            return True
-        if m not in self.levels:
-            return False
-        return self.levels[m][1].contains(vec)
-
-    def basis_even(self, m):
-        return self.levels[m][0].basis()
-
-    def basis_odd(self, m):
-        return self.levels[m][1].basis()
 
 
 def hodge_filtration(space, m, xtensor=None, cap_degree=None):

@@ -164,3 +164,19 @@ def test_pair_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 3
+
+
+# malformed/<command>__<case>.json: each spec must be turned away by that
+# command with exit code 3 and an input-error message, never a traceback
+MALFORMED_DIR = os.path.join(os.path.dirname(__file__), "malformed")
+MALFORMED = sorted(f for f in os.listdir(MALFORMED_DIR) if f.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_spec_exits_3(name, capsys):
+    command = name.split("__")[0]
+    code = main([command, os.path.join(MALFORMED_DIR, name)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("input error: ")
+    assert captured.out == ""

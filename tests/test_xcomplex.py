@@ -4,14 +4,16 @@ import pytest
 
 from xchern.scalars import Scalar, ZERO, ONE
 from xchern.linalg import vec_axpy, Span
-from xchern.algebra import rationals, multiply
+from xchern.algebra import (rationals, multiply, dual_numbers, matrix_units,
+                            group_algebra_z2, split_pair, matrix_algebra)
 from xchern.forms import FormSpace, Form, kappa, b as formb, connes_B
 from xchern import forms as F
 from xchern import tensoralg as T
-from xchern.xcomplex import (build_X, XGenerated, XSmallQuotient, FedosovAlg,
-                             ZekriAlg, TensorAlg, TableAlg, MatrixAlg,
+from xchern.xcomplex import (build_X, XGenerated, FedosovAlg, ZekriAlg,
+                             TensorAlg, TableAlg, MatrixAlg,
                              OmegaComplex, verify_dd, ChainMap,
-                             verify_chain_map, maps_equal, homotopy_solve,
+                             verify_chain_map, verify_homotopy, maps_equal,
+                             homotopy_solve,
                              hodge_filtration, adic_filtration,
                              TensorIdealFiltration, order_certificate,
                              x_of_tensor_algebra, xt_even_to_form,
@@ -31,31 +33,12 @@ def test_x_small_commutator(dual):
     assert v == {}
 
 
-def test_dd_zero_small(corpus_algebras):
-    for alg in corpus_algebras:
-        checked, fails = verify_dd(build_X(alg))
-        assert not fails and checked > 0
-
-
-@pytest.mark.parametrize("graded", [False, True])
-def test_small_quotient_matches_generated(corpus_algebras, dual, graded):
-    from xchern.algebra import matrix_algebra
-    algebras = list(corpus_algebras) + [
-        matrix_algebra(dual, 2, graded=graded), rationals()]
-    for alg in algebras:
-        old = XSmallQuotient(alg, graded=graded)
-        new = XGenerated(TableAlg(alg), graded=graded, exact_quotient=True)
-        assert old.odd_basis() == new.odd_basis(), alg.name
-        labels = [(z, y) for z in [None] + list(range(alg.dim))
-                  for y in range(alg.dim)]
-        for z, y in labels:
-            assert old.omega1_class(z, y) == new.omega1_class(z, y)
-            assert old.canonical_odd({(z, y): ONE}) == \
-                new.canonical_odd({(z, y): ONE})
-        for y in range(alg.dim):
-            assert old.bdry_even({y: ONE}) == new.bdry_even({y: ONE})
-        for lab in labels:
-            assert old.bdry_odd({lab: ONE}) == new.bdry_odd({lab: ONE})
+def test_dd_zero_small(corpus_algebras, dual):
+    graded_m2 = matrix_algebra(dual, 2, graded=True)
+    for alg in list(corpus_algebras) + [graded_m2]:
+        for graded in (False, True):
+            checked, fails = verify_dd(build_X(alg, graded=graded))
+            assert not fails and checked > 0, (alg.name, graded)
 
 
 def test_dd_zero_generated(dual):
@@ -108,16 +91,29 @@ def test_forms_correspondence_roundtrip(dual):
         assert form_to_xt_odd(sp, f.coeffs, xt) == {lab: ONE}
 
 
-def test_hodge_quotient_is_x_of_algebra(dual):
+# algebra and form window; window 2 already shows the quotient
+HODGE_ALGEBRAS = {
+    "dual": (dual_numbers, 4),
+    "m2": (lambda: matrix_units(2), 2),
+    "z2": (group_algebra_z2, 2),
+    "qq": (split_pair, 2),
+    "M2(dual)": (lambda: matrix_algebra(dual_numbers(), 2), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(HODGE_ALGEBRAS))
+def test_hodge_quotient_is_x_of_algebra(name):
     # the level-1 quotient of the tensor complex is the X-complex itself
-    sp = FormSpace(dual, 4)
+    make, window = HODGE_ALGEBRAS[name]
+    alg = make()
+    sp = FormSpace(alg, window)
     ev, od = hodge_filtration(sp, 1)
-    dim_even_quot = sp.dim_degree(0) + sp.dim_degree(2) + sp.dim_degree(4) \
-        - ev.dim
-    dim_odd_quot = sp.dim_degree(1) + sp.dim_degree(3) - od.dim
-    assert dim_even_quot == dual.dim
-    xa = build_X(dual)
-    assert dim_odd_quot == len(xa.odd_basis())
+    dim_even_quot = sum(sp.dim_degree(n)
+                        for n in range(0, window + 1, 2)) - ev.dim
+    dim_odd_quot = sum(sp.dim_degree(n)
+                       for n in range(1, window + 1, 2)) - od.dim
+    assert dim_even_quot == alg.dim
+    assert dim_odd_quot == len(build_X(alg).odd_basis())
 
 
 def test_hodge_nesting(dual):
@@ -221,7 +217,8 @@ def test_zero_map_has_every_order(dual):
         assert ok
 
 
-def test_homotopy_solve_recovers_coboundary(dual):
+def _random_coboundary(dual):
+    """bdry g - g bdry for a random even cochain g; returns (f, xt, xq)."""
     rng = random.Random(3)
     xt = x_of_tensor_algebra(dual, 2)
     xq = XGenerated(FedosovAlg(FormSpace(dual, 2)), exact_quotient=True)
@@ -251,9 +248,31 @@ def test_homotopy_solve_recovers_coboundary(dual):
         vec_axpy(out, -ONE, v2)
         return out, l2 or l3 or l4
 
-    f = ChainMap(xt, xq, 1, efn, ofn)
+    return ChainMap(xt, xq, 1, efn, ofn), xt, xq
+
+
+def test_homotopy_solve_recovers_coboundary(dual):
+    f, _, _ = _random_coboundary(dual)
     h, witness = homotopy_solve(f)
     assert h is not None
+    rep = verify_homotopy(f, h)
+    assert rep["ok"] and rep["checked"] > 0
+
+
+def test_verify_homotopy_rejects_a_changed_coefficient(dual):
+    f, xt, xq = _random_coboundary(dual)
+    h, _ = homotopy_solve(f)
+    even_cols = {lab: h.even_col(lab)[0] for lab in xt.even_basis()}
+    odd_cols = {lab: h.odd_col(lab)[0] for lab in xt.odd_basis()}
+    # bump one coefficient of h at a target label with a nonzero boundary
+    lab = xt.even_basis()[0]
+    t = next(t for t in xq.even_basis() if xq.bdry_even({t: ONE})[0])
+    col = even_cols.setdefault(lab, {})
+    col[t] = col.get(t, ZERO) + ONE
+    bad = ChainMap.from_columns(xt, xq, h.parity, even_cols, odd_cols)
+    rep = verify_homotopy(f, bad)
+    assert not rep["ok"]
+    assert ("even", lab) in [(side, l) for side, l, _ in rep["failures"]]
 
 
 def test_homotopy_solve_obstruction():
