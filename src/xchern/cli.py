@@ -56,11 +56,17 @@ def _int(value, what):
         raise SpecError("%s must be an integer, got %r" % (what, value))
 
 
-def _size(spec):
-    n = _int(_field(spec, "nsize"), "nsize")
+def _positive(value, what):
+    n = _int(value, what)
     if n < 1:
-        raise SpecError("nsize must be positive, got %d" % n)
+        raise SpecError("%s must be positive, got %d" % (what, n))
     return n
+
+
+def _check_square(rows, n, what):
+    if not isinstance(rows, list) or len(rows) != n or any(
+            not isinstance(row, list) or len(row) != n for row in rows):
+        raise SpecError("expected a %d x %d %s" % (n, n, what))
 
 
 def load_algebra(spec):
@@ -109,9 +115,7 @@ def _parse_entry(entry, dim):
 
 def load_matrix(rows, n, dim):
     """n x n matrix with entries over an algebra of dimension dim."""
-    if not isinstance(rows, list) or len(rows) != n or any(
-            not isinstance(row, list) or len(row) != n for row in rows):
-        raise SpecError("expected a %d x %d matrix" % (n, n))
+    _check_square(rows, n, "matrix")
     return [[_parse_entry(e, dim) for e in row] for row in rows]
 
 
@@ -137,7 +141,7 @@ def load_spec(path):
 def load_quasihom(spec):
     base = load_algebra(_field(spec, "base"))
     target = load_algebra(_field(spec, "target"))
-    n = _size(spec)
+    n = _positive(_field(spec, "nsize"), "nsize")
     rp = _matrices(spec, "rho_plus", base.dim, n, target.dim)
     rm = _matrices(spec, "rho_minus", base.dim, n, target.dim)
     try:
@@ -150,7 +154,7 @@ def load_quasihom(spec):
 def load_extension(spec):
     base = load_algebra(_field(spec, "base"))
     target = load_algebra(_field(spec, "target"))
-    n = _size(spec)
+    n = _positive(_field(spec, "nsize"), "nsize")
     alpha = _matrices(spec, "alpha", base.dim, 2 * n, target.dim)
     try:
         return QH.InvertibleExtension(base, target, n, alpha, None,
@@ -164,7 +168,7 @@ def load_fredholm(spec):
     parity = _int(spec.get("parity", 0), "parity")
     if parity not in (0, 1):
         raise SpecError("parity must be 0 or 1, got %d" % parity)
-    n = _size(spec)
+    n = _positive(_field(spec, "nsize"), "nsize")
     target_alg = load_algebra(spec.get("target", "q"))
     size = 2 * n if parity == 0 else n
     rho = _matrices(spec, "rho", base.dim, size, target_alg.dim)
@@ -183,14 +187,10 @@ def load_fredholm(spec):
 
 def load_idempotent(idem, base):
     """(size k, k x k matrix of (scalar, body over base indices))."""
-    k = _int(_field(idem, "size"), "idempotent size")
-    if k < 1:
-        raise SpecError("idempotent size must be positive, got %d" % k)
+    k = _positive(_field(idem, "size"), "idempotent size")
     scalars, bodies = _field(idem, "scalar"), _field(idem, "body")
     for rows in (scalars, bodies):
-        if not isinstance(rows, list) or len(rows) != k or any(
-                not isinstance(row, list) or len(row) != k for row in rows):
-            raise SpecError("expected a %d x %d idempotent" % (k, k))
+        _check_square(rows, k, "idempotent")
     mat = [[(_scalar(scalars[i][j]), _parse_entry(bodies[i][j], base.dim))
             for j in range(k)] for i in range(k)]
     if any(None in body for row in mat for _, body in row):

@@ -11,10 +11,9 @@ Bott normalization.
 
 from .scalars import ZERO, ONE, HALF, bott_constant
 from .linalg import vec_axpy, Span
-from . import forms as F
 from . import tensoralg as T
 from .xcomplex import (ChainMap, XGenerated, TensorAlg, TableAlg,
-                       MatrixAlg, FedosovAlg, x_of_hom,
+                       MatrixAlg, x_of_hom,
                        x_of_tensor_algebra)
 from .chern import (gamma_even, gamma_odd, trace_map, mat_mul, mat_sub,
                     mat_unit, mat_is_zero)
@@ -316,9 +315,6 @@ def compose_quasihom(psi_plus, psi_minus, quasi2, base, target2, n1, window_deg)
     representing the lift into matrices over the unitalized free product.
     quasi2 is then applied letterwise through its free-product form.
     """
-    B = quasi2.base
-    qspace = F.FormSpace(B, window_deg)
-    qalg = FedosovAlg(qspace)
     talg2 = TableAlg(quasi2.target)
     n2 = quasi2.nsize
 
