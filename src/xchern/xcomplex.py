@@ -660,7 +660,7 @@ def verify_chain_map(f, even_labels=None, odd_labels=None):
             "failures": failures}
 
 
-def verify_homotopy(f, h, even_labels=None, odd_labels=None):
+def verify_homotopy(f, h):
     """Exact check of bdry h - (-1)^{|h|} h bdry = f on the source columns
     that feed homotopy_solve: those where f and the source boundary are
     loss-free.  Returns a dict report like verify_chain_map."""
@@ -668,13 +668,8 @@ def verify_homotopy(f, h, even_labels=None, odd_labels=None):
     hsign = -ONE if h.parity else ONE
     failures = []
     checked = skipped = 0
-    sides = (("even", even_labels if even_labels is not None
-              else src.even_basis()),
-             ("odd", odd_labels if odd_labels is not None
-              else src.odd_basis()))
-    for side, labels in sides:
-        odd = side == "odd"
-        for lab in labels:
+    for odd in (0, 1):
+        for lab in (src.odd_basis() if odd else src.even_basis()):
             fcol, lf = (f.odd_col if odd else f.even_col)(lab)
             dsrc, ls = (src.bdry_odd if odd else src.bdry_even)({lab: ONE})
             if lf or ls:
@@ -691,7 +686,7 @@ def verify_homotopy(f, h, even_labels=None, odd_labels=None):
                      (h.apply_even if odd else h.apply_odd)(dsrc)[0])
             vec_axpy(diff, -ONE, fcol)
             if diff:
-                failures.append((side, lab, diff))
+                failures.append(("odd" if odd else "even", lab, diff))
     return {"ok": not failures, "checked": checked, "skipped": skipped,
             "failures": failures}
 
