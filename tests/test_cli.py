@@ -150,6 +150,25 @@ def test_jlo_command_and_determinism(tmp_path, capsys):
     assert all("anchor" in c for c in body["checks"])
 
 
+def test_jlo_checks_fail_on_nan_residual(tmp_path, capsys, monkeypatch):
+    from xchern import jlo as J
+    monkeypatch.setattr(J, "jlo_component", lambda *a, **kw: float("nan"))
+    path = _write(tmp_path, "triple.json", TRIPLE_SPEC)
+    code = main(["jlo", path, "--emit", "json"])
+    body = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert [(c["status"], c["detail"]) for c in body["checks"]] == \
+        [("fail", "residual nan")] * 3
+
+
+@pytest.mark.parametrize("flags", [["--n", "-1"], ["--T", "0"],
+                                   ["--T", "nan"]])
+def test_jlo_rejects_bad_window(flags, tmp_path, capsys):
+    path = _write(tmp_path, "triple.json", TRIPLE_SPEC)
+    assert main(["jlo", path] + flags) == 3
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_jlo_require_invertible(tmp_path, capsys):
     bad = json.loads(json.dumps(TRIPLE_SPEC))
     bad["D"] = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]

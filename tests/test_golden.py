@@ -1,0 +1,60 @@
+"""The --emit json reports of the README command lines on specs/ against
+committed copies.
+
+The exact commands must reproduce their reports byte for byte.  The jlo
+report is compared without its detail strings, whose float digits depend
+on the BLAS build; each residual must still sit within its tolerance.
+"""
+
+import json
+import os
+import re
+
+import pytest
+
+from xchern.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+
+EXACT = {
+    "verify-dga": ["verify-dga", "specs/dual.json", "--max-degree", "6"],
+    "universal": ["universal", "specs/dual.json", "--n", "0", "--parity",
+                  "even", "--window", "2", "--solve"],
+    "chern": ["chern", "specs/idqh.json", "--n", "0"],
+    "pair": ["pair", "specs/fredholm.json"],
+}
+JLO = ["jlo", "specs/triple2x2.json", "--n", "2", "--T", "8",
+       "--quad-order", "10"]
+# the tolerance of each jlo check at the default --tolerance 1e-8
+JLO_TOLERANCE = {"cocycle identity": 1e-8, "transgression": 1e-6,
+                 "retraction limit": 1e-6}
+
+
+def _report(argv, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    code = main(argv + ["--emit", "json"])
+    assert code == 0
+    return capsys.readouterr().out
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name + ".json")) as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(EXACT))
+def test_exact_report_is_byte_identical(name, monkeypatch, capsys):
+    assert _report(EXACT[name], monkeypatch, capsys) == _golden(name)
+
+
+def test_jlo_report_matches_up_to_residual_digits(monkeypatch, capsys):
+    got = json.loads(_report(JLO, monkeypatch, capsys))
+    want = json.loads(_golden("jlo"))
+    for check in got["checks"]:
+        detail = check.pop("detail")
+        assert re.fullmatch(r"residual \d\.\d{3}e[+-]\d\d", detail), detail
+        assert float(detail.split()[1]) <= JLO_TOLERANCE[check["name"]]
+    for check in want["checks"]:
+        del check["detail"]
+    assert got == want
