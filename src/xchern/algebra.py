@@ -75,11 +75,6 @@ class Algebra:
     def zero(self):
         return Element(self, {})
 
-    def unit_element(self):
-        if self.unit is None:
-            raise ValueError("algebra %s has no unit" % self.name)
-        return Element(self, dict(self.unit))
-
     def __repr__(self):
         return "Algebra(%s, dim=%d)" % (self.name, self.dim)
 
@@ -168,18 +163,6 @@ class Homomorphism:
             if not check_hom(self):
                 raise ValueError("map is not multiplicative on basis pairs")
             self.multiplicative_certificate = True
-
-    def apply(self, x):
-        out = {}
-        for i, c in x.coeffs.items():
-            vec_axpy(out, c, self.columns[i])
-        return Element(self.target, out)
-
-    def apply_coeffs(self, coeffs):
-        out = {}
-        for i, c in coeffs.items():
-            vec_axpy(out, c, self.columns[i])
-        return out
 
     @staticmethod
     def identity(algebra):

@@ -14,7 +14,7 @@ from . import forms as F
 from . import tensoralg as T
 from .qalgebra import UnitalForm
 from .xcomplex import (ChainMap, XGenerated, FedosovAlg, ZekriAlg,
-                       TensorAlg, TableAlg, kappa_map)
+                       TensorAlg, TableAlg, kappa_map, _seq_dict_product)
 
 
 def _factorial(n):
@@ -87,10 +87,6 @@ def mat_unit_alg(alg, n):
         return mat_unit(n)
     return [[(dict(ud) if r == c else {}) for c in range(n)]
             for r in range(n)]
-
-
-def mat_scale(A, s):
-    return [[vec_scale(e, s) for e in row] for row in A]
 
 
 def mat_is_zero(A):
@@ -630,15 +626,8 @@ def eta_chain_map(xe, xqs):
 
 def ideal_power_like(alg, generators, n):
     """Ideal power spans for a labelled algebra object."""
-    def product(u, v):
-        out = {}
-        for k1, c1 in u.items():
-            for k2, c2 in v.items():
-                prod, _ = alg.product_flag(k1, k2)
-                vec_axpy(out, c1 * c2, prod)
-        return out
-    return T.ideal_power(alg, generators, n, product=product,
-                         basis=alg.basis())
+    return T.ideal_power(alg, generators, n, basis=alg.basis(),
+                         product=lambda u, v: _seq_dict_product(alg, u, v)[0])
 
 
 def _branch_word_expansion(word, sign, max_len):
@@ -647,14 +636,9 @@ def _branch_word_expansion(word, sign, max_len):
     out = {(): ONE}
     loss = False
     for i in word:
-        lett = {(i + 1,): ONE, (0, i): sign}
         nxt = {}
-        for w, c in out.items():
-            if len(w) + 1 > max_len:
-                loss = True
-                continue
-            for l, cl in lett.items():
-                vec_axpy(nxt, c * cl, {w + (l,): ONE})
+        loss = T._concat_into(nxt, out, {((i + 1,),): ONE, ((0, i),): sign},
+                              max_len) or loss
         out = nxt
     return out, loss
 
@@ -739,12 +723,7 @@ def gamma_composite(algebra, n, windows, odd=False):
             for w, c in minus.items():
                 vec_axpy(comb, c * s, {w: ONE})
             nxt = {}
-            for w1, c1 in out.items():
-                for w2, c2 in comb.items():
-                    if len(w1) + len(w2) > W.out_len:
-                        loss = True
-                        continue
-                    vec_axpy(nxt, c1 * c2, {w1 + w2: ONE})
+            loss = T._concat_into(nxt, out, comb, W.out_len) or loss
             out = nxt
         if () in out:
             raise ValueError("empty classifying image")

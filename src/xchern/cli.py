@@ -376,6 +376,8 @@ def cmd_verify_dga(args):
     report = Report(["verify-dga", args.spec, "--max-degree",
                      str(args.max_degree)], timings=args.timings)
     try:
+        if args.max_degree < 0:
+            raise SpecError("--max-degree must be at least 0")
         algebra = load_algebra(load_spec(args.spec))
     except SpecError as exc:
         print("input error: %s" % exc, file=sys.stderr)
@@ -474,11 +476,17 @@ def _maps_equal_check(f, g, src):
     return rep["ok"], detail
 
 
+def _check_degrees(args):
+    if args.n < 0 or args.src_len < 1:
+        raise SpecError("--n must be at least 0 and --src-len at least 1")
+
+
 def cmd_universal(args):
     report = Report(["universal", args.spec, "--n", str(args.n),
                      "--parity", args.parity, "--window", str(args.window)],
                     timings=args.timings)
     try:
+        _check_degrees(args)
         algebra = load_algebra(load_spec(args.spec))
         parity = {"even": 0, "odd": 1}[args.parity]
         needed = 2 * args.n + parity + 2
@@ -499,6 +507,7 @@ def cmd_chern(args):
     report = Report(["chern", args.spec, "--n", str(args.n)],
                     timings=args.timings)
     try:
+        _check_degrees(args)
         spec = load_spec(args.spec)
         kind = spec["kind"]
         if kind == "quasihom":
@@ -574,7 +583,6 @@ def cmd_jlo(args):
         print("window error: D^2 is not invertible", file=sys.stderr)
         return 3
     tol = args.tolerance
-    order = args.quad_order
 
     def cocycle_check():
         residuals = []
@@ -582,11 +590,9 @@ def cmd_jlo(args):
             tup = ((0.0, 0),) + tuple(i % algebra.dim for i in range(n))
             lhs = 0.0
             for c, tt in J.tuple_b(algebra, tup):
-                lhs += c * J.jlo_component(triple, n - 1, 0.9, tt,
-                                           order=order)
+                lhs += c * J.jlo_component(triple, n - 1, 0.9, tt)
             for c, tt in J.tuple_B(tup):
-                lhs += c * J.jlo_component(triple, n + 1, 0.9, tt,
-                                           order=order)
+                lhs += c * J.jlo_component(triple, n + 1, 0.9, tt)
             residuals.append(abs(lhs))
         return _within(residuals, tol)
 
@@ -595,16 +601,13 @@ def cmd_jlo(args):
         residuals = []
         for n in range(0, min(args.n, 2) + 1):
             tup = ((0.0, 0),) + tuple(i % algebra.dim for i in range(n))
-            dchi = (J.jlo_component(triple, n, 0.8 + h, tup, order=order)
-                    - J.jlo_component(triple, n, 0.8 - h, tup,
-                                      order=order)) / (2 * h)
+            dchi = (J.jlo_component(triple, n, 0.8 + h, tup)
+                    - J.jlo_component(triple, n, 0.8 - h, tup)) / (2 * h)
             rhs = 0.0
             for c, tt in J.tuple_b(algebra, tup):
-                rhs += c * J.cs_component(triple, n - 1, 0.8, tt,
-                                          order=order)
+                rhs += c * J.cs_component(triple, n - 1, 0.8, tt)
             for c, tt in J.tuple_B(tup):
-                rhs += c * J.cs_component(triple, n + 1, 0.8, tt,
-                                          order=order)
+                rhs += c * J.cs_component(triple, n + 1, 0.8, tt)
             residuals.append(abs(dchi - rhs))
         return _within(residuals, max(tol, 1e-6))
 
@@ -614,8 +617,7 @@ def cmd_jlo(args):
         Fop = J.interpolate_Du(triple, 1.0)
         n = args.n if args.n % 2 == 0 else args.n - 1
         tup = ((0.0, 0),) + tuple(i % algebra.dim for i in range(n))
-        vT = J.chi_hat_T(triple, algebra, n, args.T, tup, order=min(order, 8),
-                         t_order=20)
+        vT = J.chi_hat_T(triple, algebra, n, args.T, tup, t_order=20)
         vI = J.chi_hat_infty_exact(Fop, n, tup)
         return _within([abs(vT - vI)], max(tol, 1e-6))
 

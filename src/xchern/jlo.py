@@ -9,9 +9,10 @@ formulas in the t -> infinity limit; both are enforced in the test suite.
 The simplex integrals are exact up to rounding: in the eigenbasis of D a
 word is a finite sum of its matrix entries times divided differences of
 exp at the eigenvalues of t^2 D^2 (Hermite-Genocchi), computed from the
-bidiagonal Opitz matrix exponential.  The `order` keywords (the CLI's
---quad-order) are accepted and have no effect; only the t-integral of the
-finite-time retraction is a Gauss-Legendre quadrature, of order t_order.
+bidiagonal Opitz matrix exponential.  jlo_component and cs_component
+accept an `order` keyword (the CLI's --quad-order) that has no effect;
+only the t-integral of the finite-time retraction is a Gauss-Legendre
+quadrature, of order t_order.
 """
 
 import itertools
@@ -127,9 +128,9 @@ def _heat_table(triple, combos, t2):
     return _simplex_exp(np.multiply.outer(t2, triple.evals[combos] ** 2))
 
 
-def simplex_integral(triple, lead, insertions, t2, order=24):
+def simplex_integral(triple, lead, insertions, t2):
     """Integral over the n-simplex of Str(lead e^{-s0 A} M1 e^{-s1 A} ...),
-    A = t^2 D^2, in closed form; order is accepted and ignored.
+    A = t^2 D^2, in closed form.
 
     An odd number of odd insertions makes the word odd and the supertrace
     vanishes identically, so those integrals are skipped."""
@@ -141,7 +142,7 @@ def simplex_integral(triple, lead, insertions, t2, order=24):
 
 def jlo_component(triple, n, t, tup, order=24):
     """Degree-n heat cochain at parameter t on a tuple (slot0, i1, ..., in);
-    slot0 is (scalar, index or None)."""
+    slot0 is (scalar, index or None).  order is accepted and ignored."""
     if t <= 0:
         raise ValueError("t must be positive")
     lead = triple.rho_tilde(tup[0])
@@ -153,7 +154,8 @@ def jlo_component(triple, n, t, tup, order=24):
 
 def cs_component(triple, n, t, tup, order=24):
     """Transgression cochain: one insertion of D among the brackets, with
-    the alternating sign of moving the odd dt past each odd bracket."""
+    the alternating sign of moving the odd dt past each odd bracket.  order
+    is accepted and ignored."""
     if t <= 0:
         raise ValueError("t must be positive")
     return complex(cs_values_over_ts(triple, n, tup, [t])[0])
@@ -215,8 +217,8 @@ def tuple_B(tup):
 # ---------------------------------------------------------------------------
 
 
-def cs_values_over_ts(triple, m, tup, ts, order=24):
-    """cs^m(t)(tup) for every t in ts; order is accepted and ignored.
+def cs_values_over_ts(triple, m, tup, ts):
+    """cs^m(t)(tup) for every t in ts.
 
     The m + 1 insertion positions of D all carry m + 1 insertions, so their
     signed eigenbasis words share one multiset table: the words are summed
@@ -237,7 +239,7 @@ def cs_values_over_ts(triple, m, tup, ts, order=24):
                                      @ total)
 
 
-def chi_hat_T(triple, algebra, n, t_big, tup, order=24, t_order=40):
+def chi_hat_T(triple, algebra, n, t_big, tup, t_order=40):
     """The degree-n retraction at finite time on a tuple of degree <= n+1."""
     k = len(tup) - 1
     if k > n + 1:
@@ -260,12 +262,12 @@ def chi_hat_T(triple, algebra, n, t_big, tup, order=24, t_order=40):
     return val
 
 
-def retract_T(triple, algebra, n, t_max, tuples, order=24, t_order=40):
+def retract_T(triple, algebra, n, t_max, tuples, t_order=40):
     """The degree-n retraction evaluated on a batch of tuples; returns a
     table tuple -> value covering all degrees up to n + 1."""
     out = {}
     for tup in tuples:
-        out[tup] = chi_hat_T(triple, algebra, n, t_max, tup, order=order,
+        out[tup] = chi_hat_T(triple, algebra, n, t_max, tup,
                              t_order=t_order)
     return out
 
@@ -346,7 +348,7 @@ def c_normalization(u, order=200):
     return total / b
 
 
-def limits_report(triple, algebra, p, n_range, t_grid, order=12):
+def limits_report(triple, algebra, p, n_range, t_grid):
     """Empirical decay tables with fitted rates for the summability and
     invertibility conditions."""
     report = {"conditions": [], "tables": {}}
@@ -357,7 +359,7 @@ def limits_report(triple, algebra, p, n_range, t_grid, order=12):
     for n, tup in tuples.items():
         rows = []
         for t in t_grid:
-            v = jlo_component(triple, n, t, tup, order=order)
+            v = jlo_component(triple, n, t, tup)
             rows.append((t, abs(v)))
         report["tables"][n] = rows
         small = [r for r in rows if r[0] <= 0.5 and r[1] > 1e-300]

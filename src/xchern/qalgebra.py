@@ -59,10 +59,6 @@ class UnitalForm:
         self.body = body
 
     @staticmethod
-    def from_form(form):
-        return UnitalForm(ZERO, form)
-
-    @staticmethod
     def unit(space, c=ONE):
         return UnitalForm(c, space.zero())
 

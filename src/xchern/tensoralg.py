@@ -12,6 +12,20 @@ from .algebra import Algebra, Element
 from . import forms as F
 
 
+def _concat_into(out, u, v, max_len=None):
+    """In place: out += u v, for dicts over words multiplied by
+    concatenation.  Words longer than max_len are dropped; returns whether
+    any was."""
+    lossy = False
+    for w1, c1 in u.items():
+        for w2, c2 in v.items():
+            if max_len is not None and len(w1) + len(w2) > max_len:
+                lossy = True
+                continue
+            vec_axpy(out, c1 * c2, {w1 + w2: ONE})
+    return lossy
+
+
 def tensor_words(dim, max_len, min_len=1):
     out = []
     def rec(prefix, k):
@@ -58,14 +72,9 @@ class TensorElement:
         assert self.algebra is other.algebra
         L = min(self.max_length, other.max_length)
         out = {}
-        lossy = self.lossy or other.lossy
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                if len(w1) + len(w2) > L:
-                    lossy = True
-                    continue
-                vec_axpy(out, c1 * c2, {w1 + w2: ONE})
-        return TensorElement(self.algebra, out, L, lossy)
+        lossy = _concat_into(out, self.terms, other.terms, L)
+        return TensorElement(self.algebra, out, L,
+                             lossy or self.lossy or other.lossy)
 
     def is_zero(self):
         return not self.terms
@@ -137,9 +146,7 @@ def from_forms(form, max_length):
         acc = letters[0]
         for lett in letters[1:]:
             nxt = {}
-            for w1, c1 in acc.items():
-                for w2, c2 in lett.items():
-                    vec_axpy(nxt, c1 * c2, {w1 + w2: ONE})
+            _concat_into(nxt, acc, lett)
             acc = nxt
         vec_axpy(out, c, acc)
     lossy = form.lossy
@@ -220,14 +227,9 @@ class LiftedHom:
         out = [[{} for _ in range(n)] for _ in range(n)]
         for r in range(n):
             for c in range(n):
-                acc = out[r][c]
                 for k in range(n):
-                    for w1, c1 in A[r][k].items():
-                        for w2, c2 in B[k][c].items():
-                            if len(w1) + len(w2) > self.max_len_tgt:
-                                lossy = True
-                                continue
-                            vec_axpy(acc, c1 * c2, {w1 + w2: ONE})
+                    lossy = _concat_into(out[r][c], A[r][k], B[k][c],
+                                         self.max_len_tgt) or lossy
         return out, lossy
 
     def on_word(self, word):
@@ -246,18 +248,6 @@ class LiftedHom:
         """A matrix over words as one vector over (row, col, word)."""
         return {(r, c, w): v for r, row in enumerate(mat)
                 for c, entry in enumerate(row) for w, v in entry.items()}
-
-    def on_element(self, x):
-        n = self.nsize
-        out = [[{} for _ in range(n)] for _ in range(n)]
-        lossy = x.lossy
-        for w, c in x.terms.items():
-            m, l = self.on_word(w)
-            lossy = lossy or l
-            for r in range(n):
-                for cc in range(n):
-                    vec_axpy(out[r][cc], c, m[r][cc])
-        return out, lossy
 
 
 def lift_hom(rho_matrices, source, nsize, max_len_src, max_len_tgt):

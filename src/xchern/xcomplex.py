@@ -411,10 +411,6 @@ class XGenerated:
                 vec_axpy(out, cy * cz, vec)
         return out, loss
 
-    def omega1_class(self, z, y):
-        vec, loss = self._raw_class(z, y)
-        return self.canonical_odd(vec), loss
-
     def omega1_vec(self, zvec, yvec):
         """Class of (sum zvec).d(sum yvec); zvec may contain the None key."""
         vec, loss = self._raw_vec(zvec, yvec)
@@ -481,27 +477,35 @@ def build_X(algebra, graded=False):
     return XGenerated(TableAlg(algebra), graded=graded, exact_quotient=True)
 
 
+_TAGS = ("even", "odd")
+
+
+def _sides(cx, even_labels=None, odd_labels=None):
+    """(odd, labels) for the even side, then the odd side; the labels
+    default to the bases of the complex."""
+    yield 0, even_labels if even_labels is not None else cx.even_basis()
+    yield 1, odd_labels if odd_labels is not None else cx.odd_basis()
+
+
+def _bdry(cx, odd):
+    return cx.bdry_odd if odd else cx.bdry_even
+
+
 def verify_dd(cx, even_labels=None, odd_labels=None):
     """Check that both composites of the boundaries vanish where no
     truncation loss occurs; returns (checked, failures)."""
     failures = []
     checked = 0
-    for lab in (even_labels if even_labels is not None else cx.even_basis()):
-        v1, l1 = cx.bdry_even({lab: ONE})
-        v2, l2 = cx.bdry_odd(v1)
-        if l1 or l2:
-            continue
-        checked += 1
-        if v2:
-            failures.append(("even", lab, v2))
-    for lab in (odd_labels if odd_labels is not None else cx.odd_basis()):
-        v1, l1 = cx.bdry_odd({lab: ONE})
-        v2, l2 = cx.bdry_even(v1)
-        if l1 or l2:
-            continue
-        checked += 1
-        if v2:
-            failures.append(("odd", lab, v2))
+    for odd, labels in _sides(cx, even_labels, odd_labels):
+        first, second = _bdry(cx, odd), _bdry(cx, 1 - odd)
+        for lab in labels:
+            v1, l1 = first({lab: ONE})
+            v2, l2 = second(v1)
+            if l1 or l2:
+                continue
+            checked += 1
+            if v2:
+                failures.append((_TAGS[odd], lab, v2))
     return checked, failures
 
 
@@ -515,57 +519,56 @@ class ChainMap:
     functions with memoization.  even_fn/odd_fn take a source label and
     return (vector, loss flag)."""
 
-    def __init__(self, source, target, parity, even_fn, odd_fn, name="map",
-                 order=None):
+    def __init__(self, source, target, parity, even_fn, odd_fn, name="map"):
         self.source = source
         self.target = target
         self.parity = parity
-        self._even_fn = even_fn
-        self._odd_fn = odd_fn
-        self._even_memo = {}
-        self._odd_memo = {}
+        self._fns = (even_fn, odd_fn)
+        self._memos = ({}, {})
         self.name = name
-        self.order = order
+
+    def _cached(self, odd, label):
+        memo = self._memos[odd]
+        hit = memo.get(label)
+        if hit is None:
+            hit = self._fns[odd](label)
+            memo[label] = hit
+        return dict(hit[0]), hit[1]
 
     def even_col(self, label):
-        hit = self._even_memo.get(label)
-        if hit is None:
-            hit = self._even_fn(label)
-            self._even_memo[label] = hit
-        return dict(hit[0]), hit[1]
+        return self._cached(0, label)
 
     def odd_col(self, label):
-        hit = self._odd_memo.get(label)
-        if hit is None:
-            hit = self._odd_fn(label)
-            self._odd_memo[label] = hit
-        return dict(hit[0]), hit[1]
+        return self._cached(1, label)
+
+    def _col(self, odd):
+        return self.odd_col if odd else self.even_col
+
+    def _apply(self, odd):
+        return self.apply_odd if odd else self.apply_even
+
+    def _apply_cols(self, odd, vec):
+        col = self._col(odd)
+        out = {}
+        loss = False
+        for lab, c in vec.items():
+            v, l = col(lab)
+            loss = loss or l
+            vec_axpy(out, c, v)
+        return out, loss
 
     def apply_even(self, vec):
-        out = {}
-        loss = False
-        for lab, c in vec.items():
-            v, l = self.even_col(lab)
-            loss = loss or l
-            vec_axpy(out, c, v)
-        return out, loss
+        return self._apply_cols(0, vec)
 
     def apply_odd(self, vec):
-        out = {}
-        loss = False
-        for lab, c in vec.items():
-            v, l = self.odd_col(lab)
-            loss = loss or l
-            vec_axpy(out, c, v)
-        return out, loss
+        return self._apply_cols(1, vec)
 
     @staticmethod
     def from_columns(source, target, parity, even_cols, odd_cols, name="map"):
-        def efn(lab):
-            return dict(even_cols.get(lab, {})), False
-        def ofn(lab):
-            return dict(odd_cols.get(lab, {})), False
-        return ChainMap(source, target, parity, efn, ofn, name=name)
+        def side(cols):
+            return lambda lab: (dict(cols.get(lab, {})), False)
+        return ChainMap(source, target, parity, side(even_cols),
+                        side(odd_cols), name=name)
 
     @staticmethod
     def zero(source, target, parity=0, name="0"):
@@ -576,43 +579,39 @@ class ChainMap:
     @staticmethod
     def compose(g, f, name=None):
         """g after f."""
-        if (f.parity, g.parity) == (0, 0):
-            parity = 0
-        else:
-            parity = (f.parity + g.parity) % 2
-        def efn(lab):
-            v, l1 = f.even_col(lab)
-            w, l2 = (g.apply_even(v) if f.parity == 0 else g.apply_odd(v))
-            return w, l1 or l2
-        def ofn(lab):
-            v, l1 = f.odd_col(lab)
-            w, l2 = (g.apply_odd(v) if f.parity == 0 else g.apply_even(v))
-            return w, l1 or l2
-        return ChainMap(f.source, g.target, parity, efn, ofn,
+        def side(odd):
+            fcol, gapply = f._col(odd), g._apply((odd + f.parity) % 2)
+            def col(lab):
+                v, l1 = fcol(lab)
+                w, l2 = gapply(v)
+                return w, l1 or l2
+            return col
+        return ChainMap(f.source, g.target, (f.parity + g.parity) % 2,
+                        side(0), side(1),
                         name=name or ("%s.%s" % (g.name, f.name)))
 
     def add(self, other, name=None):
         assert self.parity == other.parity
-        def efn(lab):
-            v1, l1 = self.even_col(lab)
-            v2, l2 = other.even_col(lab)
-            return vec_add(v1, v2), l1 or l2
-        def ofn(lab):
-            v1, l1 = self.odd_col(lab)
-            v2, l2 = other.odd_col(lab)
-            return vec_add(v1, v2), l1 or l2
-        return ChainMap(self.source, self.target, self.parity, efn, ofn,
+        def side(odd):
+            mine, theirs = self._col(odd), other._col(odd)
+            def col(lab):
+                v1, l1 = mine(lab)
+                v2, l2 = theirs(lab)
+                return vec_add(v1, v2), l1 or l2
+            return col
+        return ChainMap(self.source, self.target, self.parity, side(0),
+                        side(1),
                         name=name or ("%s+%s" % (self.name, other.name)))
 
     def scale(self, c, name=None):
-        def efn(lab):
-            v, l = self.even_col(lab)
-            return vec_scale(v, c), l
-        def ofn(lab):
-            v, l = self.odd_col(lab)
-            return vec_scale(v, c), l
-        return ChainMap(self.source, self.target, self.parity, efn, ofn,
-                        name=name or ("c*%s" % self.name))
+        def side(odd):
+            mine = self._col(odd)
+            def col(lab):
+                v, l = mine(lab)
+                return vec_scale(v, c), l
+            return col
+        return ChainMap(self.source, self.target, self.parity, side(0),
+                        side(1), name=name or ("c*%s" % self.name))
 
     def sub(self, other, name=None):
         return self.add(other.scale(-ONE), name=name)
@@ -626,36 +625,21 @@ def verify_chain_map(f, even_labels=None, odd_labels=None):
     sign = -ONE if f.parity else ONE
     failures = []
     checked = skipped = 0
-    for lab in (even_labels if even_labels is not None else src.even_basis()):
-        fcol, lf = f.even_col(lab)
-        dsrc, ls = src.bdry_even({lab: ONE})
-        if f.parity == 0:
-            lhs, lt = tgt.bdry_even(fcol)
-        else:
-            lhs, lt = tgt.bdry_odd(fcol)
-        rhs, lr = f.apply_odd(dsrc)
-        if lf or ls or lt or lr:
-            skipped += 1
-            continue
-        checked += 1
-        diff = vec_add(lhs, vec_scale(rhs, -sign))
-        if diff:
-            failures.append(("even", lab, diff))
-    for lab in (odd_labels if odd_labels is not None else src.odd_basis()):
-        fcol, lf = f.odd_col(lab)
-        dsrc, ls = src.bdry_odd({lab: ONE})
-        if f.parity == 0:
-            lhs, lt = tgt.bdry_odd(fcol)
-        else:
-            lhs, lt = tgt.bdry_even(fcol)
-        rhs, lr = f.apply_even(dsrc)
-        if lf or ls or lt or lr:
-            skipped += 1
-            continue
-        checked += 1
-        diff = vec_add(lhs, vec_scale(rhs, -sign))
-        if diff:
-            failures.append(("odd", lab, diff))
+    for odd, labels in _sides(src, even_labels, odd_labels):
+        col, bsrc = f._col(odd), _bdry(src, odd)
+        btgt, apply = _bdry(tgt, (odd + f.parity) % 2), f._apply(1 - odd)
+        for lab in labels:
+            fcol, lf = col(lab)
+            dsrc, ls = bsrc({lab: ONE})
+            lhs, lt = btgt(fcol)
+            rhs, lr = apply(dsrc)
+            if lf or ls or lt or lr:
+                skipped += 1
+                continue
+            checked += 1
+            diff = vec_add(lhs, vec_scale(rhs, -sign))
+            if diff:
+                failures.append((_TAGS[odd], lab, diff))
     return {"ok": not failures, "checked": checked, "skipped": skipped,
             "failures": failures}
 
@@ -668,25 +652,22 @@ def verify_homotopy(f, h):
     hsign = -ONE if h.parity else ONE
     failures = []
     checked = skipped = 0
-    for odd in (0, 1):
-        for lab in (src.odd_basis() if odd else src.even_basis()):
-            fcol, lf = (f.odd_col if odd else f.even_col)(lab)
-            dsrc, ls = (src.bdry_odd if odd else src.bdry_even)({lab: ONE})
+    for odd, labels in _sides(src):
+        for lab in labels:
+            fcol, lf = f._col(odd)(lab)
+            dsrc, ls = _bdry(src, odd)({lab: ONE})
             if lf or ls:
                 skipped += 1
                 continue
             checked += 1
-            hcol, _ = (h.odd_col if odd else h.even_col)(lab)
+            hcol, _ = h._col(odd)(lab)
             # h(lab) has parity |h| + |lab|; the solver reads target
             # boundaries without their loss flags, and so does this check
-            odd_image = (h.parity + odd) % 2
-            bdry = tgt.bdry_odd if odd_image else tgt.bdry_even
-            diff = dict(bdry(hcol)[0])
-            vec_axpy(diff, -hsign,
-                     (h.apply_even if odd else h.apply_odd)(dsrc)[0])
+            diff = dict(_bdry(tgt, (h.parity + odd) % 2)(hcol)[0])
+            vec_axpy(diff, -hsign, h._apply(1 - odd)(dsrc)[0])
             vec_axpy(diff, -ONE, fcol)
             if diff:
-                failures.append(("odd" if odd else "even", lab, diff))
+                failures.append((_TAGS[odd], lab, diff))
     return {"ok": not failures, "checked": checked, "skipped": skipped,
             "failures": failures}
 
@@ -696,22 +677,16 @@ def maps_equal(f, g, even_labels, odd_labels):
     inconclusive and are reported separately."""
     bad = []
     skipped = 0
-    for lab in even_labels:
-        v1, l1 = f.even_col(lab)
-        v2, l2 = g.even_col(lab)
-        if l1 or l2:
-            skipped += 1
-            continue
-        if vec_add(v1, vec_scale(v2, -ONE)):
-            bad.append(("even", lab))
-    for lab in odd_labels:
-        v1, l1 = f.odd_col(lab)
-        v2, l2 = g.odd_col(lab)
-        if l1 or l2:
-            skipped += 1
-            continue
-        if vec_add(v1, vec_scale(v2, -ONE)):
-            bad.append(("odd", lab))
+    for odd, labels in enumerate((even_labels, odd_labels)):
+        fcol, gcol = f._col(odd), g._col(odd)
+        for lab in labels:
+            v1, l1 = fcol(lab)
+            v2, l2 = gcol(lab)
+            if l1 or l2:
+                skipped += 1
+                continue
+            if vec_add(v1, vec_scale(v2, -ONE)):
+                bad.append((_TAGS[odd], lab))
     return {"ok": not bad, "failures": bad, "skipped": skipped}
 
 
@@ -729,18 +704,14 @@ def homotopy_solve(f, even_labels=None, odd_labels=None, track_witness=None):
     src, tgt = f.source, f.target
     hpar = (f.parity + 1) % 2
     hsign = -ONE if hpar else ONE  # f = bdry h - (-1)^{|h|} h bdry
-    even_labels = list(even_labels if even_labels is not None
-                       else src.even_basis())
-    odd_labels = list(odd_labels if odd_labels is not None
-                      else src.odd_basis())
-    tgt_even = list(tgt.even_basis())
-    tgt_odd = list(tgt.odd_basis())
-    # h sends even source to target side of parity hpar, odd to 1 - hpar
-    h_even_side = tgt_odd if hpar else tgt_even
-    h_odd_side = tgt_even if hpar else tgt_odd
-
-    bdry_cols_even = {t: tgt.bdry_even({t: ONE})[0] for t in tgt_even}
-    bdry_cols_odd = {t: tgt.bdry_odd({t: ONE})[0] for t in tgt_odd}
+    src_labels = [list(labels)
+                  for _, labels in _sides(src, even_labels, odd_labels)]
+    tgt_labels = (list(tgt.even_basis()), list(tgt.odd_basis()))
+    bdry_cols = tuple({t: _bdry(tgt, odd)({t: ONE})[0]
+                       for t in tgt_labels[odd]} for odd in (0, 1))
+    # unknowns ("he", s, t) and ("ho", s, t): the coefficient of target
+    # label t in h of even or odd source label s
+    kinds = ("he", "ho")
 
     equations = []
     rhs = []
@@ -758,52 +729,33 @@ def homotopy_solve(f, even_labels=None, odd_labels=None, track_witness=None):
             equations.append(eq)
             rhs.append(value.get(key, ZERO))
 
-    for lab in even_labels:
-        fcol, lf = f.even_col(lab)
-        dsrc, ls = src.bdry_even({lab: ONE})
-        if lf or ls:
-            continue
-        rows = {}
-        for t in h_even_side:
-            col = bdry_cols_odd[t] if hpar else bdry_cols_even[t]
-            for key, c in col.items():
-                rows.setdefault(("he", lab, t), {})[key] = c
-        for olab, c in dsrc.items():
-            for t in h_odd_side:
-                rows.setdefault(("ho", olab, t), {})
-                prev = rows[("ho", olab, t)].get(t, ZERO)
-                rows[("ho", olab, t)][t] = prev + (-hsign) * c
-        emit(rows, fcol)
-    for lab in odd_labels:
-        fcol, lf = f.odd_col(lab)
-        dsrc, ls = src.bdry_odd({lab: ONE})
-        if lf or ls:
-            continue
-        rows = {}
-        for t in h_odd_side:
-            col = bdry_cols_even[t] if hpar else bdry_cols_odd[t]
-            for key, c in col.items():
-                rows.setdefault(("ho", lab, t), {})[key] = c
-        for elab, c in dsrc.items():
-            for t in h_even_side:
-                rows.setdefault(("he", elab, t), {})
-                prev = rows[("he", elab, t)].get(t, ZERO)
-                rows[("he", elab, t)][t] = prev + (-hsign) * c
-        emit(rows, fcol)
+    for odd, labels in enumerate(src_labels):
+        col, bsrc = f._col(odd), _bdry(src, odd)
+        side = (hpar + odd) % 2  # target side that h sends this side to
+        for lab in labels:
+            fcol, lf = col(lab)
+            dsrc, ls = bsrc({lab: ONE})
+            if lf or ls:
+                continue
+            rows = {}
+            for t in tgt_labels[side]:
+                for key, c in bdry_cols[side][t].items():
+                    rows.setdefault((kinds[odd], lab, t), {})[key] = c
+            for slab, c in dsrc.items():
+                for t in tgt_labels[1 - side]:
+                    row = rows.setdefault((kinds[1 - odd], slab, t), {})
+                    row[t] = row.get(t, ZERO) + (-hsign) * c
+            emit(rows, fcol)
 
     if track_witness is None:
         track_witness = len(equations) <= 2000
     sol, witness = solve(equations, rhs, track_witness=track_witness)
     if sol is None:
         return None, witness
-    even_cols = {}
-    odd_cols = {}
+    cols = ({}, {})
     for (kind, slab, tlab), c in sol.items():
-        if kind == "he":
-            even_cols.setdefault(slab, {})[tlab] = c
-        else:
-            odd_cols.setdefault(slab, {})[tlab] = c
-    h = ChainMap.from_columns(src, tgt, hpar, even_cols, odd_cols,
+        cols[kinds.index(kind)].setdefault(slab, {})[tlab] = c
+    h = ChainMap.from_columns(src, tgt, hpar, cols[0], cols[1],
                               name="homotopy(%s)" % f.name)
     return h, None
 
@@ -986,23 +938,16 @@ def order_certificate(f, src_basis_fn, tgt_filt, shift, levels):
     """Certify f(F^{k+shift}) inside F^k for the listed k, where
     src_basis_fn(m) yields (even rows, odd rows) of the source level."""
     for k in levels:
-        ev, od = src_basis_fn(k + shift)
-        for row in ev:
-            img, loss = f.apply_even(row)
-            if loss:
-                return False, ("loss", k, row)
-            good = (tgt_filt.member_even(k, img) if f.parity == 0
-                    else tgt_filt.member_odd(k, img))
-            if not good:
-                return False, (k, row, img)
-        for row in od:
-            img, loss = f.apply_odd(row)
-            if loss:
-                return False, ("loss", k, row)
-            good = (tgt_filt.member_odd(k, img) if f.parity == 0
-                    else tgt_filt.member_even(k, img))
-            if not good:
-                return False, (k, row, img)
+        for odd, rows in enumerate(src_basis_fn(k + shift)):
+            apply = f._apply(odd)
+            member = (tgt_filt.member_odd if (odd + f.parity) % 2
+                      else tgt_filt.member_even)
+            for row in rows:
+                img, loss = apply(row)
+                if loss:
+                    return False, ("loss", k, row)
+                if not member(k, img):
+                    return False, (k, row, img)
     return True, None
 
 

@@ -296,7 +296,7 @@ def test_criterion_9_jlo(corpus_triple):
     Fop = J.interpolate_Du(T, 1.0)
     worst_d = 0.0
     for tup in (((0.0, 0), 0, 1), ((0.0, 1), 1, 0), ((0.0, 0), 0, 1, 0)):
-        vT = J.chi_hat_T(T, alg, 2, 8.0, tup, order=8, t_order=20)
+        vT = J.chi_hat_T(T, alg, 2, 8.0, tup, t_order=20)
         vI = J.chi_hat_infty_exact(Fop, 2, tup)
         worst_d = max(worst_d, abs(vT - vI))
     td = time.monotonic() - t0

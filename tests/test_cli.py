@@ -169,6 +169,23 @@ def test_jlo_rejects_bad_window(flags, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("command, spec, flags", [
+    ("universal", DUAL_SPEC, ["--n", "-1"]),
+    ("universal", DUAL_SPEC, ["--src-len", "-1"]),
+    ("universal", DUAL_SPEC, ["--src-len", "0"]),
+    ("verify-dga", DUAL_SPEC, ["--max-degree", "-1"]),
+    ("chern", QH_SPEC, ["--n", "-1"]),
+    ("chern", QH_SPEC, ["--src-len", "0"]),
+])
+def test_exact_commands_reject_bad_degrees(command, spec, flags, tmp_path,
+                                           capsys):
+    path = _write(tmp_path, "spec.json", spec)
+    assert main([command, path] + flags) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ")
+    assert captured.out == ""
+
+
 def test_jlo_require_invertible(tmp_path, capsys):
     bad = json.loads(json.dumps(TRIPLE_SPEC))
     bad["D"] = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]

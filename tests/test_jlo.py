@@ -144,7 +144,7 @@ def test_transgression_identity(toy4, alg):
 def test_cs_batched_consistent(toy4):
     ts = np.array([0.4, 0.9, 1.7])
     for m, tup in ((1, ((1.0, None), 0)), (3, ((1.0, None), 0, 1, 0))):
-        batch = cs_values_over_ts(toy4, m, tup, ts, 8)
+        batch = cs_values_over_ts(toy4, m, tup, ts)
         direct = np.array([cs_component(toy4, m, t, tup, order=8)
                            for t in ts])
         assert np.max(np.abs(batch - direct)) <= 1e-12
@@ -155,7 +155,7 @@ def test_retraction_limit(toy, toy4, alg):
         F = interpolate_Du(T, 1.0)
         assert np.allclose(F.D @ F.D, np.eye(T.dim), atol=1e-12)
         for tup in (((0.0, 0), 0, 1), ((0.0, 1), 1, 0)):
-            vT = chi_hat_T(T, alg, 2, 8.0, tup, order=8, t_order=20)
+            vT = chi_hat_T(T, alg, 2, 8.0, tup, t_order=20)
             vI = chi_hat_infty_exact(F, 2, tup)
             assert abs(vT - vI) <= 1e-6
 
@@ -164,7 +164,7 @@ def test_retraction_degenerate(alg):
     rho = [np.eye(2), np.eye(2)]
     D = np.array([[0.0, 2.0], [2.0, 0.0]])
     T = SpectralTriple(2, rho, D)
-    assert abs(chi_hat_T(T, alg, 2, 4.0, ((0.0, 0), 0, 1), order=6,
+    assert abs(chi_hat_T(T, alg, 2, 4.0, ((0.0, 0), 0, 1),
                          t_order=12)) == 0.0
 
 
@@ -173,8 +173,8 @@ def test_T_dependence_is_coboundary_shape(toy, alg):
     # against the stated sum of cs-values
     n, t0, h = 2, 2.0, 1e-4
     tup = ((0.0, 0), 0, 1)
-    dT = (chi_hat_T(toy, alg, n, t0 + h, tup, order=8, t_order=24)
-          - chi_hat_T(toy, alg, n, t0 - h, tup, order=8, t_order=24)) / (2 * h)
+    dT = (chi_hat_T(toy, alg, n, t0 + h, tup, t_order=24)
+          - chi_hat_T(toy, alg, n, t0 - h, tup, t_order=24)) / (2 * h)
     # at degree k = n the derivative reduces to the cs-terms of levels <= n
     rhs = 0.0
     for c, tt in tuple_b(alg, tup):
@@ -221,8 +221,8 @@ def test_homotopy_invariance_shadow(toy, alg):
     Dp = interpolate_Du(toy, 0.5 + h)
     g = {}
     for tup in tuples:
-        g[tup] = (chi_hat_T(Dp, alg, n, 8.0, tup, order=6, t_order=12)
-                  - chi_hat_T(Dm, alg, n, 8.0, tup, order=6, t_order=12)) \
+        g[tup] = (chi_hat_T(Dp, alg, n, 8.0, tup, t_order=12)
+                  - chi_hat_T(Dm, alg, n, 8.0, tup, t_order=12)) \
             / (2 * h)
     deg1 = [((0.0, i), j) for i in range(2) for j in range(2)] \
         + [((1.0, None), j) for j in range(2)]
@@ -249,7 +249,7 @@ def test_homotopy_invariance_shadow(toy, alg):
 
 def test_limits_report(toy, alg):
     rep = limits_report(toy, alg, 2.0, range(0, 3),
-                        [0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0], order=8)
+                        [0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0])
     assert rep["all_pass"]
     assert set(rep["tables"]) == {0, 1, 2}
     # small-t rate of the degree-2 cochain is about t^2
@@ -260,6 +260,6 @@ def test_limits_report(toy, alg):
 def test_retract_table(toy, alg):
     from xchern.jlo import retract_T
     tuples = [((0.0, 0),), ((0.0, 0), 0), ((0.0, 0), 0, 1)]
-    table = retract_T(toy, alg, 2, 6.0, tuples, order=8, t_order=16)
+    table = retract_T(toy, alg, 2, 6.0, tuples, t_order=16)
     assert set(table) == set(tuples)
     assert abs(table[((0.0, 0), 0)]) < 1e-12   # odd degree vanishes

@@ -344,3 +344,88 @@ def test_order_of_map_smallest(dual):
 
     n = order_of_map(g2, src_basis, filt, [0, 1])
     assert n is not None and n <= 2
+
+
+# Negative controls: a defect planted on one side of a map or a complex
+# must be reported, with that side's tag.  In X(T_2(dual)) the even label
+# (0,) has boundary d(0) and the odd label ((0,), (1,)) has boundary
+# (0, 1) - (1, 0); both are loss-free.
+BUMPS = {"even": (0,), "odd": ((0,), (1,))}
+
+
+def _identity_with_bump(xt, side):
+    """The identity of xt as columns, and a copy whose column at
+    BUMPS[side] is doubled."""
+    cols = {"even": {lab: {lab: ONE} for lab in xt.even_basis()},
+            "odd": {lab: {lab: ONE} for lab in xt.odd_basis()}}
+    ident = ChainMap.from_columns(xt, xt, 0, cols["even"], cols["odd"])
+    lab = BUMPS[side]
+    cols[side] = {**cols[side], lab: {lab: ONE + ONE}}
+    bumped = ChainMap.from_columns(xt, xt, 0, cols["even"], cols["odd"])
+    return ident, bumped
+
+
+@pytest.mark.parametrize("side", ["even", "odd"])
+def test_verify_chain_map_reports_a_bumped_column(dual, side):
+    xt = x_of_tensor_algebra(dual, 2)
+    ident, bumped = _identity_with_bump(xt, side)
+    assert verify_chain_map(ident)["ok"]
+    rep = verify_chain_map(bumped)
+    assert not rep["ok"]
+    assert (side, BUMPS[side]) in [(s, l) for s, l, _ in rep["failures"]]
+
+
+@pytest.mark.parametrize("side", ["even", "odd"])
+def test_maps_equal_reports_a_bumped_column(dual, side):
+    xt = x_of_tensor_algebra(dual, 2)
+    ident, bumped = _identity_with_bump(xt, side)
+    rep = maps_equal(ident, bumped, xt.even_basis(), xt.odd_basis())
+    assert rep["failures"] == [(side, BUMPS[side])]
+    assert rep["skipped"] == 0
+
+
+def test_verify_dd_reports_odd_failures():
+    # without the exact quotient the generated odd labels of X(M_2) are
+    # not independent, and d.d fails on ten of them
+    checked, fails = verify_dd(XGenerated(TableAlg(matrix_units(2))))
+    assert len(fails) == 10
+    assert {side for side, _, _ in fails} == {"odd"}
+
+
+def test_verify_dd_reports_an_even_failure(dual):
+    xt = x_of_tensor_algebra(dual, 2)
+
+    class BentBoundary:
+        """xt with the even boundary of (0,) moved off the cycles."""
+        even_basis, odd_basis, bdry_odd = \
+            xt.even_basis, xt.odd_basis, xt.bdry_odd
+
+        def bdry_even(self, vec):
+            out, loss = xt.bdry_even(vec)
+            vec_axpy(out, vec.get(BUMPS["even"], ZERO), {BUMPS["odd"]: ONE})
+            return out, loss
+
+    checked, fails = verify_dd(BentBoundary())
+    assert [(side, lab) for side, lab, _ in fails] == [("even", (0,))]
+
+
+@pytest.mark.parametrize("side", ["even", "odd"])
+def test_order_certificate_reports_a_bumped_column(dual, side):
+    # the zero map bumped on one column onto a vector outside level 1 of
+    # the adic filtration for the ideal spanned by the letter 1
+    xt = x_of_tensor_algebra(dual, 2)
+    filt = TensorIdealFiltration(xt, lambda lett: lett == 1)
+    lab = BUMPS[side]
+    image = {(0,): ONE} if side == "even" else {(None, (0,)): ONE}
+    cols = {"even": {}, "odd": {}, side: {lab: image}}
+    bumped = ChainMap.from_columns(xt, xt, 0, cols["even"], cols["odd"])
+
+    def unit_rows(m):
+        return ([{l: ONE} for l in xt.even_basis()],
+                [{l: ONE} for l in xt.odd_basis()])
+
+    ok, info = order_certificate(bumped, unit_rows, filt, 0, [1])
+    assert not ok
+    assert info == (1, {lab: ONE}, image)
+    ok, _ = order_certificate(ChainMap.zero(xt, xt), unit_rows, filt, 0, [1])
+    assert ok
