@@ -35,44 +35,35 @@ def _rot_sign(j, k):
 # ---------------------------------------------------------------------------
 
 
-def _entry_mul(alg, u, v):
-    out = {}
-    loss = False
-    for k1, c1 in u.items():
-        for k2, c2 in v.items():
-            if k1 is None:
-                vec_axpy(out, c1 * c2, {k2: ONE})
-            elif k2 is None:
-                vec_axpy(out, c1 * c2, {k1: ONE})
-            else:
-                prod, l = alg.product_flag(k1, k2)
-                loss = loss or l
-                vec_axpy(out, c1 * c2, prod)
-    return out, loss
+def mat_zero(n):
+    return [[{} for _ in range(n)] for _ in range(n)]
+
+
+def mat_axpy(out, c, A):
+    """In place: out += c * A; returns out."""
+    for orow, arow in zip(out, A):
+        for acc, entry in zip(orow, arow):
+            vec_axpy(acc, c, entry)
+    return out
 
 
 def mat_mul(alg, A, B):
     n = len(A)
-    out = [[{} for _ in range(n)] for _ in range(n)]
+    out = mat_zero(n)
     loss = False
     for r in range(n):
         for c in range(n):
             acc = out[r][c]
             for k in range(n):
                 if A[r][k] and B[k][c]:
-                    prod, l = _entry_mul(alg, A[r][k], B[k][c])
+                    prod, l = _seq_dict_product(alg, A[r][k], B[k][c])
                     loss = loss or l
                     vec_axpy(acc, ONE, prod)
     return out, loss
 
 
 def mat_sub(A, B):
-    n = len(A)
-    out = [[dict(A[r][c]) for c in range(n)] for r in range(n)]
-    for r in range(n):
-        for c in range(n):
-            vec_axpy(out[r][c], -ONE, B[r][c])
-    return out
+    return mat_axpy([[dict(e) for e in row] for row in A], -ONE, B)
 
 
 def mat_unit(n):
@@ -108,12 +99,7 @@ class PairMat:
         y1, l3 = mat_mul(alg, self.x, other.y)
         y2, l4 = mat_mul(alg, self.y, other.x)
         loss = l1 or l2 or l3 or l4
-        n = len(x1)
-        for r in range(n):
-            for c in range(n):
-                vec_axpy(x1[r][c], ONE, x2[r][c])
-                vec_axpy(y1[r][c], ONE, y2[r][c])
-        return PairMat(x1, y1), loss
+        return PairMat(mat_axpy(x1, ONE, x2), mat_axpy(y1, ONE, y2)), loss
 
     def sub(self, other):
         return PairMat(mat_sub(self.x, other.x), mat_sub(self.y, other.y))
@@ -200,7 +186,7 @@ def _drop_unit(vec):
 def _mat_d(A, B, n):
     """A . d(B) as a matrix of one-forms, entries over (zkey, ykey); d
     kills unit components of B."""
-    out = [[{} for _ in range(n)] for _ in range(n)]
+    out = mat_zero(n)
     for r in range(n):
         for c in range(n):
             acc = out[r][c]
@@ -257,12 +243,11 @@ def retracted_cocycle(M, n, src, tgt, name=None):
                 acc, l = mat_mul(alg, acc, comms[i])
                 loss = loss or l
             return acc, loss
-        def zeros():
-            return [[{} for _ in range(nsize)] for _ in range(nsize)]
-        acc = PairMat(zeros(), M.fmat)  # F = f * eps
+        acc = PairMat(mat_zero(nsize), M.fmat)  # F = f * eps
         loss = False
         for i in indices:
-            step = PairMat(zeros(), comms[i])  # [F, rho(a)] carries eps
+            # [F, rho(a)] carries eps
+            step = PairMat(mat_zero(nsize), comms[i])
             acc, l = acc.mul(step, alg)
             loss = loss or l
         return acc, loss
@@ -295,8 +280,7 @@ def retracted_cocycle(M, n, src, tgt, name=None):
                 return mat_unit(2 * nsize)
             return M.rho[u - 1]
         if u == 0:
-            return PairMat(mat_unit(nsize),
-                           [[{} for _ in range(nsize)] for _ in range(nsize)])
+            return PairMat(mat_unit(nsize), mat_zero(nsize))
         return M.rho[u - 1]
 
     def value_deg_n1(word):
@@ -408,6 +392,16 @@ def universal_bimodule_odd(algebra, space):
 # ---------------------------------------------------------------------------
 
 
+def _word_forms(algebra, z, deg, space):
+    """(coefficients, loss) of the degree-deg part of the form image of the
+    tensor word z; z = None is the unit, the form 1 in degree 0."""
+    if z is None:
+        return ({(0,): ONE} if deg == 0 else {}), False
+    z = tuple(z)
+    form = T.to_forms(T.TensorElement(algebra, {z: ONE}, len(z)), space)
+    return form.component(deg).coeffs, form.lossy
+
+
 def universal_ch_even(algebra, n, src, tgt, conv_space=None):
     """Even universal cocycle from the tensor-algebra X-complex to the
     X-complex of the Fedosov algebra window.
@@ -444,12 +438,9 @@ def universal_ch_even(algebra, n, src, tgt, conv_space=None):
         return acc
 
     def efn(w):
-        flat = tuple(w)
-        x = T.TensorElement(algebra, {flat: ONE}, len(flat))
-        form = T.to_forms(x, conv_space)
+        comps, loss = _word_forms(algebra, w, 2 * n, conv_space)
         out = {}
-        loss = form.lossy
-        for word, c in form.component(2 * n).coeffs.items():
+        for word, c in comps.items():
             qq = qprod_from_word(word)
             if qq is None:
                 continue
@@ -460,17 +451,8 @@ def universal_ch_even(algebra, n, src, tgt, conv_space=None):
     def ofn(lab):
         z, g = lab
         a = g[0]
-        if z is None:
-            form = F.Form(conv_space, {}) if n > 0 else None
-            comps = {(0,): ONE} if n == 0 else {}
-            lossz = False
-        else:
-            x = T.TensorElement(algebra, {tuple(z): ONE}, len(z))
-            formz = T.to_forms(x, conv_space)
-            lossz = formz.lossy
-            comps = formz.component(2 * n).coeffs
+        comps, loss = _word_forms(algebra, z, 2 * n, conv_space)
         out = {}
-        loss = lossz
         for word, c in comps.items():
             up = branch_from_word(word, ONE)
             um = branch_from_word(word, -ONE)
@@ -539,16 +521,8 @@ def universal_ch_odd(algebra, n, src, tgt, conv_space=None):
     def ofn(lab):
         z, g = lab
         a = g[0]
-        if z is None:
-            comps = {(0,): ONE} if n == 0 else {}
-            lossz = False
-        else:
-            x = T.TensorElement(algebra, {tuple(z): ONE}, len(z))
-            formz = T.to_forms(x, conv_space)
-            lossz = formz.lossy
-            comps = formz.component(2 * n).coeffs
+        comps, loss = _word_forms(algebra, z, 2 * n, conv_space)
         out = {}
-        loss = lossz
         for word, c in comps.items():
             if word == (0,):
                 full = (0, a)
@@ -560,12 +534,9 @@ def universal_ch_odd(algebra, n, src, tgt, conv_space=None):
         return out, loss
 
     def efn(w):
-        flat = tuple(w)
-        x = T.TensorElement(algebra, {flat: ONE}, len(flat))
-        form = T.to_forms(x, conv_space)
+        comps, loss = _word_forms(algebra, w, 2 * n + 2, conv_space)
         out = {}
-        loss = form.lossy
-        for word, c in form.component(2 * n + 2).coeffs.items():
+        for word, c in comps.items():
             for i in range(1, n + 2):
                 left = word[:2 * i]           # a0~ da1 ... da_{2i-1}
                 mid = word[2 * i]             # the d-slot letter

@@ -128,11 +128,13 @@ def _matrices(spec, key, count, n, dim):
 
 
 def load_spec(path):
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError("not valid JSON: %s" % exc)
+    except json.JSONDecodeError as exc:
+        raise SpecError("not valid JSON: %s" % exc)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError("cannot read the spec: %s" % exc)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise SpecError("spec file lacks a kind")
     return spec
@@ -145,7 +147,7 @@ def load_quasihom(spec):
     rp = _matrices(spec, "rho_plus", base.dim, n, target.dim)
     rm = _matrices(spec, "rho_minus", base.dim, n, target.dim)
     try:
-        return QH.Quasihomomorphism(base, target, n, rp, rm, None,
+        return QH.Quasihomomorphism(base, target, n, rp, rm,
                                     name=spec.get("name", "phi"))
     except ValueError as exc:
         raise SpecError("quasihomomorphism rejected: %s" % exc)
@@ -157,7 +159,7 @@ def load_extension(spec):
     n = _positive(_field(spec, "nsize"), "nsize")
     alpha = _matrices(spec, "alpha", base.dim, 2 * n, target.dim)
     try:
-        return QH.InvertibleExtension(base, target, n, alpha, None,
+        return QH.InvertibleExtension(base, target, n, alpha,
                                       name=spec.get("name", "ext"))
     except ValueError as exc:
         raise SpecError("extension rejected: %s" % exc)
@@ -176,9 +178,7 @@ def load_fredholm(spec):
     target = X.TableAlg(target_alg)
     try:
         if parity == 1:
-            zero = [[{} for _ in range(n)] for _ in range(n)]
-            rho = [C.PairMat(m, [list(map(dict, r)) for r in zero])
-                   for m in rho]
+            rho = [C.PairMat(m, C.mat_zero(n)) for m in rho]
         return C.FredholmBimodule(base, target, parity, rho, fmat, n,
                                   name=spec.get("name", "module"))
     except ValueError as exc:
@@ -375,13 +375,9 @@ def dga_suite(algebra, max_degree, report, samples=200, seed=11):
 def cmd_verify_dga(args):
     report = Report(["verify-dga", args.spec, "--max-degree",
                      str(args.max_degree)], timings=args.timings)
-    try:
-        if args.max_degree < 0:
-            raise SpecError("--max-degree must be at least 0")
-        algebra = load_algebra(load_spec(args.spec))
-    except SpecError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 3
+    if args.max_degree < 0:
+        raise SpecError("--max-degree must be at least 0")
+    algebra = load_algebra(load_spec(args.spec))
     dga_suite(algebra, args.max_degree, report)
     print(report.emit(args.emit))
     return 0 if report.ok else 2
@@ -485,17 +481,13 @@ def cmd_universal(args):
     report = Report(["universal", args.spec, "--n", str(args.n),
                      "--parity", args.parity, "--window", str(args.window)],
                     timings=args.timings)
-    try:
-        _check_degrees(args)
-        algebra = load_algebra(load_spec(args.spec))
-        parity = {"even": 0, "odd": 1}[args.parity]
-        needed = 2 * args.n + parity + 2
-        if args.window < needed:
-            print("window error: need a form window of at least %d"
-                  % needed, file=sys.stderr)
-            return 3
-    except (SpecError, KeyError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
+    _check_degrees(args)
+    algebra = load_algebra(load_spec(args.spec))
+    parity = {"even": 0, "odd": 1}[args.parity]
+    needed = 2 * args.n + parity + 2
+    if args.window < needed:
+        print("window error: need a form window of at least %d" % needed,
+              file=sys.stderr)
         return 3
     universal_suite(algebra, args.n, parity, args.window,
                     args.src_len, report, solve=args.solve)
@@ -506,19 +498,15 @@ def cmd_universal(args):
 def cmd_chern(args):
     report = Report(["chern", args.spec, "--n", str(args.n)],
                     timings=args.timings)
-    try:
-        _check_degrees(args)
-        spec = load_spec(args.spec)
-        kind = spec["kind"]
-        if kind == "quasihom":
-            phi = load_quasihom(spec)
-        elif kind == "extension":
-            phi = load_extension(spec)
-        else:
-            raise SpecError("chern expects a quasihom or extension spec")
-    except SpecError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 3
+    _check_degrees(args)
+    spec = load_spec(args.spec)
+    kind = spec["kind"]
+    if kind == "quasihom":
+        phi = load_quasihom(spec)
+    elif kind == "extension":
+        phi = load_extension(spec)
+    else:
+        raise SpecError("chern expects a quasihom or extension spec")
     W = C.GammaWindows(args.src_len, args.src_len, 2 * args.n + 2, 1,
                        2 * args.src_len + 2 * args.n + 2)
     if kind == "quasihom":
@@ -572,13 +560,9 @@ def cmd_jlo(args):
     report = Report(["jlo", args.spec, "--n", str(args.n), "--T",
                      str(args.T), "--quad-order", str(args.quad_order)],
                     timings=args.timings)
-    try:
-        if args.n < 0 or not args.T > 0:
-            raise SpecError("--n must be at least 0 and --T positive")
-        algebra, triple = load_spectral_triple(load_spec(args.spec))
-    except SpecError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 3
+    if args.n < 0 or not args.T > 0:
+        raise SpecError("--n must be at least 0 and --T positive")
+    algebra, triple = load_spectral_triple(load_spec(args.spec))
     if args.require_invertible and not triple.invertible_square:
         print("window error: D^2 is not invertible", file=sys.stderr)
         return 3
@@ -633,22 +617,17 @@ def cmd_jlo(args):
 
 def cmd_pair(args):
     report = Report(["pair", args.spec], timings=args.timings)
-    try:
-        spec = load_spec(args.spec)
-        if spec["kind"] != "fredholm":
-            raise SpecError("pair expects a fredholm spec")
-        if spec.get("target", "q") != "q":
-            # fredholm_index_oracle reads basis 0 of the target as its unit
-            raise SpecError("pair needs the target q, got %r"
-                            % (spec["target"],))
-        M = load_fredholm(spec)
-        idems = spec.get("idempotents", [])
-        if not isinstance(idems, list):
-            raise SpecError("idempotents must be a list")
-        idems = [load_idempotent(idem, M.base) for idem in idems]
-    except SpecError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 3
+    spec = load_spec(args.spec)
+    if spec["kind"] != "fredholm":
+        raise SpecError("pair expects a fredholm spec")
+    if spec.get("target", "q") != "q":
+        # fredholm_index_oracle reads basis 0 of the target as its unit
+        raise SpecError("pair needs the target q, got %r" % (spec["target"],))
+    M = load_fredholm(spec)
+    idems = spec.get("idempotents", [])
+    if not isinstance(idems, list):
+        raise SpecError("idempotents must be a list")
+    idems = [load_idempotent(idem, M.base) for idem in idems]
     for idx, (k, mat) in enumerate(idems):
 
         def one_pair(mat=mat, k=k):

@@ -2,37 +2,35 @@
 bivariant characters.
 
 A quasihomomorphism is a pair of representations into N x N matrices over
-the unitalized target whose difference lands in a declared matrix ideal
-(None means the full matrix algebra: at finite size every operator is
-summable to every order).  The even character is the composite
-trace . X(lift) . gamma^{2n}; the odd one carries the supertrace and the
-Bott normalization.
+the unitalized target; at finite size every operator is summable to every
+order, so no ideal is declared for the difference.  The even character is
+the composite trace . X(lift) . gamma^{2n}; the odd one carries the
+supertrace and the Bott normalization.
 """
 
 from .scalars import ZERO, ONE, HALF, bott_constant
-from .linalg import vec_axpy, Span
+from .linalg import Span
 from . import tensoralg as T
 from .xcomplex import (ChainMap, XGenerated, TensorAlg, TableAlg,
                        MatrixAlg, x_of_hom,
                        x_of_tensor_algebra)
 from .chern import (gamma_even, gamma_odd, trace_map, mat_mul, mat_sub,
-                    mat_unit, mat_is_zero)
+                    mat_unit, mat_is_zero, mat_zero, mat_axpy, _supertrace)
 
 
 class Quasihomomorphism:
-    """rho_plus, rho_minus: A -> M_N(B~); the difference sits in the ideal.
+    """rho_plus, rho_minus: A -> M_N(B~), both multiplicative.
 
     Matrices are lists of lists of dicts keyed by None (the adjoined unit)
     or basis indices of B."""
 
-    def __init__(self, base, target, nsize, rho_plus, rho_minus, ideal=None,
-                 name="phi", check=True):
+    def __init__(self, base, target, nsize, rho_plus, rho_minus, name="phi",
+                 check=True):
         self.base = base
         self.target = target
         self.nsize = nsize
         self.rho_plus = rho_plus
         self.rho_minus = rho_minus
-        self.ideal = ideal  # None = the full matrix ideal
         self.name = name
         if check:
             self._check()
@@ -45,15 +43,6 @@ class Quasihomomorphism:
             defect = _defect_table(self.base, self.target, rho, self.nsize)
             if not all(mat_is_zero(m) for m in defect.values()):
                 raise ValueError("representation is not multiplicative")
-        if self.ideal is not None:
-            for i in range(self.base.dim):
-                diff = mat_sub(self.rho_plus[i], self.rho_minus[i])
-                for r in range(self.nsize):
-                    for c in range(self.nsize):
-                        for key, coeff in diff[r][c].items():
-                            if not self.ideal((r, c, key)):
-                                raise ValueError(
-                                    "difference leaves the declared ideal")
 
     def is_degenerate(self):
         for i in range(self.base.dim):
@@ -63,15 +52,14 @@ class Quasihomomorphism:
 
     def swap(self):
         return Quasihomomorphism(self.base, self.target, self.nsize,
-                                 self.rho_minus, self.rho_plus, self.ideal,
+                                 self.rho_minus, self.rho_plus,
                                  name=self.name + ".swap", check=False)
 
     def direct_sum(self, other):
         assert self.base is other.base and self.target is other.target
         n1, n2 = self.nsize, other.nsize
         def block(m1, m2):
-            n = n1 + n2
-            out = [[{} for _ in range(n)] for _ in range(n)]
+            out = mat_zero(n1 + n2)
             for r in range(n1):
                 for c in range(n1):
                     out[r][c] = dict(m1[r][c])
@@ -84,7 +72,7 @@ class Quasihomomorphism:
         rm = [block(self.rho_minus[i], other.rho_minus[i])
               for i in range(self.base.dim)]
         return Quasihomomorphism(self.base, self.target, n1 + n2, rp, rm,
-                                 None, name=self.name + "+" + other.name,
+                                 name=self.name + "+" + other.name,
                                  check=False)
 
 
@@ -97,33 +85,29 @@ def _defect_table(base, target, table, nsize):
     for i in range(base.dim):
         for j in range(base.dim):
             prod, _ = mat_mul(talg, table[i], table[j])
-            expect = [[{} for _ in range(nsize)] for _ in range(nsize)]
+            expect = mat_zero(nsize)
             for k, c in base.product_basis(i, j).items():
-                for r in range(nsize):
-                    for cc in range(nsize):
-                        vec_axpy(expect[r][cc], c, table[k][r][cc])
-            rows[(i, j)] = mat_sub(expect, prod)
+                mat_axpy(expect, c, table[k])
+            rows[(i, j)] = mat_axpy(expect, -ONE, prod)
     return rows
 
 
 def hom_quasi(base, target, nsize, rho, name="rho*0"):
     """The quasihomomorphism rho * 0 of a plain representation."""
-    zero = [[[{} for _ in range(nsize)] for _ in range(nsize)]
-            for _ in range(base.dim)]
-    return Quasihomomorphism(base, target, nsize, rho, zero, None, name=name)
+    zero = [mat_zero(nsize) for _ in range(base.dim)]
+    return Quasihomomorphism(base, target, nsize, rho, zero, name=name)
 
 
 class InvertibleExtension:
-    """alpha: A -> M_2(M_N(B~)) with off-diagonal blocks in the ideal and
-    the symmetry X = diag(1, -1); stored as 2N x 2N matrices."""
+    """alpha: A -> M_2(M_N(B~)), multiplicative, graded by the symmetry
+    X = diag(1, -1); stored as 2N x 2N matrices.  At finite size the
+    off-diagonal blocks are summable to every order."""
 
-    def __init__(self, base, target, nsize, alpha, ideal=None, name="ext",
-                 check=True):
+    def __init__(self, base, target, nsize, alpha, name="ext", check=True):
         self.base = base
         self.target = target
         self.nsize = nsize       # block size N; matrices are 2N x 2N
         self.alpha = alpha
-        self.ideal = ideal
         self.name = name
         if check:
             self._check()
@@ -133,23 +117,6 @@ class InvertibleExtension:
         defect = _defect_table(self.base, self.target, self.alpha, two)
         if not all(mat_is_zero(m) for m in defect.values()):
             raise ValueError("alpha is not multiplicative")
-        if self.ideal is not None:
-            for i in range(self.base.dim):
-                for r in range(two):
-                    for c in range(two):
-                        off = (r < self.nsize) != (c < self.nsize)
-                        if off:
-                            for key in self.alpha[i][r][c]:
-                                if not self.ideal((r, c, key)):
-                                    raise ValueError(
-                                        "off-diagonal block leaves the ideal")
-
-    def symmetry(self):
-        two = 2 * self.nsize
-        out = [[{} for _ in range(two)] for _ in range(two)]
-        for k in range(two):
-            out[k][k] = {None: ONE if k < self.nsize else -ONE}
-        return out
 
     def conjugate_by_x(self, mat):
         two = 2 * self.nsize
@@ -171,15 +138,12 @@ class InvertibleExtension:
 
 
 def busby(ext):
-    """Compression P alpha P with the defect table of multiplicativity.
-
-    Returns a report dict; the defect entries are certified to lie in the
-    declared ideal, and the complementary compression has the same defect
-    ideal."""
+    """Compressions P alpha P and (1 - P) alpha (1 - P) with their defect
+    tables of multiplicativity; returns a report dict."""
     n = ext.nsize
     two = 2 * n
     def compress(mat, lower):
-        out = [[{} for _ in range(two)] for _ in range(two)]
+        out = mat_zero(two)
         rng = range(n, two) if lower else range(n)
         for r in rng:
             for c in rng:
@@ -189,21 +153,9 @@ def busby(ext):
     sigma_inv = [compress(ext.alpha[i], True) for i in range(ext.base.dim)]
     d1 = _defect_table(ext.base, ext.target, sigma, two)
     d2 = _defect_table(ext.base, ext.target, sigma_inv, two)
-    def in_ideal(rows):
-        if ext.ideal is None:
-            return True
-        for mat in rows.values():
-            for r in range(two):
-                for c in range(two):
-                    for key in mat[r][c]:
-                        if not ext.ideal((r, c, key)):
-                            return False
-        return True
     return {
         "defect": d1,
         "inverse_defect": d2,
-        "defect_in_ideal": in_ideal(d1),
-        "inverse_defect_in_ideal": in_ideal(d2),
         "zero_defect": all(mat_is_zero(m) for m in d1.values()),
     }
 
@@ -223,11 +175,7 @@ def _rep_on_window_word(plus, minus, word, talg, nsize):
     for j in word[1:]:
         factors.append((-HALF, j))
     for s, j in factors:
-        mat = [[{} for _ in range(nsize)] for _ in range(nsize)]
-        for r in range(nsize):
-            for c in range(nsize):
-                vec_axpy(mat[r][c], HALF, plus[j][r][c])
-                vec_axpy(mat[r][c], s, minus[j][r][c])
+        mat = mat_axpy(mat_axpy(mat_zero(nsize), HALF, plus[j]), s, minus[j])
         acc, _ = mat_mul(talg, acc, mat)
     return acc
 
@@ -320,8 +268,7 @@ def compose_quasihom(psi_plus, psi_minus, quasi2, base, target2, n1, window_deg)
 
     def expand(entry_mat):
         """Matrix over Q~B -> matrix over M_{n2}(C~) via the free product."""
-        n = n1 * n2
-        out = [[{} for _ in range(n)] for _ in range(n)]
+        out = mat_zero(n1 * n2)
         for r in range(n1):
             for c in range(n1):
                 for key, coeff in entry_mat[r][c].items():
@@ -330,15 +277,15 @@ def compose_quasihom(psi_plus, psi_minus, quasi2, base, target2, n1, window_deg)
                     else:
                         block = _rep_on_window_word(
                             quasi2.rho_plus, quasi2.rho_minus, key, talg2, n2)
-                    for rr in range(n2):
-                        for cc in range(n2):
-                            vec_axpy(out[r * n2 + rr][c * n2 + cc], coeff,
-                                     block[rr][cc])
+                    # the slices share their entry dicts with out
+                    view = [row[c * n2:(c + 1) * n2]
+                            for row in out[r * n2:(r + 1) * n2]]
+                    mat_axpy(view, coeff, block)
         return out
 
     rp = [expand(psi_plus[i]) for i in range(base.dim)]
     rm = [expand(psi_minus[i]) for i in range(base.dim)]
-    return Quasihomomorphism(base, quasi2.target, n1 * n2, rp, rm, None,
+    return Quasihomomorphism(base, quasi2.target, n1 * n2, rp, rm,
                              name="composite")
 
 
@@ -436,28 +383,11 @@ def index_pairing(M, e_matrix, k, n=0):
     unitalized base; exact, integer-valued, cross-checked by the oracle.
 
     e_matrix entries are pairs (scalar part, body dict over base indices)."""
-    # verify idempotency over the unitalization
-    for i in range(k):
-        for j in range(k):
-            acc_s = ZERO
-            acc_b = {}
-            for l in range(k):
-                s1, b1 = e_matrix[i][l]
-                s2, b2 = e_matrix[l][j]
-                acc_s = acc_s + s1 * s2
-                for bi, c in b1.items():
-                    vec_axpy(acc_b, c * s2, {bi: ONE})
-                for bi, c in b2.items():
-                    vec_axpy(acc_b, c * s1, {bi: ONE})
-                for bi, c1 in b1.items():
-                    for bj, c2 in b2.items():
-                        vec_axpy(acc_b, c1 * c2,
-                                 M.base.product_basis(bi, bj))
-            s, b = e_matrix[i][j]
-            diff = dict(acc_b)
-            vec_axpy(diff, -ONE, b)
-            if acc_s - s or diff:
-                raise ValueError("matrix is not idempotent")
+    E = [[{key: c for key, c in [(None, s), *body.items()] if c}
+          for s, body in row] for row in e_matrix]
+    EE, _ = mat_mul(TableAlg(M.base), E, E)
+    if not mat_is_zero(mat_sub(EE, E)):
+        raise ValueError("matrix is not idempotent")
     if M.parity != 0:
         raise ValueError("index pairing needs an even bimodule")
     if n != 0:
@@ -469,13 +399,8 @@ def index_pairing(M, e_matrix, k, n=0):
         for bidx, coeff in body.items():
             comm, _ = M.commutator(bidx)
             word, _ = mat_mul(M.alg, M.fmat, comm)
-            def scal(entry):
-                return entry.get(None, ZERO) + entry.get(0, ZERO)
-            tr = ZERO
-            for r in range(M.nsize):
-                tr = tr + scal(word[r][r])
-            for r in range(M.nsize, 2 * M.nsize):
-                tr = tr - scal(word[r][r])
+            st = _supertrace(word, M.nsize)
+            tr = st.get(None, ZERO) + st.get(0, ZERO)
             total = total + coeff * HALF * tr
     total = total * PAIRING_CONSTANTS[0]
     if not total.is_rational():

@@ -695,12 +695,12 @@ def maps_equal(f, g, even_labels, odd_labels):
 # ---------------------------------------------------------------------------
 
 
-def homotopy_solve(f, even_labels=None, odd_labels=None, track_witness=None):
+def homotopy_solve(f, even_labels=None, odd_labels=None, track_witness=False):
     """Solve bdry h - (-1)^{|h|} h bdry = f for a cochain h of the opposite
     parity, as an exact sparse linear system on the given source columns.
 
     Returns (ChainMap h, None) or (None, witness) when no primitive exists
-    within the window."""
+    within the window; the witness is as in linalg.solve."""
     src, tgt = f.source, f.target
     hpar = (f.parity + 1) % 2
     hsign = -ONE if hpar else ONE  # f = bdry h - (-1)^{|h|} h bdry
@@ -747,8 +747,6 @@ def homotopy_solve(f, even_labels=None, odd_labels=None, track_witness=None):
                     row[t] = row.get(t, ZERO) + (-hsign) * c
             emit(rows, fcol)
 
-    if track_witness is None:
-        track_witness = len(equations) <= 2000
     sol, witness = solve(equations, rhs, track_witness=track_witness)
     if sol is None:
         return None, witness
@@ -853,12 +851,19 @@ def adic_filtration(xgen, ideal_powers, m):
 
 
 def _seq_dict_product(alg, u, v):
+    """Product of two dicts over the labels of alg; the key None is the
+    adjoined unit."""
     out = {}
     loss = False
     for k1, c1 in u.items():
         for k2, c2 in v.items():
-            prod, l = alg.product_flag(k1, k2)
-            loss = loss or l
+            if k1 is None:
+                prod = {k2: ONE}
+            elif k2 is None:
+                prod = {k1: ONE}
+            else:
+                prod, l = alg.product_flag(k1, k2)
+                loss = loss or l
             vec_axpy(out, c1 * c2, prod)
     return out, loss
 

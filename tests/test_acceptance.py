@@ -235,7 +235,7 @@ def test_criterion_8_quasihom_characters():
     xt = x_of_tensor_algebra(alg, W.src_len)
     rep = maps_equal(ch, xr, xt.even_basis(), xt.odd_basis())
     assert rep["ok"] and rep["skipped"] == 0
-    degen = Quasihomomorphism(alg, alg, 1, rho, rho, None, check=False)
+    degen = Quasihomomorphism(alg, alg, 1, rho, rho, check=False)
     chd = ch_even(degen, 0, W)
     assert all(chd.even_col(l)[0] == {} for l in xt.even_basis())
     assert all(chd.odd_col(l)[0] == {} for l in xt.odd_basis())

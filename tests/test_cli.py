@@ -216,3 +216,19 @@ def test_malformed_spec_exits_3(name, capsys):
     assert code == 3
     assert captured.err.startswith("input error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify-dga", "universal", "chern",
+                                     "jlo", "pair"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+def test_unreadable_spec_exits_3(command, case, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not_utf8":
+        path.write_bytes(b'{"kind": "\xff"}')
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("input error: ")
+    assert captured.out == ""

@@ -54,7 +54,7 @@ def test_ch0_chain_map_and_order(dual):
 
 def test_degenerate_quasihom_vanishes(dual):
     rho = [[[{i: ONE}]] for i in range(dual.dim)]
-    phi = Quasihomomorphism(dual, dual, 1, rho, rho, None, check=False)
+    phi = Quasihomomorphism(dual, dual, 1, rho, rho, check=False)
     assert phi.is_degenerate()
     ch, parts = ch_even(phi, 0, W2, return_parts=True)
     xt = parts["xt"]
@@ -95,19 +95,19 @@ def _full_extension(qq):
     b1, b2 = {0: ONE}, {1: ONE}
     al_e1 = [[dict(b1), dict(b1)], [dict(b2), dict(b2)]]
     al_e2 = [[dict(b2), {0: -ONE}], [{1: -ONE}, dict(b1)]]
-    return InvertibleExtension(qq, qq, 1, [al_e1, al_e2], None, name="full")
+    return InvertibleExtension(qq, qq, 1, [al_e1, al_e2], name="full")
 
 
 def test_extension_busby(qq):
     ext = _full_extension(qq)
     rep = busby(ext)
-    assert rep["defect_in_ideal"] and rep["inverse_defect_in_ideal"]
+    assert rep["zero_defect"]   # both compressions are homomorphisms
     # degenerate extension has zero defect
     one = {None: ONE}
     degen = InvertibleExtension(
         qq, qq, 1,
         [[[dict({0: ONE}), {}], [{}, dict({0: ONE})]],
-         [[dict({1: ONE}), {}], [{}, dict({1: ONE})]]], None)
+         [[dict({1: ONE}), {}], [{}, dict({1: ONE})]]])
     assert degen.is_degenerate()
     rep2 = busby(degen)
     assert rep2["zero_defect"]
@@ -119,7 +119,7 @@ def test_busby_nilpotent_offdiagonal(dual):
     one = {None: ONE}
     al1 = [[dict(one), {}], [{}, dict(one)]]
     aleps = [[{}, {1: ONE}], [{}, {}]]
-    ext = InvertibleExtension(dual, dual, 1, [al1, aleps], None)
+    ext = InvertibleExtension(dual, dual, 1, [al1, aleps])
     rep = busby(ext)
     assert rep["zero_defect"]   # upper-triangular: compression multiplicative
 
@@ -143,7 +143,7 @@ def test_ch_odd_degenerate_vanishes(qq):
     degen = InvertibleExtension(
         qq, qq, 1,
         [[[dict({0: ONE}), {}], [{}, dict({0: ONE})]],
-         [[dict({1: ONE}), {}], [{}, dict({1: ONE})]]], None)
+         [[dict({1: ONE}), {}], [{}, dict({1: ONE})]]])
     W = GammaWindows(src_len=2, mid_len=2, q_inner_deg=2, q_letter_deg=1,
                      out_len=4)
     ch1, parts = ch_odd(degen, 0, W, return_parts=True)
@@ -161,8 +161,8 @@ def test_conjugate_extension_sum_is_coboundary():
     b1 = {0: ONE}
     alpha = [[[dict(b1), {}], [{}, dict(b1)]]]
     # conjugating by offdiag(1,1) swaps the diagonal and negates off-diag
-    ext = InvertibleExtension(Q, Q, 1, alpha, None, name="triv")
-    conj = InvertibleExtension(Q, Q, 1, alpha, None, name="conj")
+    ext = InvertibleExtension(Q, Q, 1, alpha, name="triv")
+    conj = InvertibleExtension(Q, Q, 1, alpha, name="conj")
     W = GammaWindows(src_len=2, mid_len=2, q_inner_deg=2, q_letter_deg=1,
                      out_len=4)
     ch1 = ch_odd(ext, 0, W)
@@ -257,8 +257,12 @@ def test_index_pairing_degenerate(qq):
 def test_index_pairing_rejects_non_idempotent(qq):
     M = _toy_bimodule(qq)
     bad = [[(ZERO, {0: Scalar.from_int(2)})]]
-    with pytest.raises(ValueError):
-        index_pairing(M, bad, 1)
+    # squares to [[1, 0], [2, 1]]: right on the diagonal, wrong off it
+    lower = [[(ONE, {}), (ZERO, {})],
+             [(ONE, {}), (ONE, {})]]
+    for mat, k in ((bad, 1), (lower, 2)):
+        with pytest.raises(ValueError, match="not idempotent"):
+            index_pairing(M, mat, k)
 
 
 def test_index_pairing_2x2_idempotent(qq):
