@@ -3,9 +3,11 @@
 The retraction formulas evaluate words of the shape
 F [F, rho(a_0)] ... [F, rho(a_n)] under a graded trace, with cyclic sums
 running over rotations (the cyclic group, signs (-1)^{j(k-1)} for a j-step
-rotation of k letters).  Even bimodules use the supertrace of the 2N x 2N
-block grading; odd ones carry a Clifford generator in the off-diagonal
-block and the odd trace picks its coefficient with the factor sqrt(2i).
+rotation of k letters).  Bimodules of both parities are 2N x 2N block
+matrices.  Even ones use the supertrace of the block grading; odd ones are
+stored in the doubled picture, whose off-diagonal block carries the
+Clifford generator, and the odd trace picks its coefficient with the
+factor sqrt(2i).
 """
 
 from .scalars import Scalar, ZERO, ONE, HALF, gamma_half, SQRT_2I
@@ -31,7 +33,7 @@ def _rot_sign(j, k):
 
 # ---------------------------------------------------------------------------
 # matrices over a labelled algebra; entries are dicts with the key None for
-# the adjoined unit.  Odd-parity bimodules store pairs (x, y) for x + y*eps.
+# the adjoined unit.
 # ---------------------------------------------------------------------------
 
 
@@ -84,79 +86,59 @@ def mat_is_zero(A):
     return all(not e for row in A for e in row)
 
 
-class PairMat:
-    """x + y*eps over N x N matrices; eps is the odd Clifford generator."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x = x
-        self.y = y
-
-    def mul(self, other, alg):
-        x1, l1 = mat_mul(alg, self.x, other.x)
-        x2, l2 = mat_mul(alg, self.y, other.y)
-        y1, l3 = mat_mul(alg, self.x, other.y)
-        y2, l4 = mat_mul(alg, self.y, other.x)
-        loss = l1 or l2 or l3 or l4
-        return PairMat(mat_axpy(x1, ONE, x2), mat_axpy(y1, ONE, y2)), loss
-
-    def sub(self, other):
-        return PairMat(mat_sub(self.x, other.x), mat_sub(self.y, other.y))
-
-    def is_zero(self):
-        return mat_is_zero(self.x) and mat_is_zero(self.y)
+def _doubled(x, y):
+    """x + y*eps as the 2N x 2N matrix [[x, y], [y, x]]; eps is the odd
+    Clifford generator."""
+    return [[dict(e) for e in rx + ry] for rx, ry in zip(x, y)] + \
+        [[dict(e) for e in ry + rx] for rx, ry in zip(x, y)]
 
 
 class FredholmBimodule:
-    """rho and an odd symmetry F with F^2 = 1 over a matrix algebra.
+    """rho and an odd symmetry F with F^2 = 1 over a matrix algebra, stored
+    as 2N x 2N matrices: rho(a) block diagonal, F block off-diagonal.
 
-    parity 0: rho(a) = diag blocks (even), F purely off-diagonal, size 2N.
-    parity 1: the doubled picture rho = diag(alpha, alpha), F = offdiag(f, f)
-    is stored through alpha and f directly (N x N), with f^2 = 1.
+    parity 0: rho and F are given at size 2N.
+    parity 1: rho is given through N x N matrices alpha and F through an
+    N x N matrix f; the doubled picture rho = diag(alpha, alpha),
+    F = offdiag(f, f) is stored, and F^2 is compared to the target
+    algebra's own unit when it has one.
     """
 
     def __init__(self, base, alg, parity, rho, fmat, nsize, name="bimodule"):
         self.base = base          # source Algebra
         self.alg = alg            # target algebra protocol object
         self.parity = parity
-        self.rho = rho            # list over base basis of matrices
-        self.fmat = fmat
         self.nsize = nsize        # N as above
         self.name = name
+        if parity:
+            zero = mat_zero(nsize)
+            rho = [_doubled(m, zero) for m in rho]
+            fmat = _doubled(zero, fmat)
+        self.rho = rho            # list over base basis of matrices
+        self.fmat = fmat
         self._check()
 
     def _check(self):
-        if self.parity == 0:
-            f2, _ = mat_mul(self.alg, self.fmat, self.fmat)
-            if not mat_is_zero(mat_sub(f2, mat_unit(2 * self.nsize))):
-                raise ValueError("F^2 is not the identity")
-            n = self.nsize
-            for r in range(2 * n):
-                for c in range(2 * n):
-                    on_diag = (r < n) == (c < n)
-                    if on_diag and self.fmat[r][c]:
-                        raise ValueError("F has even-degree components")
-                    for m in self.rho:
-                        if not on_diag and m[r][c]:
-                            raise ValueError("rho has odd-degree components")
-        else:
-            f2, _ = mat_mul(self.alg, self.fmat, self.fmat)
-            diff = mat_sub(f2, mat_unit_alg(self.alg, self.nsize))
-            if not mat_is_zero(diff):
-                raise ValueError("F^2 is not the identity")
+        n = self.nsize
+        unit = mat_unit_alg(self.alg, 2 * n) if self.parity else \
+            mat_unit(2 * n)
+        f2, _ = mat_mul(self.alg, self.fmat, self.fmat)
+        if not mat_is_zero(mat_sub(f2, unit)):
+            raise ValueError("F^2 is not the identity")
+        for r in range(2 * n):
+            for c in range(2 * n):
+                on_diag = (r < n) == (c < n)
+                if on_diag and self.fmat[r][c]:
+                    raise ValueError("F has even-degree components")
+                for m in self.rho:
+                    if not on_diag and m[r][c]:
+                        raise ValueError("rho has odd-degree components")
 
     def commutator(self, i):
-        """[F, rho(a_i)]; for parity 1 this is the eps coefficient
-        f alpha - alpha f of the doubled picture."""
-        if self.parity == 0:
-            fr, l1 = mat_mul(self.alg, self.fmat, self.rho[i])
-            rf, l2 = mat_mul(self.alg, self.rho[i], self.fmat)
-            return mat_sub(fr, rf), (l1 or l2)
-        alpha = self.rho[i].x
-        fa, l1 = mat_mul(self.alg, self.fmat, alpha)
-        af, l2 = mat_mul(self.alg, alpha, self.fmat)
-        return mat_sub(fa, af), (l1 or l2)
+        """[F, rho(a_i)]."""
+        fr, l1 = mat_mul(self.alg, self.fmat, self.rho[i])
+        rf, l2 = mat_mul(self.alg, self.rho[i], self.fmat)
+        return mat_sub(fr, rf), (l1 or l2)
 
     def is_degenerate(self):
         return all(mat_is_zero(self.commutator(i)[0])
@@ -172,10 +154,12 @@ def _supertrace(mats, nsize):
     return out
 
 
-def _plain_trace(mats, nsize):
+def _eps_trace(mats, nsize):
+    """Trace of the eps coefficient y of x + y*eps in the doubled picture:
+    the diagonal of the top-right block."""
     out = {}
     for k in range(nsize):
-        vec_axpy(out, ONE, mats[k][k])
+        vec_axpy(out, ONE, mats[k][nsize + k])
     return out
 
 
@@ -214,19 +198,25 @@ def retracted_cocycle(M, n, src, tgt, name=None):
     """The degree-n retracted cocycle of a Fredholm bimodule as a chain map
     from the (b + B)-complex window to the X-complex of the target.
 
+    Both parities run through the same words of 2N x 2N matrices.  The
+    trace is the supertrace for parity 0 and, for parity 1, the trace of
+    the eps coefficient times sqrt(2i); the odd trace anticommutes with the
+    one-form differential, which flips the unit-slot and d(F) groups.
     Nonzero only on degrees n and n+1; requires n = parity mod 2."""
     if n % 2 != M.parity:
         raise ValueError("degree parity must match the bimodule parity")
     if n < 0:
         raise ValueError("negative degree")
     alg = M.alg
-    parity = M.parity
     nsize = M.nsize
-    twoN = 2 * nsize if parity == 0 else nsize
+    trace = _eps_trace if M.parity else _supertrace
+    dsign = -ONE if M.parity else ONE
     coef = gamma_half(n + 2) / Scalar.from_int(_factorial(n + 1))
     coef = coef * HALF
     if n % 2 == 1:
         coef = -coef
+    if M.parity:
+        coef = coef * SQRT_2I
 
     comms = []
     for i in range(M.base.dim):
@@ -234,31 +224,16 @@ def retracted_cocycle(M, n, src, tgt, name=None):
         comms.append(c)
 
     def word_value(indices):
-        """F [F, rho(i_0)] ... [F, rho(i_k)] as a matrix (parity 0) or
-        PairMat (parity 1)."""
-        if parity == 0:
-            acc = M.fmat
-            loss = False
-            for i in indices:
-                acc, l = mat_mul(alg, acc, comms[i])
-                loss = loss or l
-            return acc, loss
-        acc = PairMat(mat_zero(nsize), M.fmat)  # F = f * eps
+        """F [F, rho(i_0)] ... [F, rho(i_k)]."""
+        acc = M.fmat
         loss = False
         for i in indices:
-            # [F, rho(a)] carries eps
-            step = PairMat(mat_zero(nsize), comms[i])
-            acc, l = acc.mul(step, alg)
+            acc, l = mat_mul(alg, acc, comms[i])
             loss = loss or l
         return acc, loss
 
-    def tau(mat_or_pair):
-        if parity == 0:
-            return _supertrace(mat_or_pair, nsize)
-        return vec_scale(_plain_trace(mat_or_pair.y, nsize), SQRT_2I)
-
     def value_deg_n(word):
-        """Slot at degree n: the cyclic supertrace formula."""
+        """Slot at degree n: the cyclic graded-trace formula."""
         u = word[0]
         letters = word[1:]
         if u == 0:
@@ -270,43 +245,21 @@ def retracted_cocycle(M, n, src, tgt, name=None):
             rot = tup[j:] + tup[:j]
             val, l = word_value(rot)
             loss = loss or l
-            vec_axpy(out, _rot_sign(j, n + 1), tau(val))
+            vec_axpy(out, _rot_sign(j, n + 1), trace(val, nsize))
         return vec_scale(_drop_unit(out), coef), loss
-
-    def rho_tilde(u):
-        """Matrix of rho extended to the unitalization slot."""
-        if parity == 0:
-            if u == 0:
-                return mat_unit(2 * nsize)
-            return M.rho[u - 1]
-        if u == 0:
-            return PairMat(mat_unit(nsize), mat_zero(nsize))
-        return M.rho[u - 1]
 
     def value_deg_n1(word):
         """Slot at degree n+1: the three graded-trace groups."""
         u = word[0]
         letters = word[1:]
-        out = {}
-        loss = False
         # group 1: d(rho(a0~) F [F, rho(a1)] ... [F, rho(a_{n+1})])
-        tail, l = word_value(letters)
+        tail, l1 = word_value(letters)
+        rho_u = M.rho[u - 1] if u else mat_unit(2 * nsize)
+        w, l2 = mat_mul(alg, rho_u, tail)
+        loss = l1 or l2
+        out, l = tgt.omega1_vec({None: ONE}, _drop_unit(trace(w, nsize)))
         loss = loss or l
-        if parity == 0:
-            w, l2 = mat_mul(alg, rho_tilde(u), tail)
-            loss = loss or l2
-            body = _drop_unit(_supertrace(w, nsize))
-            vec, l3 = tgt.omega1_vec({None: ONE}, body)
-            loss = loss or l3
-            vec_axpy(out, ONE, vec)
-        else:
-            w, l2 = rho_tilde(u).mul(tail, alg)
-            loss = loss or l2
-            body = _drop_unit(_plain_trace(w.y, nsize))
-            vec, l3 = tgt.omega1_vec({None: ONE}, body)
-            loss = loss or l3
-            # the odd trace anticommutes with the one-form differential
-            vec_axpy(out, -SQRT_2I, vec)
+        out = vec_scale(out, dsign)
         # groups 2 and 3: cyclic sums with d(rho) and d(F)
         if u != 0:
             tup = (u - 1,) + letters
@@ -314,36 +267,18 @@ def retracted_cocycle(M, n, src, tgt, name=None):
             for j in range(k):
                 rot = tup[j:] + tup[:j]
                 s = _rot_sign(j, k)
-                head, l4 = word_value(rot[:-1])
-                loss = loss or l4
-                if parity == 0:
-                    of = _mat_d(head, M.rho[rot[-1]], 2 * nsize)
-                    tr = _supertrace(of, nsize)
-                    vec, l5 = _natural_of_pairs(tgt, tr)
-                    loss = loss or l5
-                    vec_axpy(out, s, vec)
-                    full, l6 = word_value(rot)
-                    loss = loss or l6
-                    of2 = _mat_d(full, M.fmat, 2 * nsize)
-                    tr2 = _supertrace(of2, nsize)
-                    vec2, l7 = _natural_of_pairs(tgt, tr2)
-                    loss = loss or l7
-                    vec_axpy(out, -s * HALF, vec2)
-                else:
-                    of = _mat_d(head.y, M.rho[rot[-1]].x
-                                if isinstance(M.rho[rot[-1]], PairMat)
-                                else M.rho[rot[-1]], nsize)
-                    tr = _plain_trace(of, nsize)
-                    vec, l5 = _natural_of_pairs(tgt, tr)
-                    loss = loss or l5
-                    vec_axpy(out, s * SQRT_2I, vec)
-                    full, l6 = word_value(rot)
-                    loss = loss or l6
-                    of2 = _mat_d(full.x, M.fmat, nsize)
-                    tr2 = _plain_trace(of2, nsize)
-                    vec2, l7 = _natural_of_pairs(tgt, tr2)
-                    loss = loss or l7
-                    vec_axpy(out, s * HALF * SQRT_2I, vec2)
+                head, l = word_value(rot[:-1])
+                loss = loss or l
+                tr = trace(_mat_d(head, M.rho[rot[-1]], 2 * nsize), nsize)
+                vec, l = _natural_of_pairs(tgt, tr)
+                loss = loss or l
+                vec_axpy(out, s, vec)
+                full, l = word_value(rot)
+                loss = loss or l
+                tr = trace(_mat_d(full, M.fmat, 2 * nsize), nsize)
+                vec, l = _natural_of_pairs(tgt, tr)
+                loss = loss or l
+                vec_axpy(out, -s * HALF * dsign, vec)
         return vec_scale(out, coef), loss
 
     def col(word):
@@ -354,7 +289,7 @@ def retracted_cocycle(M, n, src, tgt, name=None):
             return value_deg_n1(word)
         return {}, False
 
-    return ChainMap(src, tgt, parity, col, col,
+    return ChainMap(src, tgt, M.parity, col, col,
                     name=name or ("chi%d(%s)" % (n, M.name)))
 
 
@@ -379,10 +314,8 @@ def universal_bimodule_even(algebra, space):
 def universal_bimodule_odd(algebra, space):
     """alpha = the canonical copy of A inside the crossed product, f = X."""
     ealg = ZekriAlg(space)
-    rho = []
-    for i in range(algebra.dim):
-        io = {(0, (i + 1,)): ONE, (0, (0, i)): ONE}
-        rho.append(PairMat([[io]], [[{}]]))
+    rho = [[[{(0, (i + 1,)): ONE, (0, (0, i)): ONE}]]
+           for i in range(algebra.dim)]
     fmat = [[{(1, ()): ONE}]]
     return FredholmBimodule(algebra, ealg, 1, rho, fmat, 1, name="u1")
 
@@ -658,7 +591,7 @@ def gamma_composite(algebra, n, windows, odd=False):
     Xv = x_of_hom(xt, xtu, v_img, name="X(v)")
 
     qu_space = F.FormSpace(U, W.q_inner_deg)
-    xqu = XGenerated(FedosovAlg(qu_space, graded=odd), graded=odd)
+    xqu = XGenerated(FedosovAlg(qu_space, graded=odd))
     conv = F.FormSpace(U, max(2 * W.mid_len, W.q_inner_deg + 2))
     if odd:
         ch = universal_ch_odd(U, n, xtu, xqu, conv_space=conv)
@@ -667,7 +600,7 @@ def gamma_composite(algebra, n, windows, odd=False):
 
     qa_space = F.FormSpace(algebra, W.q_letter_deg)
     qcoeff = FedosovAlg(qa_space, graded=odd)
-    xtq = XGenerated(TensorAlg(qcoeff, W.out_len), graded=odd)
+    xtq = XGenerated(TensorAlg(qcoeff, W.out_len))
 
     def phi_factor(uword, sign):
         """Word over Q-letters for the branch image of a U basis element."""
@@ -720,15 +653,19 @@ def gamma_odd(algebra, n, windows):
 # ---------------------------------------------------------------------------
 
 
-def trace_map(x_mat, x_base, nsize, graded=False, half=1):
+def trace_map(x_mat, x_base):
     """X(M_N(R)) -> X(R): multiplication over the matrix factor followed by
-    its (super)trace; half is the block size of the grading."""
+    its trace, or its supertrace when the matrix algebra is graded."""
+    mat = x_mat.alg
+
+    def sign(r):
+        return -ONE if (mat.graded and (r // mat.half) % 2) else ONE
+
     def efn(lab):
         r, c, l = lab
         if r != c:
             return {}, False
-        sign = -ONE if (graded and (r // half) % 2) else ONE
-        return {l: sign}, False
+        return {l: sign(r)}, False
 
     def ofn(lab):
         z, g = lab
@@ -736,14 +673,12 @@ def trace_map(x_mat, x_base, nsize, graded=False, half=1):
         if z is None:
             if p != q:
                 return {}, False
-            sign = -ONE if (graded and (p // half) % 2) else ONE
-            return {(None, gb): sign}, False
+            return {(None, gb): sign(p)}, False
         r, c, l = z
         if c != p or q != r:
             return {}, False
-        sign = -ONE if (graded and (r // half) % 2) else ONE
         vec, loss = x_base.omega1_vec({l: ONE}, {gb: ONE})
-        return vec_scale(vec, sign), loss
+        return vec_scale(vec, sign(r)), loss
 
     return ChainMap(x_mat, x_base, 0, efn, ofn,
-                    name="tr%s" % ("s" if graded else ""))
+                    name="tr%s" % ("s" if mat.graded else ""))

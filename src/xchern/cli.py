@@ -8,6 +8,7 @@ mathematical identity failed, 3 bad input or an unrepresentable window.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -81,6 +82,8 @@ def load_algebra(spec):
         return BUILTINS[name]()
     try:
         names = list(spec["basis"])
+        if len(set(names)) != len(names):
+            raise SpecError("duplicate basis name in %r" % (names,))
         mul = {}
         for key, vec in spec["products"].items():
             a, b = key.split("*")
@@ -127,10 +130,19 @@ def _matrices(spec, key, count, n, dim):
     return [load_matrix(m, n, dim) for m in mats]
 
 
+def _unique_keys(pairs):
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SpecError("duplicate key %r in a JSON object" % key)
+        out[key] = value
+    return out
+
+
 def load_spec(path):
     try:
         with open(path) as fh:
-            spec = json.load(fh)
+            spec = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SpecError("not valid JSON: %s" % exc)
     except (OSError, UnicodeDecodeError) as exc:
@@ -177,8 +189,6 @@ def load_fredholm(spec):
     fmat = load_matrix(_field(spec, "F"), size, target_alg.dim)
     target = X.TableAlg(target_alg)
     try:
-        if parity == 1:
-            rho = [C.PairMat(m, C.mat_zero(n)) for m in rho]
         return C.FredholmBimodule(base, target, parity, rho, fmat, n,
                                   name=spec.get("name", "module"))
     except ValueError as exc:
@@ -389,32 +399,25 @@ def universal_suite(algebra, n, parity, q_window, src_len, report,
     osp = F.FormSpace(algebra, 2 * src_len)
     omega = X.OmegaComplex(osp)
     cmap = X.rescale_map(xt, omega)
+    deg = 2 * n + parity
+    qsp = F.FormSpace(algebra, q_window)
+    xq = X.XGenerated(X.FedosovAlg(qsp, graded=bool(parity)),
+                      exact_quotient=True)
+    universal_ch = (C.universal_ch_even, C.universal_ch_odd)[parity]
+    ch = universal_ch(algebra, n, xt, xq)
+    scal = Scalar.rational(1, deg + 1)
     if parity == 0:
-        qsp = F.FormSpace(algebra, q_window)
-        xq = X.XGenerated(X.FedosovAlg(qsp), exact_quotient=True)
-        ch = C.universal_ch_even(algebra, n, xt, xq)
-        u = C.universal_bimodule_even(algebra, qsp)
-        chi = C.retracted_cocycle(u, 2 * n, omega, xq)
-        deg = 2 * n
-        ksum = C.kappa_power_sum(xt, osp, deg)
-        scal = Scalar.rational(1, deg + 1)
-        lhs = X.ChainMap.compose(chi, cmap)
-        rhs = X.ChainMap.compose(ch, ksum).scale(scal)
+        xr, u = xq, C.universal_bimodule_even(algebra, qsp)
     else:
-        qsp = F.FormSpace(algebra, q_window)
-        xq = X.XGenerated(X.FedosovAlg(qsp, graded=True), graded=True,
-                          exact_quotient=True)
         esp = F.FormSpace(algebra, q_window)
-        xe = X.XGenerated(X.ZekriAlg(esp), exact_quotient=True)
-        ch = C.universal_ch_odd(algebra, n, xt, xq)
+        xr = X.XGenerated(X.ZekriAlg(esp), exact_quotient=True)
         u = C.universal_bimodule_odd(algebra, esp)
-        chi = C.retracted_cocycle(u, 2 * n + 1, omega, xe)
-        deg = 2 * n + 1
-        ksum = C.kappa_power_sum(xt, osp, deg)
-        em = C.eta_chain_map(xe, xq)
-        lhs = X.ChainMap.compose(em, X.ChainMap.compose(chi, cmap))
-        rhs = X.ChainMap.compose(ch, ksum) \
-            .scale(bott_constant() * Scalar.rational(1, deg + 1))
+        scal = bott_constant() * scal
+    chi = C.retracted_cocycle(u, deg, omega, xr)
+    lhs = X.ChainMap.compose(chi, cmap)
+    if parity:
+        lhs = X.ChainMap.compose(C.eta_chain_map(xr, xq), lhs)
+    rhs = X.ChainMap.compose(ch, C.kappa_power_sum(xt, osp, deg)).scale(scal)
 
     report.run("chain map: universal cocycle",
                "boundaries intertwine with the cocycle",
@@ -433,13 +436,8 @@ def universal_suite(algebra, n, parity, q_window, src_len, report,
                "retraction of the universal bimodule matches the cocycle",
                lambda: _maps_equal_check(lhs, rhs, xt))
     if solve:
-        if parity == 0:
-            ch_lo = C.universal_ch_even(algebra, 0, xt, xq)
-            ch_hi = C.universal_ch_even(algebra, 1, xt, xq)
-        else:
-            ch_lo = C.universal_ch_odd(algebra, 0, xt, xq)
-            ch_hi = C.universal_ch_odd(algebra, 1, xt, xq)
-        diff = ch_hi.sub(ch_lo)
+        diff = universal_ch(algebra, 1, xt, xq).sub(
+            universal_ch(algebra, 0, xt, xq))
         def run_solve():
             h, _ = X.homotopy_solve(diff)
             if h is None:
@@ -560,8 +558,10 @@ def cmd_jlo(args):
     report = Report(["jlo", args.spec, "--n", str(args.n), "--T",
                      str(args.T), "--quad-order", str(args.quad_order)],
                     timings=args.timings)
-    if args.n < 0 or not args.T > 0:
-        raise SpecError("--n must be at least 0 and --T positive")
+    if args.n < 0 or not 0 < args.T < math.inf:
+        raise SpecError("--n must be at least 0 and --T finite and positive")
+    if not 0 <= args.tolerance < math.inf:
+        raise SpecError("--tolerance must be finite and at least 0")
     algebra, triple = load_spectral_triple(load_spec(args.spec))
     if args.require_invertible and not triple.invertible_square:
         print("window error: D^2 is not invertible", file=sys.stderr)

@@ -185,8 +185,7 @@ def _traced_lift(src_cx, letters, nsize, target, max_len_src, out_len, name,
     """X(lift) of matrix letters into X(M_N(T B~)) and the (super)trace
     back to X(T B~); returns (X(lift), trace, matrix complex, X(T B~))."""
     tb = TensorAlg(TableAlg(target), out_len, unital=True)
-    xmat = XGenerated(MatrixAlg(tb, nsize, graded=graded, half=half),
-                      graded=graded)
+    xmat = XGenerated(MatrixAlg(tb, nsize, graded=graded, half=half))
     xtb = XGenerated(tb)
     lift = T.LiftedHom(src_cx.alg, letters, nsize, max_len_src, out_len)
 
@@ -195,7 +194,7 @@ def _traced_lift(src_cx, letters, nsize, target, max_len_src, out_len, name,
         return lift.flatten(mat), loss
 
     xlift = x_of_hom(src_cx, xmat, lift_img, name=name)
-    tr = trace_map(xmat, xtb, nsize, graded=graded, half=half)
+    tr = trace_map(xmat, xtb)
     return xlift, tr, xmat, xtb
 
 

@@ -5,8 +5,8 @@ one-forms by (super)commutators.  For algebras presented by generators the
 quotient has a canonical spanning family: classes of z.d(g) with z in the
 unitalization of R (None denotes the formal unit) and g a generator.  The
 reduction of a general z.d(y) runs the Leibniz rule through an ordered
-factorization of y and the trace property, with Koszul signs when the
-algebra is graded.
+factorization of y and the trace property, with Koszul signs read from
+the parities of the algebra's labels (all 0 in an ungraded algebra).
 """
 
 from .scalars import Scalar, ZERO, ONE
@@ -300,9 +300,8 @@ class XGenerated:
     commutator classes, which yields the honest quotient.  For free tensor
     algebras the extra span is zero and the flag is unnecessary."""
 
-    def __init__(self, alg, graded=False, exact_quotient=False):
+    def __init__(self, alg, exact_quotient=False):
         self.alg = alg
-        self.graded = graded
         self.gen_set = set(alg.generators())
         self._red_memo = {}
         self.exact_quotient = exact_quotient
@@ -328,7 +327,7 @@ class XGenerated:
                         for k, c in left.items():
                             vec_axpy(vec, c, {(k, g): ONE})
                         sign = ONE
-                        if self.graded and pr and (pz + pg) % 2:
+                        if pr and (pz + pg) % 2:
                             sign = -ONE
                         # minus (z d g) . r = z d(g r) - (z g) d r
                         gr, _ = self.alg.product_flag(g, r)
@@ -392,7 +391,7 @@ class XGenerated:
             prefix = fac[:i]
             p_suf = sum(pars[i + 1:]) % 2
             sign = ONE
-            if self.graded and p_suf and (pz + sum(pars[:i + 1])) % 2:
+            if p_suf and (pz + sum(pars[:i + 1])) % 2:
                 sign = -ONE
             chunk, l = _seq_product(self.alg, suffix + [z] + prefix)
             loss = loss or l
@@ -435,7 +434,7 @@ class XGenerated:
             gz, l2 = self.alg.product_flag(g, z)
             loss = loss or l1 or l2
             sign = ONE
-            if self.graded and self._parity(z) and self._parity(g):
+            if self._parity(z) and self._parity(g):
                 sign = -ONE
             vec_axpy(out, c, zg)
             vec_axpy(out, -c * sign, gz)
@@ -472,9 +471,9 @@ class OmegaComplex:
         return vec
 
 
-def build_X(algebra, graded=False):
+def build_X(algebra):
     """X-complex of a materialized algebra via the honest quotient."""
-    return XGenerated(TableAlg(algebra), graded=graded, exact_quotient=True)
+    return XGenerated(TableAlg(algebra), exact_quotient=True)
 
 
 _TAGS = ("even", "odd")

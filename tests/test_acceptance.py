@@ -160,7 +160,7 @@ def test_criterion_5_odd_equality():
     esp = FormSpace(alg, 3)
     xe = XGenerated(ZekriAlg(esp), exact_quotient=True)
     xqs = XGenerated(FedosovAlg(FormSpace(alg, 3), graded=True),
-                     graded=True, exact_quotient=True)
+                     exact_quotient=True)
     u1 = universal_bimodule_odd(alg, esp)
     chi1 = retracted_cocycle(u1, 1, omega, xe)
     ch1 = universal_ch_odd(alg, 0, xt, xqs)
@@ -187,7 +187,7 @@ def test_criterion_6_coboundary_solves():
     assert h_even is not None and t_even < 60.0
     t0 = time.monotonic()
     xqs = XGenerated(FedosovAlg(FormSpace(alg, 4), graded=True),
-                     graded=True, exact_quotient=True)
+                     exact_quotient=True)
     diff_odd = universal_ch_odd(alg, 1, xt, xqs).sub(
         universal_ch_odd(alg, 0, xt, xqs))
     h_odd, _ = homotopy_solve(diff_odd, track_witness=False)

@@ -1,6 +1,7 @@
 import pytest
 
-from xchern.scalars import Scalar, ZERO, ONE, bott_constant
+from xchern.scalars import (Scalar, ZERO, ONE, bott_constant,
+                            parse as parse_scalar)
 from xchern.linalg import vec_axpy
 from xchern.forms import FormSpace, Form
 from xchern import forms as F
@@ -15,7 +16,7 @@ from xchern.chern import (universal_ch_even, universal_ch_odd,
                           retracted_cocycle, kappa_power_sum, d_chain_map,
                           eta_chain_map, trace_map, gamma_even, gamma_odd,
                           GammaWindows, x_of_t_branch, ideal_power_like,
-                          FredholmBimodule, PairMat, mat_unit)
+                          FredholmBimodule, mat_unit)
 
 
 def _setting_even(algebra, src_len, window):
@@ -195,7 +196,7 @@ def test_universal_equality_odd(dual):
     esp = FormSpace(dual, 3)
     xe = XGenerated(ZekriAlg(esp), exact_quotient=True)
     xqs = XGenerated(FedosovAlg(FormSpace(dual, 3), graded=True),
-                     graded=True, exact_quotient=True)
+                     exact_quotient=True)
     u1 = universal_bimodule_odd(dual, esp)
     assert not u1.is_degenerate()
     chi1 = retracted_cocycle(u1, 1, omega, xe)
@@ -213,11 +214,38 @@ def test_universal_equality_odd(dual):
     assert rep["ok"], rep["failures"][:2]
 
 
+def test_odd_retracted_unit_slot_values(dual):
+    # degree-2 columns of chi^1 whose only term is the unit-slot group
+    # d(tr_eps(rho(a0~) F [F, rho(a1)] [F, rho(a2)])); the chain-map and
+    # universal-equality checks do not see its sign
+    esp = FormSpace(dual, 3)
+    xe = XGenerated(ZekriAlg(esp), exact_quotient=True)
+    u1 = universal_bimodule_odd(dual, esp)
+    chi1 = retracted_cocycle(u1, 1, OmegaComplex(FormSpace(dual, 2)), xe)
+    c = parse_scalar("(1/2+1/2i)*sqrt(pi)")   # Gamma(3/2) sqrt(2i)
+    expected = {(1, 0, 0): ((1, (1,)), (0, (1,))),
+                (1, 0, 1): ((1, (2,)), (0, (1,))),
+                (1, 1, 0): ((1, (2,)), (0, (1,))),
+                (2, 0, 0): ((1, (2,)), (0, (1,)))}
+    for word, cls in expected.items():
+        assert chi1.even_col(word) == ({cls: c}, False), word
+
+
+def test_odd_bimodule_stored_doubled(dual):
+    from xchern.xcomplex import TableAlg
+    from xchern.algebra import rationals
+    alpha = [[[{0: ONE}]], [[{}]]]
+    f = [[{0: ONE}]]
+    M = FredholmBimodule(dual, TableAlg(rationals()), 1, alpha, f, 1)
+    assert M.rho[0] == [[{0: ONE}, {}], [{}, {0: ONE}]]
+    assert M.fmat == [[{}, {0: ONE}], [{0: ONE}, {}]]
+
+
 def test_ch_odd_slot_values(dual):
     # odd slot: nat a0~ d a1 -> d(a0~ da1); even slot at 2n+2
     xt = x_of_tensor_algebra(dual, 2)
     xqs = XGenerated(FedosovAlg(FormSpace(dual, 3), graded=True),
-                     graded=True, exact_quotient=True)
+                     exact_quotient=True)
     ch1 = universal_ch_odd(dual, 0, xt, xqs)
     v, _ = ch1.odd_col(((1,), (1,)))   # nat eps d eps
     assert v == {(0, 1, 1): ONE}       # d(eps d eps)
@@ -230,7 +258,7 @@ def test_ch_odd_kappa_squared_even_slot(dual):
     xt = x_of_tensor_algebra(dual, 3)
     osp = FormSpace(dual, 6)
     xqs = XGenerated(FedosovAlg(FormSpace(dual, 4), graded=True),
-                     graded=True, exact_quotient=True)
+                     exact_quotient=True)
     ch1 = universal_ch_odd(dual, 0, xt, xqs)
     km = kappa_map(xt, osp)
     k2 = ChainMap.compose(km, km)
@@ -296,7 +324,7 @@ def test_trace_map_examples(dual):
     tb = TensorAlg(TableAlg(dual), 3, unital=True)
     xmat = XGenerated(MatrixAlg(tb, 2))
     xtb = XGenerated(tb)
-    tr = trace_map(xmat, xtb, 2)
+    tr = trace_map(xmat, xtb)
     # diagonal even entries trace through
     v, _ = tr.even_col((0, 0, (1,)))
     assert v == {(1,): ONE}
@@ -319,9 +347,9 @@ def test_trace_map_examples(dual):
 def test_trace_map_graded(dual):
     from xchern.xcomplex import MatrixAlg
     tb = TensorAlg(TableAlg(dual), 3, unital=True)
-    xmat = XGenerated(MatrixAlg(tb, 2, graded=True), graded=True)
+    xmat = XGenerated(MatrixAlg(tb, 2, graded=True))
     xtb = XGenerated(tb)
-    tr = trace_map(xmat, xtb, 2, graded=True)
+    tr = trace_map(xmat, xtb)
     v, _ = tr.even_col((1, 1, (1,)))
     assert v == {(1,): -ONE}
     rep = verify_chain_map(

@@ -67,6 +67,20 @@ FRED_SPEC = {
     ],
 }
 
+# odd bimodule over the scalars: alpha = the first projection, f = 1
+ODD_FRED_SPEC = {
+    "kind": "fredholm",
+    "base": "qq",
+    "target": "q",
+    "parity": 1,
+    "nsize": 1,
+    "rho": [[[{"0": "1"}]], [[{}]]],
+    "F": [[{"0": "1"}]],
+    "idempotents": [
+        {"size": 1, "scalar": [["0"]], "body": [[{"0": "1"}]]},
+    ],
+}
+
 
 def _write(tmp_path, name, payload):
     path = tmp_path / name
@@ -162,7 +176,10 @@ def test_jlo_checks_fail_on_nan_residual(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [["--n", "-1"], ["--T", "0"],
-                                   ["--T", "nan"]])
+                                   ["--T", "nan"], ["--T", "inf"],
+                                   ["--tolerance", "nan"],
+                                   ["--tolerance", "-1"],
+                                   ["--tolerance", "inf"]])
 def test_jlo_rejects_bad_window(flags, tmp_path, capsys):
     path = _write(tmp_path, "triple.json", TRIPLE_SPEC)
     assert main(["jlo", path] + flags) == 3
@@ -200,6 +217,15 @@ def test_pair_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 3
+
+
+
+def test_pair_rejects_odd_bimodule(tmp_path, capsys):
+    path = _write(tmp_path, "odd.json", ODD_FRED_SPEC)
+    assert main(["pair", path, "--emit", "json"]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert [(c["status"], c["detail"]) for c in body["checks"]] == \
+        [("fail", "index pairing needs an even bimodule")]
 
 
 # malformed/<command>__<case>.json: each spec must be turned away by that

@@ -1,5 +1,5 @@
-"""The --emit json reports of the README command lines on specs/ against
-committed copies.
+"""The --emit json reports of the README command lines on specs/, and of
+the odd universal command, against committed copies.
 
 The exact commands must reproduce their reports byte for byte.  The jlo
 report is compared without its detail strings, whose float digits depend
@@ -21,6 +21,8 @@ EXACT = {
     "verify-dga": ["verify-dga", "specs/dual.json", "--max-degree", "6"],
     "universal": ["universal", "specs/dual.json", "--n", "0", "--parity",
                   "even", "--window", "2", "--solve"],
+    "universal-odd": ["universal", "specs/dual.json", "--n", "0", "--parity",
+                      "odd", "--window", "3"],
     "chern": ["chern", "specs/idqh.json", "--n", "0"],
     "pair": ["pair", "specs/fredholm.json"],
 }

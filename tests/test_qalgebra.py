@@ -120,7 +120,7 @@ def test_eta_is_chain_map(dual):
     from xchern.chern import eta_chain_map
     xe = XGenerated(ZekriAlg(FormSpace(dual, 2)), exact_quotient=True)
     xqs = XGenerated(FedosovAlg(FormSpace(dual, 2), graded=True),
-                     graded=True, exact_quotient=True)
+                     exact_quotient=True)
     em = eta_chain_map(xe, xqs)
     rep = verify_chain_map(em)
     assert rep["ok"], rep["failures"][:3]
