@@ -10,7 +10,9 @@ Clifford generator, and the odd trace picks its coefficient with the
 factor sqrt(2i).
 """
 
-from .scalars import Scalar, ZERO, ONE, HALF, gamma_half, SQRT_2I
+from fractions import Fraction
+
+from .scalars import ZERO, ONE, HALF, gamma_half, inv, SQRT_2I
 from .linalg import vec_axpy, vec_scale
 from . import forms as F
 from . import tensoralg as T
@@ -24,6 +26,12 @@ def _factorial(n):
     for k in range(2, n + 1):
         out *= k
     return out
+
+
+def retraction_constant(n):
+    """Gamma(n/2 + 1) / (n + 1)! * 1/2: the normalization of the degree-n
+    retracted cocycle before its sign and the odd factor sqrt(2i)."""
+    return gamma_half(n + 2) * inv(_factorial(n + 1)) * HALF
 
 
 def _rot_sign(j, k):
@@ -211,8 +219,7 @@ def retracted_cocycle(M, n, src, tgt, name=None):
     nsize = M.nsize
     trace = _eps_trace if M.parity else _supertrace
     dsign = -ONE if M.parity else ONE
-    coef = gamma_half(n + 2) / Scalar.from_int(_factorial(n + 1))
-    coef = coef * HALF
+    coef = retraction_constant(n)
     if n % 2 == 1:
         coef = -coef
     if M.parity:
@@ -342,18 +349,18 @@ def universal_ch_even(algebra, n, src, tgt, conv_space=None):
     Degree-2n chains map to (n!)^2/(2n)! q(a0~) q(a1) ... q(a2n); the odd
     slot keeps the two free-product branches with opposite signs."""
     qspace = tgt.alg.space
-    coef = Scalar.rational(_factorial(n) ** 2, _factorial(2 * n))
+    coef = Fraction(_factorial(n) ** 2, _factorial(2 * n))
     if conv_space is None:
         conv_space = F.FormSpace(algebra, max(2 * n + 2, 2 * (src.alg.max_len)))
 
     def q_of(i):
-        return F.Form(qspace, {(0, i): Scalar.from_int(2)})
+        return F.Form(qspace, {(0, i): 2})
 
     def qprod_from_word(word):
         """q(a0~) q(a1) ... q(a2n) for a degree-2n word; zero on the unit."""
         if word[0] == 0:
             return None
-        acc = F.Form(qspace, {(0, word[0] - 1): Scalar.from_int(2)})
+        acc = F.Form(qspace, {(0, word[0] - 1): 2})
         for i in word[1:]:
             acc = F.fedosov_full(acc, q_of(i))
         return acc

@@ -11,9 +11,10 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
-from .scalars import Scalar, ONE, parse as parse_scalar, bott_constant
+from .scalars import ONE, parse as parse_scalar, bott_constant
 from .linalg import vec_axpy
 from .algebra import (Algebra, dual_numbers, matrix_units,
                       group_algebra_z2, split_pair, rationals)
@@ -283,6 +284,8 @@ class Report:
                                         c["anchor"])
             if "detail" in c and c["status"] == "fail":
                 line += "  " + str(c["detail"])
+            if self.timings:
+                line += "  %.1f ms" % c["wall_time_ms"]
             lines.append(line)
         lines.append("overall: %s" % ("PASS" if self.ok else "FAIL"))
         return "\n".join(lines)
@@ -405,7 +408,7 @@ def universal_suite(algebra, n, parity, q_window, src_len, report,
                       exact_quotient=True)
     universal_ch = (C.universal_ch_even, C.universal_ch_odd)[parity]
     ch = universal_ch(algebra, n, xt, xq)
-    scal = Scalar.rational(1, deg + 1)
+    scal = Fraction(1, deg + 1)
     if parity == 0:
         xr, u = xq, C.universal_bimodule_even(algebra, qsp)
     else:
@@ -636,7 +639,7 @@ def cmd_pair(args):
             except ValueError as exc:
                 return False, str(exc)
             oracle = QH.fredholm_index_oracle(M, mat, k)
-            ok = (val == Scalar.from_int(oracle))
+            ok = (val == oracle)
             return ok, "pairing %s, kernel/cokernel oracle %d" % (val, oracle)
         report.run("index pairing %d" % idx,
                    "cocycle pairing equals the fredholm index", one_pair)

@@ -122,7 +122,7 @@ class Form:
 
 
 # ---------------------------------------------------------------------------
-# word-level primitives; each returns (dict word -> Scalar, lossy flag)
+# word-level primitives; each returns (dict word -> coefficient, lossy flag)
 # ---------------------------------------------------------------------------
 
 

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .scalars import to_complex
+
 
 def gauss_nodes(order):
     x, w = np.polynomial.legendre.leggauss(order)
@@ -179,20 +181,20 @@ def tuple_b(algebra, tup):
         out.append((complex(s0), ((0.0, letters[0]),) + letters[1:]))
     if i0 is not None:
         for k, c in algebra.product_basis(i0, letters[0]).items():
-            out.append((complex(c.to_complex()), ((0.0, k),) + letters[1:]))
+            out.append((to_complex(c), ((0.0, k),) + letters[1:]))
     # interior merges
     for i in range(1, n):
         sign = (-1) ** i
         for k, c in algebra.product_basis(letters[i - 1], letters[i]).items():
             newt = (tup[0],) + letters[:i - 1] + (k,) + letters[i + 1:]
-            out.append((sign * complex(c.to_complex()), newt))
+            out.append((sign * to_complex(c), newt))
     # wrap-around merge of the last letter into the zero slot
     sign = (-1) ** n
     if s0:
         out.append((sign * complex(s0), ((0.0, letters[-1]),) + letters[:-1]))
     if i0 is not None:
         for k, c in algebra.product_basis(letters[-1], i0).items():
-            out.append((sign * complex(c.to_complex()),
+            out.append((sign * to_complex(c),
                         ((0.0, k),) + letters[:-1]))
     return out
 

@@ -1,12 +1,16 @@
-"""Sparse exact linear algebra over the Scalar field.
+"""Sparse exact linear algebra over the coefficient field Q(i)(sqrt pi).
 
-Vectors are dicts mapping hashable basis labels to nonzero Scalars.  Labels
-may be arbitrary nested tuples of ints and strings; a deterministic total
-order on labels keeps echelon forms and quotient bases reproducible across
-runs.
+Vectors are dicts mapping hashable basis labels to nonzero coefficients
+from the tower of scalars.coerce: plain ints and Fractions for rational
+values, Scalars only for the others.  Rational input therefore stays in
+native int and Fraction arithmetic; scaling coerces its results, so a row
+normalized by a rational pivot keeps ints where its entries are integers.
+Labels may be arbitrary nested tuples of ints and strings; a deterministic
+total order on labels keeps echelon forms and quotient bases reproducible
+across runs.
 """
 
-from .scalars import ONE
+from .scalars import ONE, coerce, inv
 
 
 class _Last:
@@ -44,7 +48,7 @@ def vec_add(u, v):
 def vec_scale(u, c):
     if not c:
         return {}
-    return {k: v * c for k, v in u.items()}
+    return {k: coerce(v * c) for k, v in u.items()}
 
 
 def vec_axpy(out, coeff, v):
@@ -113,10 +117,10 @@ class Span:
         if not r:
             return False
         piv = min(r, key=label_key)
-        inv = r[piv].inverse()
-        r = vec_scale(r, inv)
+        scale = inv(r[piv])
+        r = vec_scale(r, scale)
         if combo is not None:
-            combo = vec_scale(combo, inv)
+            combo = vec_scale(combo, scale)
         # clear the new pivot from the other rows to keep the form reduced
         for p, row in self.rows.items():
             c = row.get(piv)
@@ -142,9 +146,9 @@ class Span:
 
 
 def solve(equations, rhs, track_witness=False):
-    """Solve a sparse linear system over Scalars.
+    """Solve a sparse linear system over the coefficient field.
 
-    equations: list of dicts over unknown labels; rhs: list of Scalars.
+    equations: list of dicts over unknown labels; rhs: list of scalars.
     Returns (solution dict, None) with unassigned unknowns implicitly zero,
     or (None, witness) when inconsistent.  The witness is a dict over
     equation indices whose combination yields 0 = nonzero when
@@ -168,5 +172,5 @@ def solve(equations, rhs, track_witness=False):
             # the new row is this equation's residual scaled to pivot one;
             # scale back so the equation itself enters with coefficient one
             combo = span.prov[_RHS]
-            return None, vec_scale(combo, combo[idx].inverse())
+            return None, vec_scale(combo, inv(combo[idx]))
     return {p: row[_RHS] for p, row in span.rows.items() if _RHS in row}, None

@@ -7,7 +7,7 @@ graded category is Qs(A).  The crossed product with the parity involution
 gives the algebra with symmetry X (X^2 = 1, X w X = parity of w).
 """
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import ZERO, ONE
 from .linalg import vec_axpy
 from .algebra import Element
 from . import forms as F
@@ -28,7 +28,7 @@ def iotabar(x, space):
 def q_gen(x, space):
     """q(a) = iota(a) - iotabar(a) = 2 da; q kills the unit."""
     f = space.from_element(x)
-    return F.d(f).scale(Scalar.from_int(2))
+    return F.d(f).scale(2)
 
 
 def fold(form):

@@ -8,7 +8,7 @@ the composite trace . X(lift) . gamma^{2n}; the odd one carries the
 supertrace and the Bott normalization.
 """
 
-from .scalars import ZERO, ONE, HALF, bott_constant
+from .scalars import ZERO, ONE, HALF, bott_constant, is_rational
 from .linalg import Span
 from . import tensoralg as T
 from .xcomplex import (ChainMap, XGenerated, TensorAlg, TableAlg,
@@ -402,6 +402,6 @@ def index_pairing(M, e_matrix, k, n=0):
             tr = st.get(None, ZERO) + st.get(0, ZERO)
             total = total + coeff * HALF * tr
     total = total * PAIRING_CONSTANTS[0]
-    if not total.is_rational():
+    if not is_rational(total):
         raise ValueError("pairing value is not rational")
     return total

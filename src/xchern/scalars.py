@@ -1,12 +1,24 @@
 """Exact coefficient arithmetic.
 
 The coefficient field is Q(i)(p): Gaussian rationals extended by a formal
-transcendental p standing for sqrt(pi).  Every Scalar is a reduced fraction
-of polynomials in p with Gaussian-rational coefficients; the denominator is
-kept monic, so equality is plain structural comparison and no rounding can
-ever occur.
+transcendental p standing for sqrt(pi).  A coefficient is stored in the
+cheapest member of a three-step tower:
+
+- an int when it is an integer,
+- a Fraction when it is any other rational,
+- a Scalar otherwise: a reduced fraction of polynomials in p with
+  Gaussian-rational coefficients and a monic denominator.
+
+coerce() is the one promotion rule that picks the member, and every Scalar
+operation returns a coerced result, so no value ever is a rational Scalar.
+Plain int and Fraction arithmetic therefore stays inside the tower (int /
+int is the one exception: divide with inv()), and a Scalar meets an int or
+a Fraction through its own mixed operators.  Equality is plain structural
+comparison and no rounding can ever occur; equal values hash equal across
+the tower.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -130,7 +142,11 @@ _PONE = (GQ_ONE,)
 
 
 class Scalar:
-    """Element of Q(i)(p), kept in canonical reduced form."""
+    """Element of Q(i)(p), kept in canonical reduced form.
+
+    The constructor builds any element, rational ones included; the
+    operators take Scalar, int and Fraction operands and return coerce()d
+    values."""
 
     __slots__ = ("num", "den")
 
@@ -139,6 +155,7 @@ class Scalar:
             self.num = num
             self.den = den
             return
+        num, den = _ptrim(num), _ptrim(den)
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
@@ -157,55 +174,28 @@ class Scalar:
         self.num = num
         self.den = den
 
-    # ---- constructors -------------------------------------------------
+    # ---- constructors: each returns the promoted value -----------------
 
     @staticmethod
     def from_int(n):
-        if n == 0:
-            return ZERO
-        return Scalar((GaussianRational(n),), _PONE, _reduced=True)
+        return coerce(Fraction(n))
 
     @staticmethod
     def from_fraction(q):
-        q = Fraction(q)
-        if not q:
-            return ZERO
-        return Scalar((GaussianRational(q),), _PONE, _reduced=True)
+        return coerce(Fraction(q))
 
     @staticmethod
     def rational(a, b=1):
-        return Scalar.from_fraction(Fraction(a, b))
+        return coerce(Fraction(a, b))
 
     @staticmethod
     def gaussian(re, im):
         g = GaussianRational(re, im)
-        if not g:
-            return ZERO
-        return Scalar((g,), _PONE, _reduced=True)
+        return coerce(Scalar((g,), _PONE, _reduced=True))
 
-    # ---- predicates ----------------------------------------------------
+    # ---- field operations on Scalars, results not yet coerced ---------
 
-    def is_zero(self):
-        return not self.num
-
-    def is_rational(self):
-        return len(self.num) <= 1 and self.den == _PONE and (
-            not self.num or not self.num[0].im)
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    # ---- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
+    def _sum(self, other):
         if not other.num:
             return self
         if not self.num:
@@ -213,74 +203,80 @@ class Scalar:
         if self.den == other.den:
             num = _padd(self.num, other.num)
             if self.den == _PONE:
-                return Scalar(num, _PONE, _reduced=True) if num else ZERO
+                return Scalar(num, _PONE, _reduced=True)
             return Scalar(num, self.den)
         return Scalar(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
         )
 
-    def __neg__(self):
-        if not self.num:
-            return self
-        if self is ONE:
-            return MINUS_ONE
-        if self is MINUS_ONE:
-            return ONE
+    def _neg(self):
         return Scalar(_pneg(self.num), self.den, _reduced=True)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self is ONE:
-            return other
-        if other is ONE:
-            return self
-        if self is MINUS_ONE:
-            return -other
-        if other is MINUS_ONE:
-            return -self
-        if not self.num or not other.num:
-            return ZERO
+    def _prod(self, other):
         if self.den == _PONE and other.den == _PONE:
             return Scalar(_pmul(self.num, other.num), _PONE, _reduced=True)
         return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
-    def inverse(self):
+    def _inv(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero scalar")
         return Scalar(self.den, self.num)
 
-    def __truediv__(self, other):
-        return self * other.inverse()
+    # ---- predicates ----------------------------------------------------
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        other = _lift(other)
+        if other is None:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        value = coerce(self)
+        if value is not self:
+            return hash(value)
+        return hash((self.num, self.den))
+
+    # ---- arithmetic over the tower ---------------------------------------
+
+    def _mixed(op):
+        """Operator on a Scalar and a Scalar, int or Fraction operand that
+        returns the coerced result of op on the two lifted operands."""
+        def method(self, other):
+            other = _lift(other)
+            if other is None:
+                return NotImplemented
+            return coerce(op(self, other))
+        return method
+
+    __add__ = __radd__ = _mixed(lambda a, b: a._sum(b))
+    __sub__ = _mixed(lambda a, b: a._sum(b._neg()))
+    __rsub__ = _mixed(lambda a, b: b._sum(a._neg()))
+    __mul__ = __rmul__ = _mixed(lambda a, b: a._prod(b))
+    __truediv__ = _mixed(lambda a, b: a._prod(b._inv()))
+    __rtruediv__ = _mixed(lambda a, b: b._prod(a._inv()))
+    del _mixed
+
+    def __neg__(self):
+        return coerce(self._neg())
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
+        if not isinstance(k, int):
+            return NotImplemented
+        base = self if k >= 0 else self._inv()
+        k = abs(k)
+        out = _S_ONE
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = out._prod(base)
+            base = base._prod(base)
             k >>= 1
-        return out
+        return coerce(out)
 
-    # ---- conversions ---------------------------------------------------
-
-    def to_complex(self):
-        """Float value with p evaluated at sqrt(pi)."""
-        import math
-        p = math.sqrt(math.pi)
-        def ev(poly):
-            z = 0j
-            for k, c in enumerate(poly):
-                z += complex(c.re + c.im * 1j) * p ** k
-            return z
-        return ev(self.num) / ev(self.den)
-
-    # ---- printing / parsing ---------------------------------------------
+    # ---- printing ------------------------------------------------------
 
     def __str__(self):
         return render(self)
@@ -289,13 +285,73 @@ class Scalar:
         return "Scalar(%s)" % render(self)
 
 
-ZERO = Scalar((), _PONE, _reduced=True)
-ONE = Scalar((GQ_ONE,), _PONE, _reduced=True)
-MINUS_ONE = Scalar((GaussianRational(-1),), _PONE, _reduced=True)
+_S_ONE = Scalar(_PONE, _PONE, _reduced=True)
+
+
+def _is_exact_rational(x):
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def _lift(x):
+    """x as a Scalar, or None when x is no exact number."""
+    if isinstance(x, Scalar):
+        return x
+    if _is_exact_rational(x):
+        return Scalar((GaussianRational(x),) if x else (), _PONE,
+                      _reduced=True)
+    return None
+
+
+def coerce(x):
+    """The one promotion rule: x as an int when it is an integer, as a
+    Fraction when it is any other rational, else as the Scalar itself.
+    Rejects float, bool, complex and everything else with TypeError."""
+    if isinstance(x, Scalar):
+        num = x.num
+        if not num:
+            return 0
+        if len(num) == 1 and not num[0].im and x.den == _PONE:
+            x = num[0].re
+        else:
+            return x
+    elif not _is_exact_rational(x):
+        raise TypeError("not an exact scalar: %r" % (x,))
+    if x.denominator == 1:
+        return int(x.numerator)
+    return x
+
+
+def inv(x):
+    """Multiplicative inverse anywhere in the tower."""
+    if isinstance(x, Scalar):
+        return coerce(x._inv())
+    return coerce(Fraction(1, coerce(x)))
+
+
+def is_rational(x):
+    return not isinstance(coerce(x), Scalar)
+
+
+def to_complex(x):
+    """Float value with p evaluated at sqrt(pi)."""
+    x = coerce(x)
+    if not isinstance(x, Scalar):
+        return complex(x)
+    p = math.sqrt(math.pi)
+
+    def ev(poly):
+        z = 0j
+        for k, c in enumerate(poly):
+            z += complex(c.re + c.im * 1j) * p ** k
+        return z
+    return ev(x.num) / ev(x.den)
+
+
+ZERO = 0
+ONE = 1
+HALF = Fraction(1, 2)
 I = Scalar((GaussianRational(0, 1),), _PONE, _reduced=True)
 SQRT_PI = Scalar((GQ_ZERO, GQ_ONE), _PONE, _reduced=True)
-
-HALF = Scalar.rational(1, 2)
 
 
 def gamma_half(n):
@@ -306,19 +362,11 @@ def gamma_half(n):
     """
     if n <= 0:
         raise ValueError("gamma_half requires a positive integer, got %r" % (n,))
-    if n % 2 == 0:
-        val = ONE
-        x = Fraction(1)
-        for _ in range(n // 2 - 1):
-            val = val * Scalar.from_fraction(x)
-            x += 1
-        return val
-    val = SQRT_PI
-    x = Fraction(1, 2)
+    val, x = (1, Fraction(1)) if n % 2 == 0 else (SQRT_PI, Fraction(1, 2))
     for _ in range((n - 1) // 2):
-        val = val * Scalar.from_fraction(x)
+        val = val * x
         x += 1
-    return val
+    return coerce(val)
 
 
 def bott_constant():
@@ -384,6 +432,9 @@ def _render_poly(poly):
 
 
 def render(s):
+    s = coerce(s)
+    if not isinstance(s, Scalar):
+        return _render_fraction(s)
     if s.den == _PONE:
         return _render_poly(s.num)
     return "(%s)/(%s)" % (_render_poly(s.num), _render_poly(s.den))
@@ -431,7 +482,7 @@ def parse(text):
     val = _parse_expr(toks)
     if toks.peek() is not None:
         raise ValueError("trailing input in scalar text %r" % text)
-    return val
+    return coerce(val)
 
 
 def _parse_expr(toks):
@@ -450,7 +501,7 @@ def _parse_term(toks):
         if nxt in ("*", "/"):
             op = toks.next()[0]
             rhs = _parse_factor(toks)
-            val = val * rhs if op == "*" else val / rhs
+            val = val * (rhs if op == "*" else inv(rhs))
         elif nxt in ("num", "i", "pi", "("):
             # implicit multiplication, as in "2i" or "3/4i*sqrt(pi)"
             val = val * _parse_factor(toks)
@@ -465,7 +516,7 @@ def _parse_factor(toks):
             neg = not neg
     kind = toks.peek()
     if kind == "num":
-        val = Scalar.from_int(toks.next()[1])
+        val = toks.next()[1]
     elif kind == "i":
         toks.next()
         val = I

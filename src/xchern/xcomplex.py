@@ -9,7 +9,7 @@ factorization of y and the trace property, with Koszul signs read from
 the parities of the algebra's labels (all 0 in an ungraded algebra).
 """
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import ZERO, ONE
 from .linalg import vec_add, vec_axpy, vec_scale, Span, label_key, solve
 from . import forms as F
 from . import tensoralg as T
@@ -1044,7 +1044,7 @@ def rescale_c(form):
         fact = 1
         for j in range(2, k + 1):
             fact *= j
-        val = Scalar.from_int(fact if k % 2 == 0 else -fact)
+        val = fact if k % 2 == 0 else -fact
         out[w] = c * val
     return F.Form(form.space, out, form.lossy)
 

@@ -164,6 +164,23 @@ def test_jlo_command_and_determinism(tmp_path, capsys):
     assert all("anchor" in c for c in body["checks"])
 
 
+def test_timings_in_text_reports(tmp_path, capsys):
+    path = _write(tmp_path, "fred.json", FRED_SPEC)
+    assert main(["pair", path]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(["pair", path, "--timings"]) == 0
+    timed = capsys.readouterr().out.splitlines()
+    assert main(["pair", path, "--timings", "--emit", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(timed) == len(plain) == len(checks) + 2
+    assert timed[0] == plain[0] and timed[-1] == plain[-1]
+    for line, bare in zip(timed[1:-1], plain[1:-1]):
+        head, ms = line.rsplit("  ", 1)
+        assert head == bare and ms.endswith(" ms")
+        assert float(ms[:-3]) >= 0
+    assert all("wall_time_ms" in c for c in checks)
+
+
 def test_jlo_checks_fail_on_nan_residual(tmp_path, capsys, monkeypatch):
     from xchern import jlo as J
     monkeypatch.setattr(J, "jlo_component", lambda *a, **kw: float("nan"))

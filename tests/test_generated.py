@@ -1,0 +1,113 @@
+"""Identities on generated algebras whose structure constants leave the
+integers: seeded rational rebasings of dual and z2, z2 with the Gaussian
+generator (1+i)g, and z2 with the generator sqrt(pi)g, whose square is
+pi times the unit.  These reach the Fraction and Scalar tiers of the
+coefficient tower, which the integer corpus never does.
+
+A rebasing is an isomorphism, so every quotient dimension must equal the
+one of the algebra it came from.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from xchern.scalars import Scalar, SQRT_PI, inv, is_rational
+from xchern.algebra import Algebra, dual_numbers, group_algebra_z2
+from xchern.forms import FormSpace
+from xchern.xcomplex import (XGenerated, FedosovAlg, build_X, verify_dd,
+                             hodge_filtration)
+from xchern.cli import Report, dga_suite
+
+SMALL = [Fraction(k, d) for k in range(-3, 4) if k for d in (1, 2, 3)]
+
+
+def rebase(alg, P, name):
+    """alg in the basis f_a = sum_i P[a][i] e_i of a 2-dimensional algebra:
+    f_a f_b = sum_ij P_ai P_bj e_i e_j, and e_k = sum_c Q_kc f_c with
+    Q = P^-1."""
+    (a, b), (c, d) = P
+    det_inv = inv(a * d - b * c)
+    Q = [[d * det_inv, -b * det_inv], [-c * det_inv, a * det_inv]]
+    mul = {}
+    for x in range(2):
+        for y in range(2):
+            in_e = [0, 0]
+            for i in range(2):
+                for j in range(2):
+                    for k, v in alg.product_basis(i, j).items():
+                        in_e[k] = in_e[k] + P[x][i] * P[y][j] * v
+            mul[(x, y)] = {col: in_e[0] * Q[0][col] + in_e[1] * Q[1][col]
+                           for col in range(2)}
+    unit = {col: sum(u * Q[k][col] for k, u in alg.unit.items())
+            for col in range(2)}
+    return Algebra(["f0", "f1"], mul, unit=unit, name=name)
+
+
+def rational_rebasing(make, seed):
+    """A seeded rational change of basis with a non-integer constant."""
+    rng = random.Random(seed)
+    while True:
+        P = [[rng.choice(SMALL) for _ in range(2)] for _ in range(2)]
+        if P[0][0] * P[1][1] == P[0][1] * P[1][0]:
+            continue
+        alg = rebase(make(), P, "rebased")
+        if any(type(c) is Fraction and c.denominator != 1
+               for vec in alg.mul.values() for c in vec.values()):
+            return alg
+
+
+GENERATED = {
+    "dual-rebased": (dual_numbers,
+                     lambda: rational_rebasing(dual_numbers, 3)),
+    "z2-rebased": (group_algebra_z2,
+                   lambda: rational_rebasing(group_algebra_z2, 5)),
+    "z2-gaussian": (group_algebra_z2,
+                    lambda: rebase(group_algebra_z2(),
+                                   [[1, 0], [0, Scalar.gaussian(1, 1)]],
+                                   "z2-gaussian")),
+    "z2-sqrt-pi": (group_algebra_z2,
+                   lambda: rebase(group_algebra_z2(), [[1, 0], [0, SQRT_PI]],
+                                  "z2-sqrt-pi")),
+}
+
+
+def quotient_dims(alg, window):
+    """Dimensions of the level-1 Hodge quotient of the forms up to window."""
+    sp = FormSpace(alg, window)
+    ev, od = hodge_filtration(sp, 1)
+    return (sum(sp.dim_degree(n) for n in range(0, window + 1, 2)) - ev.dim,
+            sum(sp.dim_degree(n) for n in range(1, window + 1, 2)) - od.dim)
+
+
+def test_generated_tables_leave_the_integers():
+    tiers = {name: {type(c) for vec in make().mul.values()
+                    for c in vec.values()}
+             for name, (_, make) in GENERATED.items()}
+    for name in ("dual-rebased", "z2-rebased"):
+        assert Fraction in tiers[name]
+    for name in ("z2-gaussian", "z2-sqrt-pi"):
+        assert Scalar in tiers[name]
+    gauss = GENERATED["z2-gaussian"][1]()
+    assert gauss.product_basis(1, 1) == {0: Scalar.gaussian(0, 2)}
+    pi = GENERATED["z2-sqrt-pi"][1]()
+    square = pi.product_basis(1, 1)[0]
+    assert square == SQRT_PI * SQRT_PI and not is_rational(square)
+
+
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_identities_on_generated_algebras(name):
+    original, make = GENERATED[name]
+    alg = make()
+    report = Report(["verify-dga", name])
+    dga_suite(alg, 3, report)
+    assert report.ok, report.emit("text")
+    x_alg = build_X(alg)
+    x_fedosov = XGenerated(FedosovAlg(FormSpace(alg, 2)), exact_quotient=True)
+    for cx in (x_alg, x_fedosov):
+        checked, fails = verify_dd(cx)
+        assert checked and not fails, cx.name
+    assert quotient_dims(alg, 3) == quotient_dims(original(), 3)
+    # the commutator quotient is an invariant of the algebra too
+    assert len(x_alg.odd_basis()) == len(build_X(original()).odd_basis())
