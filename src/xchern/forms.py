@@ -292,18 +292,35 @@ def fedosov_even(f1, f2):
     return graded_mul(f1, f2) - graded_mul(d(f1), d(f2))
 
 
+def fedosov_words(space, w1, w2):
+    """Free-product algebra product w1*w2 - (-1)^{|w1|} dw1*dw2 of two
+    basis words; lossy when either product or either d leaves the window."""
+    out, lossy = _mul_words(space, w1, w2)
+    dw1, l1 = _d_word(space, w1)
+    dw2, l2 = _d_word(space, w2)
+    lossy = lossy or l1 or l2
+    sign = ONE if (len(w1) - 1) % 2 else -ONE
+    for v1, c1 in dw1.items():
+        for v2, c2 in dw2.items():
+            corr, l = _mul_words(space, v1, v2)
+            lossy = lossy or l
+            vec_axpy(out, sign * c1 * c2, corr)
+    return out, lossy
+
+
 def fedosov_full(f1, f2):
-    """Free-product algebra product w1*w2 - (-1)^{|w1|} dw1*dw2."""
+    """Bilinear extension of fedosov_words to forms."""
     if f1.space is not f2.space:
         raise ValueError("forms live in different spaces")
-    out = f1.space.zero()
-    for n1 in f1.degrees():
-        c1 = f1.component(n1)
-        term = graded_mul(c1, f2)
-        corr = graded_mul(d(c1), d(f2))
-        out = (out + term - corr) if n1 % 2 == 0 else (out + term + corr)
-    out.lossy = out.lossy or f1.lossy or f2.lossy
-    return out
+    space = f1.space
+    out = {}
+    lossy = f1.lossy or f2.lossy
+    for w1, c1 in f1.coeffs.items():
+        for w2, c2 in f2.coeffs.items():
+            vec, l = fedosov_words(space, w1, w2)
+            lossy = lossy or l
+            vec_axpy(out, c1 * c2, vec)
+    return Form(space, out, lossy)
 
 
 # ---------------------------------------------------------------------------

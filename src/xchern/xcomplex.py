@@ -22,7 +22,10 @@ from . import tensoralg as T
 
 
 class TableAlg:
-    """Adapter for a materialized Algebra; labels are basis indices."""
+    """Adapter for a materialized Algebra; labels are basis indices.
+
+    product_flag hands out the algebra's own table entry: callers must not
+    mutate it."""
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -32,7 +35,7 @@ class TableAlg:
         return list(range(self.algebra.dim))
 
     def product_flag(self, l1, l2):
-        return dict(self.algebra.product_basis(l1, l2)), False
+        return self.algebra.product_basis(l1, l2), False
 
     def parity(self, label):
         return self.algebra.parity(label)
@@ -53,6 +56,7 @@ class FedosovAlg:
     Truncation is the quotient by forms of degree above the window, so the
     product is exactly associative; a loss flag reports when a product fell
     out of the window (where values differ from the untruncated algebra).
+    product_flag hands out its memo entry: callers must not mutate it.
     """
 
     def __init__(self, space, graded=False):
@@ -69,10 +73,8 @@ class FedosovAlg:
         key = (l1, l2)
         hit = self._memo.get(key)
         if hit is None:
-            out = F.fedosov_full(self.space.word(l1), self.space.word(l2))
-            hit = (out.coeffs, out.lossy)
-            self._memo[key] = hit
-        return dict(hit[0]), hit[1]
+            hit = self._memo[key] = F.fedosov_words(self.space, l1, l2)
+        return hit
 
     def parity(self, label):
         return (len(label) - 1) % 2 if self.graded else 0
@@ -96,7 +98,8 @@ class FedosovAlg:
 class ZekriAlg:
     """Crossed product of the unitalized Fedosov algebra by the parity
     involution; labels are (flag, word) with word = () the unit part and
-    flag = 1 carrying the symmetry."""
+    flag = 1 carrying the symmetry.  product_flag hands out its memo entry:
+    callers must not mutate it."""
 
     def __init__(self, space):
         self.space = space
@@ -108,30 +111,27 @@ class ZekriAlg:
                         for w in self.space.basis_words(n)]
         return [(f, w) for f in (0, 1) for w in words]
 
-    def _qprod(self, w1, w2):
-        if w1 == ():
-            return ({w2: ONE} if w2 != () else {(): ONE}), False
-        if w2 == ():
-            return {w1: ONE}, False
-        out = F.fedosov_full(self.space.word(w1), self.space.word(w2))
-        return dict(out.coeffs), out.lossy
-
     def product_flag(self, l1, l2):
         key = (l1, l2)
         hit = self._memo.get(key)
         if hit is not None:
-            return dict(hit[0]), hit[1]
+            return hit
         f1, w1 = l1
         f2, w2 = l2
+        if w1 == ():
+            prod, loss = {w2: ONE}, False
+        elif w2 == ():
+            prod, loss = {w1: ONE}, False
+        else:
+            prod, loss = F.fedosov_words(self.space, w1, w2)
         # (w1 X^f1)(w2 X^f2) = w1 tau^f1(w2) X^(f1+f2)
         sign = ONE
         if f1 == 1 and w2 != () and (len(w2) - 1) % 2 == 1:
             sign = -ONE
-        prod, loss = self._qprod(w1, w2)
         flag = (f1 + f2) % 2
-        out = {(flag, w): sign * c for w, c in prod.items()}
-        self._memo[key] = (out, loss)
-        return dict(out), loss
+        hit = self._memo[key] = ({(flag, w): sign * c
+                                  for w, c in prod.items()}, loss)
+        return hit
 
     def parity(self, label):
         return 0
@@ -302,7 +302,6 @@ class XGenerated:
 
     def __init__(self, alg, exact_quotient=False):
         self.alg = alg
-        self.gen_set = set(alg.generators())
         self._red_memo = {}
         self.exact_quotient = exact_quotient
         self._relations = None
@@ -312,32 +311,26 @@ class XGenerated:
         """Span of the reduced commutator classes red([r, z.dg])."""
         if self._relations is None:
             span = Span()
-            basis = self.alg.basis()
-            gens = self.alg.generators()
-            for r in basis:
-                pr = self._parity(r)
-                for z in [None] + basis:
-                    pz = self._parity(z)
-                    for g in gens:
-                        pg = self.alg.parity(g)
-                        vec = {}
+            alg = self.alg
+            basis = alg.basis()
+            for z in [None] + basis:
+                pz = self._parity(z)
+                for g in alg.generators():
+                    zg = {g: ONE} if z is None else alg.product_flag(z, g)[0]
+                    odd_zg = (pz + alg.parity(g)) % 2
+                    for r in basis:
                         # r . (z d g)
-                        left = {r: ONE} if z is None else \
-                            self.alg.product_flag(r, z)[0]
-                        for k, c in left.items():
-                            vec_axpy(vec, c, {(k, g): ONE})
-                        sign = ONE
-                        if pr and (pz + pg) % 2:
-                            sign = -ONE
+                        if z is None:
+                            vec = {(r, g): ONE}
+                        else:
+                            vec = {(k, g): c for k, c
+                                   in alg.product_flag(r, z)[0].items()}
                         # minus (z d g) . r = z d(g r) - (z g) d r
-                        gr, _ = self.alg.product_flag(g, r)
-                        mid, _ = self._raw_vec(
-                            {z: ONE} if z is not None else {None: ONE}, gr)
-                        vec_axpy(vec, -sign, mid)
-                        zg = {g: ONE} if z is None else \
-                            self.alg.product_flag(z, g)[0]
-                        tail, _ = self._raw_vec(zg, {r: ONE})
-                        vec_axpy(vec, sign, tail)
+                        sign = -ONE if odd_zg and alg.parity(r) else ONE
+                        for y, c in alg.product_flag(g, r)[0].items():
+                            vec_axpy(vec, -sign * c, self._raw_class(z, y)[0])
+                        for k, c in zg.items():
+                            vec_axpy(vec, sign * c, self._raw_class(k, r)[0])
                         if vec:
                             span.add(vec)
             self._relations = span
@@ -368,39 +361,34 @@ class XGenerated:
         return self.alg.parity(label)
 
     def _raw_class(self, z, y):
-        """Class of z.d(y) reduced through the factorization; (vec, loss)."""
+        """Class of z.d(y) reduced through the factorization; (vec, loss).
+        The pair is the memo entry: callers must not mutate it."""
         key = (z, y)
         hit = self._red_memo.get(key)
         if hit is not None:
-            return dict(hit[0]), hit[1]
+            return hit
         fac = self.alg.factor(y)
-        out = {}
-        loss = False
-        if not fac:
-            self._red_memo[key] = ({}, False)
-            return {}, False
         if len(fac) == 1 and fac[0] == y:
-            out = {(z, y): ONE}
-            self._red_memo[key] = (out, False)
-            return dict(out), False
-        pz = self._parity(z)
-        pars = [self.alg.parity(g) for g in fac]
-        m = len(fac)
-        for i in range(m):
-            suffix = fac[i + 1:]
-            prefix = fac[:i]
-            p_suf = sum(pars[i + 1:]) % 2
-            sign = ONE
-            if p_suf and (pz + sum(pars[:i + 1])) % 2:
-                sign = -ONE
-            chunk, l = _seq_product(self.alg, suffix + [z] + prefix)
-            loss = loss or l
-            for lab, c in chunk.items():
-                vec_axpy(out, sign * c, {(lab, fac[i]): ONE})
-        self._red_memo[key] = (dict(out), loss)
-        return out, loss
+            hit = ({(z, y): ONE}, False)
+        else:
+            out = {}
+            loss = False
+            pz = self._parity(z)
+            pars = [self.alg.parity(g) for g in fac]
+            for i, g in enumerate(fac):
+                p_suf = sum(pars[i + 1:]) % 2
+                sign = ONE
+                if p_suf and (pz + sum(pars[:i + 1])) % 2:
+                    sign = -ONE
+                chunk, l = _seq_product(self.alg, fac[i + 1:] + [z] + fac[:i])
+                loss = loss or l
+                vec_axpy(out, sign, {(lab, g): c for lab, c in chunk.items()})
+            hit = (out, loss)
+        self._red_memo[key] = hit
+        return hit
 
-    def _raw_vec(self, zvec, yvec):
+    def omega1_vec(self, zvec, yvec):
+        """Class of (sum zvec).d(sum yvec); zvec may contain the None key."""
         out = {}
         loss = False
         for y, cy in yvec.items():
@@ -408,12 +396,7 @@ class XGenerated:
                 vec, l = self._raw_class(z, y)
                 loss = loss or l
                 vec_axpy(out, cy * cz, vec)
-        return out, loss
-
-    def omega1_vec(self, zvec, yvec):
-        """Class of (sum zvec).d(sum yvec); zvec may contain the None key."""
-        vec, loss = self._raw_vec(zvec, yvec)
-        return self.canonical_odd(vec), loss
+        return self.canonical_odd(out), loss
 
     def bdry_even(self, vec):
         out = {}

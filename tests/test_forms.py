@@ -1,13 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from xchern.scalars import Scalar, ZERO, ONE
+from xchern.algebra import dual_numbers, matrix_units, split_pair
 from xchern import forms as F
 from xchern.forms import (FormSpace, Form, d, b, kappa, connes_B, graded_mul,
                           fedosov_even, fedosov_full, cyclic_projection,
                           apply_columns)
 from xchern.forms import _operator_columns, _compose_columns
+
+import xreference
 
 
 def test_dimensions(dual):
@@ -160,6 +165,63 @@ def test_fedosov_associativity(corpus_algebras):
             right = fedosov_full(f1, fedosov_full(f2, f3))
             if not (left.lossy or right.lossy):
                 assert left == right
+
+
+# window 4 on algebras of dimension 2 and 4: forms reach the top degree,
+# where d and the products leave the window and the loss flag matters
+SPACES = [FormSpace(make(), 4) for make in
+          (dual_numbers, split_pair, lambda: matrix_units(2))]
+
+
+def _words(sp):
+    # low degrees weigh more, so that many products fit in the window
+    dim = sp.algebra.dim
+    degrees = [n for n in range(sp.max_degree + 1)
+               for _ in range(sp.max_degree + 1 - n)]
+    return st.sampled_from(degrees).flatmap(lambda n: st.tuples(
+        st.integers(1 if n == 0 else 0, dim),
+        *[st.integers(0, dim - 1)] * n))
+
+
+@st.composite
+def _form_pairs(draw):
+    sp = draw(st.sampled_from(SPACES))
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                      st.integers(1, 2))
+    def form():
+        return Form(sp, draw(st.dictionaries(_words(sp), coeff, max_size=2)),
+                    draw(st.sampled_from((False, False, True))))
+    return form(), form()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_form_pairs())
+# a top-degree word, whose d leaves the window, times a 0-form and a 1-form
+@example((Form(SPACES[0], {(1, 0, 1, 1, 0): ONE, (2, 1): Fraction(1, 2)}),
+          Form(SPACES[0], {(2,): -ONE, (0, 1): 2})))
+def test_fedosov_full_matches_reference(pair):
+    f1, f2 = pair
+    got = fedosov_full(f1, f2)
+    want = xreference.fedosov_full(f1, f2)
+    assert got.coeffs == want.coeffs
+    if f2.coeffs:
+        assert got.lossy == want.lossy
+    else:
+        # the reference also flags the loss of d(f1) when f1 meets the zero
+        # form; the product is 0 exactly, so only the operands' flags carry
+        assert got.lossy == (f1.lossy or f2.lossy)
+
+
+def test_fedosov_words_match_reference_on_every_word_pair(corpus_algebras):
+    for alg in corpus_algebras:
+        sp = FormSpace(alg, 3 if alg.dim <= 2 else 2)
+        words = [w for n in range(sp.max_degree + 1)
+                 for w in sp.basis_words(n)]
+        for w1 in words:
+            for w2 in words:
+                want = xreference.fedosov_full(sp.word(w1), sp.word(w2))
+                got = F.fedosov_words(sp, w1, w2)
+                assert got == (want.coeffs, want.lossy), (alg.name, w1, w2)
 
 
 def test_cyclic_projection(dual, corpus_algebras):

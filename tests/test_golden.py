@@ -1,5 +1,6 @@
-"""The --emit json reports of the README command lines on specs/, and of
-the odd universal command, against committed copies.
+"""The --emit json reports of the README command lines on specs/, of the
+odd universal command and of the even universal command at window 4,
+against committed copies.
 
 The exact commands must reproduce their reports byte for byte.  The jlo
 report is compared without its detail strings, whose float digits depend
@@ -23,6 +24,10 @@ EXACT = {
                   "even", "--window", "2", "--solve"],
     "universal-odd": ["universal", "specs/dual.json", "--n", "0", "--parity",
                       "odd", "--window", "3"],
+    # builds the window-4 commutator quotient that the cocycles benchmark
+    # workload spends its time in
+    "universal-w4": ["universal", "specs/dual.json", "--n", "1", "--parity",
+                     "even", "--window", "4", "--src-len", "3"],
     "chern": ["chern", "specs/idqh.json", "--n", "0"],
     "pair": ["pair", "specs/fredholm.json"],
 }

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -20,6 +21,10 @@ from xchern.xcomplex import (build_X, XGenerated, FedosovAlg, ZekriAlg,
                              xt_odd_to_form, form_to_xt_even, form_to_xt_odd,
                              kappa_map, rescale_map, rescale_c, x_of_hom)
 from xchern.chern import d_chain_map, identity_map, ideal_power_like
+from xchern.cli import Report, universal_suite
+
+import xreference
+from test_generated import rational_rebasing
 
 
 def test_x_of_scalars():
@@ -426,3 +431,60 @@ def test_order_certificate_reports_a_bumped_column(dual, side):
     assert info == (1, {lab: ONE}, image)
     ok, _ = order_certificate(ChainMap.zero(xt, xt), unit_rows, filt, 0, [1])
     assert ok
+
+
+# the generated X-complexes whose commutator quotients the universal
+# checks build, and one over a rebased algebra with Fraction constants
+QUOTIENTS = {
+    "Q(dual) w2": lambda: FedosovAlg(FormSpace(dual_numbers(), 2)),
+    "Q(dual) w3": lambda: FedosovAlg(FormSpace(dual_numbers(), 3)),
+    "Q(dual) w4": lambda: FedosovAlg(FormSpace(dual_numbers(), 4)),
+    "Q(qq) w3": lambda: FedosovAlg(FormSpace(split_pair(), 3)),
+    "Qs(dual) w3": lambda: FedosovAlg(FormSpace(dual_numbers(), 3),
+                                      graded=True),
+    "E(dual) w3": lambda: ZekriAlg(FormSpace(dual_numbers(), 3)),
+    "Q(dual-rebased) w2": lambda: FedosovAlg(FormSpace(
+        rational_rebasing(dual_numbers, 3), 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENTS))
+def test_relations_match_reference_loop(name):
+    x = XGenerated(QUOTIENTS[name](), exact_quotient=True)
+    assert x.relations().rows == xreference.relations(x).rows
+
+
+def test_memos_stay_intact_through_universal_suites(dual, monkeypatch):
+    # product_flag and _raw_class hand out their memo entries; a reader
+    # that mutated one would leave it unequal to a fresh recomputation
+    made = []
+    for cls in (FedosovAlg, ZekriAlg, XGenerated):
+        def recording(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            made.append(self)
+        monkeypatch.setattr(cls, "__init__", recording)
+    for parity in (0, 1):
+        report = Report(["universal"])
+        universal_suite(dual, 0, parity, 3, 2, report)
+        assert report.ok, report.emit("text")
+    monkeypatch.undo()
+
+    def fresh(alg):
+        out = copy.copy(alg)
+        if hasattr(out, "_memo"):
+            out._memo = {}
+        return out
+
+    algs = [a for a in made if not isinstance(a, XGenerated)]
+    assert {type(a) for a in algs} == {FedosovAlg, ZekriAlg}
+    for alg in algs:
+        assert alg._memo
+        again = fresh(alg)
+        for (l1, l2), hit in alg._memo.items():
+            assert hit == again.product_flag(l1, l2), (alg.name, l1, l2)
+    xs = [x for x in made if isinstance(x, XGenerated)]
+    assert any(x._red_memo for x in xs)
+    for x in xs:
+        again = XGenerated(fresh(x.alg))
+        for (z, y), hit in x._red_memo.items():
+            assert hit == again._raw_class(z, y), (x.name, z, y)

@@ -1,0 +1,120 @@
+"""Straightforward forms of two exact kernels, kept as test oracles.
+
+`relations` spans the reduced commutator classes red([r, z.dg]) of a
+generated X-complex with the plain triple loop over r, z and g: every term
+goes through temporaries and copies, and the classes of z.d(y) have their
+own memo.  `fedosov_full` is the Fedosov product of two forms assembled
+degree by degree from `graded_mul` and `d`, loss flags included.  The
+kernels in `xchern` must give the same rows and the same (coefficients,
+loss flag) pairs; keep these slow and obvious.
+"""
+
+from xchern.scalars import ONE
+from xchern.linalg import vec_axpy, Span
+from xchern.forms import graded_mul, d
+from xchern.xcomplex import _seq_product
+
+
+def fedosov_full(f1, f2):
+    """Free-product algebra product w1*w2 - (-1)^{|w1|} dw1*dw2."""
+    if f1.space is not f2.space:
+        raise ValueError("forms live in different spaces")
+    out = f1.space.zero()
+    for n1 in f1.degrees():
+        c1 = f1.component(n1)
+        term = graded_mul(c1, f2)
+        corr = graded_mul(d(c1), d(f2))
+        out = (out + term - corr) if n1 % 2 == 0 else (out + term + corr)
+    out.lossy = out.lossy or f1.lossy or f2.lossy
+    return out
+
+
+def relations(x):
+    """Span of the reduced commutator classes of the XGenerated x."""
+    return _Reference(x.alg).relations()
+
+
+class _Reference:
+    def __init__(self, alg):
+        self.alg = alg
+        self._red_memo = {}
+
+    def _parity(self, label):
+        if label is None:
+            return 0
+        return self.alg.parity(label)
+
+    def relations(self):
+        span = Span()
+        basis = self.alg.basis()
+        gens = self.alg.generators()
+        for r in basis:
+            pr = self._parity(r)
+            for z in [None] + basis:
+                pz = self._parity(z)
+                for g in gens:
+                    pg = self.alg.parity(g)
+                    vec = {}
+                    # r . (z d g)
+                    left = {r: ONE} if z is None else \
+                        self.alg.product_flag(r, z)[0]
+                    for k, c in left.items():
+                        vec_axpy(vec, c, {(k, g): ONE})
+                    sign = ONE
+                    if pr and (pz + pg) % 2:
+                        sign = -ONE
+                    # minus (z d g) . r = z d(g r) - (z g) d r
+                    gr, _ = self.alg.product_flag(g, r)
+                    mid, _ = self._raw_vec(
+                        {z: ONE} if z is not None else {None: ONE}, gr)
+                    vec_axpy(vec, -sign, mid)
+                    zg = {g: ONE} if z is None else \
+                        self.alg.product_flag(z, g)[0]
+                    tail, _ = self._raw_vec(zg, {r: ONE})
+                    vec_axpy(vec, sign, tail)
+                    if vec:
+                        span.add(vec)
+        return span
+
+    def _raw_class(self, z, y):
+        """Class of z.d(y) reduced through the factorization; (vec, loss)."""
+        key = (z, y)
+        hit = self._red_memo.get(key)
+        if hit is not None:
+            return dict(hit[0]), hit[1]
+        fac = self.alg.factor(y)
+        out = {}
+        loss = False
+        if not fac:
+            self._red_memo[key] = ({}, False)
+            return {}, False
+        if len(fac) == 1 and fac[0] == y:
+            out = {(z, y): ONE}
+            self._red_memo[key] = (out, False)
+            return dict(out), False
+        pz = self._parity(z)
+        pars = [self.alg.parity(g) for g in fac]
+        m = len(fac)
+        for i in range(m):
+            suffix = fac[i + 1:]
+            prefix = fac[:i]
+            p_suf = sum(pars[i + 1:]) % 2
+            sign = ONE
+            if p_suf and (pz + sum(pars[:i + 1])) % 2:
+                sign = -ONE
+            chunk, l = _seq_product(self.alg, suffix + [z] + prefix)
+            loss = loss or l
+            for lab, c in chunk.items():
+                vec_axpy(out, sign * c, {(lab, fac[i]): ONE})
+        self._red_memo[key] = (dict(out), loss)
+        return out, loss
+
+    def _raw_vec(self, zvec, yvec):
+        out = {}
+        loss = False
+        for y, cy in yvec.items():
+            for z, cz in zvec.items():
+                vec, l = self._raw_class(z, y)
+                loss = loss or l
+                vec_axpy(out, cy * cz, vec)
+        return out, loss
