@@ -123,31 +123,6 @@ def multiply(x, y):
     return Element(x.algebra, x.algebra.product(x.coeffs, y.coeffs))
 
 
-class UnitalElement:
-    """Element of the unitalization: a scalar part plus a body in the algebra."""
-
-    __slots__ = ("scalar_part", "body")
-
-    def __init__(self, scalar_part, body):
-        self.scalar_part = scalar_part
-        self.body = body
-
-    def __add__(self, other):
-        return UnitalElement(self.scalar_part + other.scalar_part,
-                             self.body + other.body)
-
-    def __mul__(self, other):
-        cross = other.body.scale(self.scalar_part) + self.body.scale(other.scalar_part)
-        return UnitalElement(self.scalar_part * other.scalar_part,
-                             cross + multiply(self.body, other.body))
-
-    def __eq__(self, other):
-        return self.scalar_part == other.scalar_part and self.body == other.body
-
-    def __repr__(self):
-        return "(%s) + %r" % (self.scalar_part, self.body)
-
-
 class Homomorphism:
     """Linear map stored column-wise with a verified multiplicativity flag."""
 

@@ -12,13 +12,14 @@ factor sqrt(2i).
 
 from fractions import Fraction
 
-from .scalars import ZERO, ONE, HALF, gamma_half, inv, SQRT_2I
-from .linalg import vec_axpy, vec_scale
+from .scalars import ONE, HALF, gamma_half, inv, SQRT_2I
+from .linalg import vec_add, vec_axpy, vec_scale
 from . import forms as F
 from . import tensoralg as T
-from .qalgebra import UnitalForm
+from .qalgebra import eta_even, eta_odd
 from .xcomplex import (ChainMap, XGenerated, FedosovAlg, ZekriAlg,
-                       TensorAlg, TableAlg, kappa_map, _seq_dict_product)
+                       TensorAlg, TableAlg, kappa_map, x_of_hom,
+                       x_of_tensor_algebra, _seq_dict_product)
 
 
 def _factorial(n):
@@ -83,7 +84,7 @@ def mat_unit(n):
 
 def mat_unit_alg(alg, n):
     """Identity matrix using the algebra's own unit when it has one."""
-    ud = alg.unit_dict() if hasattr(alg, "unit_dict") else None
+    ud = alg.unit_dict()
     if not ud:
         return mat_unit(n)
     return [[(dict(ud) if r == c else {}) for c in range(n)]
@@ -348,44 +349,35 @@ def universal_ch_even(algebra, n, src, tgt, conv_space=None):
 
     Degree-2n chains map to (n!)^2/(2n)! q(a0~) q(a1) ... q(a2n); the odd
     slot keeps the two free-product branches with opposite signs."""
-    qspace = tgt.alg.space
     coef = Fraction(_factorial(n) ** 2, _factorial(2 * n))
     if conv_space is None:
         conv_space = F.FormSpace(algebra, max(2 * n + 2, 2 * (src.alg.max_len)))
 
-    def q_of(i):
-        return F.Form(qspace, {(0, i): 2})
-
-    def qprod_from_word(word):
-        """q(a0~) q(a1) ... q(a2n) for a degree-2n word; zero on the unit."""
-        if word[0] == 0:
-            return None
-        acc = F.Form(qspace, {(0, word[0] - 1): 2})
-        for i in word[1:]:
-            acc = F.fedosov_full(acc, q_of(i))
-        return acc
+    def times_q(acc, letters):
+        """acc q(a1) ... q(ak) over the labels of the Fedosov algebra, with
+        q(a) = 2 da; the key None of acc is the adjoined unit."""
+        loss = False
+        for i in letters:
+            acc, l = _seq_dict_product(tgt.alg, acc, {(0, i): 2})
+            loss = loss or l
+        return acc, loss
 
     def branch_from_word(word, sign):
         """iota(a0~) q(a1) ... q(a2n) (sign +1) or the bar branch (-1)."""
         if word[0] == 0:
-            acc = UnitalForm.unit(qspace)
-        else:
-            i = word[0] - 1
-            body = F.Form(qspace, {(i + 1,): ONE, (0, i): sign})
-            acc = UnitalForm(ZERO, body)
-        for i in word[1:]:
-            acc = acc.fedosov(UnitalForm(ZERO, q_of(i)))
-        return acc
+            return times_q({None: ONE}, word[1:])
+        i = word[0] - 1
+        return times_q({(i + 1,): ONE, (0, i): sign}, word[1:])
 
     def efn(w):
         comps, loss = _word_forms(algebra, w, 2 * n, conv_space)
         out = {}
         for word, c in comps.items():
-            qq = qprod_from_word(word)
-            if qq is None:
-                continue
-            loss = loss or qq.lossy
-            vec_axpy(out, c * coef, qq.coeffs)
+            if word[0] == 0:
+                continue  # q kills the unit
+            qq, l = times_q({(0, word[0] - 1): 2}, word[1:])
+            loss = loss or l
+            vec_axpy(out, c * coef, qq)
         return out, loss
 
     def ofn(lab):
@@ -394,20 +386,12 @@ def universal_ch_even(algebra, n, src, tgt, conv_space=None):
         comps, loss = _word_forms(algebra, z, 2 * n, conv_space)
         out = {}
         for word, c in comps.items():
-            up = branch_from_word(word, ONE)
-            um = branch_from_word(word, -ONE)
-            loss = loss or up.body.lossy or um.body.lossy
-            diff = up - um
-            tot = up + um
-            zdiff = dict(diff.body.coeffs)
-            if diff.scalar:
-                zdiff[None] = diff.scalar
-            ztot = dict(tot.body.coeffs)
-            if tot.scalar:
-                ztot[None] = tot.scalar
-            v1, l1 = tgt.omega1_vec(zdiff, {(a + 1,): ONE})
-            v2, l2 = tgt.omega1_vec(ztot, {(0, a): ONE})
-            loss = loss or l1 or l2
+            up, lp = branch_from_word(word, ONE)
+            um, lm = branch_from_word(word, -ONE)
+            v1, l1 = tgt.omega1_vec(vec_add(up, vec_scale(um, -ONE)),
+                                    {(a + 1,): ONE})
+            v2, l2 = tgt.omega1_vec(vec_add(up, um), {(0, a): ONE})
+            loss = loss or lp or lm or l1 or l2
             vec_axpy(out, c * coef, v1)
             vec_axpy(out, c * coef, v2)
         return out, loss
@@ -482,14 +466,11 @@ def universal_ch_odd(algebra, n, src, tgt, conv_space=None):
                 mid = word[2 * i]             # the d-slot letter
                 right = word[2 * i + 1:]      # da_{2i+1} ... da_{2n+2}
                 if right:
-                    rword = (0,) + right
-                    prod = F.fedosov_full(F.Form(qspace, {rword: ONE}),
-                                          F.Form(qspace, {left: ONE}))
+                    prod, l = tgt.alg.product_flag((0,) + right, left)
                 else:
-                    prod = F.Form(qspace, {left: ONE})
-                loss = loss or prod.lossy
-                zvec = dict(prod.coeffs)
-                v, l = tgt.omega1_vec(zvec, {(mid + 1,): ONE})
+                    prod, l = {left: ONE}, False
+                loss = loss or l
+                v, l = tgt.omega1_vec(prod, {(mid + 1,): ONE})
                 loss = loss or l
                 dv, ld = dmap.apply_odd(v)
                 loss = loss or ld
@@ -519,7 +500,6 @@ def identity_map(cx):
 def eta_chain_map(xe, xqs):
     """The case-table map from the crossed-product X-complex to the super
     one, as a chain map on canonical labels."""
-    from .qalgebra import eta_even, eta_odd
 
     def efn(lab):
         return eta_even({lab: ONE}), False
@@ -561,7 +541,6 @@ def x_of_t_branch(xt, xtq, sign, name):
     def img(word):
         return _branch_word_expansion(tuple(word), sign, max_len)
 
-    from .xcomplex import x_of_hom
     return x_of_hom(xt, xtq, img, name=name)
 
 
@@ -583,7 +562,6 @@ def gamma_composite(algebra, n, windows, odd=False):
     """X(T A) -> X(T Q A) through the lifted universal cocycle.
 
     Returns (chain map, dict of the complexes involved)."""
-    from .xcomplex import x_of_hom, x_of_tensor_algebra
     W = windows
     U = T.truncated_tensor_algebra(algebra, W.src_len)
     _, _, uindex, uwords = U.tensor_info

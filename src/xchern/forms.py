@@ -181,20 +181,18 @@ def _mul_words(space, w1, w2):
     return out, lossy
 
 
-def _apply(space, fn, form, cache_tag=None):
+def _apply(space, fn, form, cache_tag):
+    """Extend the word operator fn linearly to form, memoizing its value on
+    each word under cache_tag in the space's operator cache."""
     out = {}
     lossy = form.lossy
     cache = space._op_cache
     for w, c in form.coeffs.items():
-        if cache_tag is not None:
-            key = (cache_tag, w)
-            hit = cache.get(key)
-            if hit is None:
-                hit = fn(space, w)
-                cache[key] = hit
-            vec, l = hit
-        else:
-            vec, l = fn(space, w)
+        key = (cache_tag, w)
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = fn(space, w)
+        vec, l = hit
         lossy = lossy or l
         vec_axpy(out, c, vec)
     return Form(space, out, lossy)

@@ -1,13 +1,17 @@
-"""Free-product algebras modeled on forms with the full Fedosov product.
+"""The free product of an algebra with itself, modeled on forms.
 
 Q(A) is the space of degree-truncated forms with the product
 w1 (.) w2 = w1 w2 - (-1)^{|w1|} dw1 dw2; the two canonical copies of A sit
-as iota(a) = a + da and iotabar(a) = a - da.  The same space read in the
-graded category is Qs(A).  The crossed product with the parity involution
-gives the algebra with symmetry X (X^2 = 1, X w X = parity of w).
+as iota(a) = a + da and iotabar(a) = a - da, and fold maps back onto A.
+The same space read in the graded category is Qs(A).  Products of basis
+labels live in xcomplex.FedosovAlg, whose label dicts take the key None
+for the adjoined unit, and the crossed product of the unitalization by
+the parity involution (X^2 = 1, X w X = parity of w) in xcomplex.ZekriAlg.
+Here also is the case table of the chain map eta from the X-complex of
+that crossed product to the X-complex of Qs(A).
 """
 
-from .scalars import ZERO, ONE
+from .scalars import ONE
 from .linalg import vec_axpy
 from .algebra import Element
 from . import forms as F
@@ -39,99 +43,6 @@ def fold(form):
         if len(w) == 1:
             out[w[0] - 1] = c
     return Element(alg, out)
-
-
-def parity_involution(form):
-    """w -> (-1)^{deg w} w, the exchange of the two copies of A."""
-    out = {}
-    for w, c in form.coeffs.items():
-        out[w] = c if (len(w) - 1) % 2 == 0 else -c
-    return F.Form(form.space, out, form.lossy)
-
-
-class UnitalForm:
-    """Element of the unitalized Fedosov algebra: scalar + form body."""
-
-    __slots__ = ("scalar", "body")
-
-    def __init__(self, scalar, body):
-        self.scalar = scalar
-        self.body = body
-
-    @staticmethod
-    def unit(space, c=ONE):
-        return UnitalForm(c, space.zero())
-
-    def __add__(self, other):
-        return UnitalForm(self.scalar + other.scalar, self.body + other.body)
-
-    def __sub__(self, other):
-        return UnitalForm(self.scalar - other.scalar, self.body - other.body)
-
-    def scale(self, c):
-        return UnitalForm(self.scalar * c, self.body.scale(c))
-
-    def fedosov(self, other):
-        body = F.fedosov_full(self.body, other.body)
-        body = body + other.body.scale(self.scalar) + self.body.scale(other.scalar)
-        return UnitalForm(self.scalar * other.scalar, body)
-
-    def involve(self):
-        return UnitalForm(self.scalar, parity_involution(self.body))
-
-    def __eq__(self, other):
-        return self.scalar == other.scalar and self.body == other.body
-
-    def is_zero(self):
-        return not self.scalar and self.body.is_zero()
-
-    def __repr__(self):
-        return "UnitalForm(%s, %r)" % (self.scalar, self.body)
-
-
-class ZekriElement:
-    """w + w'X over the unitalized Fedosov algebra, X^2 = 1."""
-
-    __slots__ = ("even_part", "twisted_part")
-
-    def __init__(self, even_part, twisted_part):
-        self.even_part = even_part
-        self.twisted_part = twisted_part
-
-    def __add__(self, other):
-        return ZekriElement(self.even_part + other.even_part,
-                            self.twisted_part + other.twisted_part)
-
-    def __sub__(self, other):
-        return ZekriElement(self.even_part - other.even_part,
-                            self.twisted_part - other.twisted_part)
-
-    def scale(self, c):
-        return ZekriElement(self.even_part.scale(c), self.twisted_part.scale(c))
-
-    def __eq__(self, other):
-        return (self.even_part == other.even_part
-                and self.twisted_part == other.twisted_part)
-
-    def __repr__(self):
-        return "Zekri(%r + (%r)X)" % (self.even_part, self.twisted_part)
-
-
-def zekri_x(space):
-    return ZekriElement(UnitalForm(ZERO, space.zero()), UnitalForm.unit(space))
-
-
-def zekri_embed(uform):
-    return ZekriElement(uform, UnitalForm(ZERO, uform.body.space.zero()))
-
-
-def zekri_mul(z1, z2):
-    """(w1 + w1'X)(w2 + w2'X) with X w X the parity involution of w."""
-    even = z1.even_part.fedosov(z2.even_part) \
-        + z1.twisted_part.fedosov(z2.twisted_part.involve())
-    twisted = z1.even_part.fedosov(z2.twisted_part) \
-        + z1.twisted_part.fedosov(z2.even_part.involve())
-    return ZekriElement(even, twisted)
 
 
 # ---------------------------------------------------------------------------

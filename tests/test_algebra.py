@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from xchern.scalars import Scalar, ZERO, ONE
+from xchern.scalars import Scalar, ONE
 from xchern.algebra import (Algebra, Homomorphism, check_hom, multiply,
                             matrix_algebra, unitalize, dual_numbers,
                             matrix_units, group_algebra_z2, split_pair,
-                            rationals, UnitalElement)
+                            rationals)
+from xchern.xcomplex import TableAlg, _seq_dict_product
 
 
 def test_multiply_examples(dual, m2, z2):
@@ -80,10 +81,12 @@ def test_check_hom_examples(dual, m2):
 
 
 def test_unital_element_product(dual):
-    one = UnitalElement(ONE, dual.zero())
-    a = UnitalElement(ZERO, dual.basis_element(1))
-    assert (one * a) == a
-    assert (a * a).body.is_zero()
+    # the unitalization as label dicts: the key None is the adjoined unit
+    alg = TableAlg(dual)
+    one = {None: ONE}
+    a = {1: ONE}
+    assert _seq_dict_product(alg, one, a) == (a, False)
+    assert _seq_dict_product(alg, a, a) == ({}, False)
 
 
 def test_unitalize(dual):

@@ -18,6 +18,8 @@ from xchern.chern import (universal_ch_even, universal_ch_odd,
                           GammaWindows, x_of_t_branch, ideal_power_like,
                           FredholmBimodule, mat_unit)
 
+import xreference
+
 
 def _setting_even(algebra, src_len, window):
     xt = x_of_tensor_algebra(algebra, src_len)
@@ -268,6 +270,25 @@ def test_ch_odd_kappa_squared_even_slot(dual):
     # full cyclicity with kappa^{2n+2}
     rep2 = maps_equal(comp, ch1, xt.even_basis(), xt.odd_basis())
     assert rep2["ok"]
+
+
+@pytest.mark.parametrize("name", ["dual", "qq"])
+def test_ch_odd_even_slot_matches_form_reference(name, request):
+    # the even slot at n = 1 multiplies the one-form pieces in the super
+    # Fedosov algebra; every column, loss flag included, must match the
+    # Form-level product of the reference
+    algebra = request.getfixturevalue(name)
+    xt = x_of_tensor_algebra(algebra, 4)
+    xqs = XGenerated(FedosovAlg(FormSpace(algebra, 5), graded=True))
+    ch3 = universal_ch_odd(algebra, 1, xt, xqs)
+    conv = FormSpace(algebra, 8)
+    nonzero = 0
+    for lab in xt.even_basis():
+        got = ch3.even_col(lab)
+        assert got == xreference.ch_odd_even_col(algebra, 1, xqs, conv,
+                                                 lab), lab
+        nonzero += bool(got[0])
+    assert nonzero
 
 
 def test_gamma0_identity(dual, qq):

@@ -1,11 +1,10 @@
 import pytest
 
-from xchern.scalars import Scalar, ZERO, ONE
-from xchern.forms import FormSpace, Form, d, fedosov_full
+from xchern.scalars import Scalar, ONE
+from xchern.forms import FormSpace, fedosov_full
 from xchern.algebra import multiply
-from xchern.qalgebra import (iota, iotabar, q_gen, fold, parity_involution,
-                             UnitalForm, ZekriElement, zekri_mul, zekri_x,
-                             zekri_embed, eta_even, eta_odd)
+from xchern.qalgebra import iota, iotabar, q_gen, fold, eta_even, eta_odd
+from xchern.xcomplex import ZekriAlg, _seq_dict_product
 
 
 def test_generators(dual):
@@ -57,38 +56,51 @@ def test_q_identity(corpus_algebras):
                 assert lhs == rhs2, (alg.name, i, j)
 
 
+def _zekri_product(E, *factors):
+    """Left-to-right product of label dicts in the crossed product E, with
+    the loss flags of every step."""
+    acc, loss = factors[0], False
+    for f in factors[1:]:
+        acc, l = _seq_dict_product(E, acc, f)
+        loss = loss or l
+    return acc, loss
+
+
 def test_zekri_relations(dual):
-    sp = FormSpace(dual, 3)
-    X = zekri_x(sp)
+    E = ZekriAlg(FormSpace(dual, 3))
+    X = {(1, ()): ONE}
     # X . X = 1
-    one = ZekriElement(UnitalForm.unit(sp), UnitalForm(ZERO, sp.zero()))
-    assert zekri_mul(X, X) == one
+    assert _zekri_product(E, X, X) == ({(0, ()): ONE}, False)
     # X a X = a on degree 0
-    a = zekri_embed(UnitalForm(ZERO, sp.from_element(dual.basis_element(1))))
-    assert zekri_mul(zekri_mul(X, a), X) == a
+    a = {(0, (2,)): ONE}
+    assert _zekri_product(E, X, a, X) == (a, False)
     # X da X = -da
-    da = zekri_embed(UnitalForm(ZERO, d(sp.from_element(dual.basis_element(1)))))
-    out = zekri_mul(zekri_mul(X, da), X)
-    assert out == da.scale(-ONE)
+    da = {(0, (0, 1)): ONE}
+    assert _zekri_product(E, X, da, X) == ({(0, (0, 1)): -ONE}, False)
 
 
 def test_zekri_associative(dual):
     sp = FormSpace(dual, 3)
+    E = ZekriAlg(sp)
     import random
     rng = random.Random(2)
     words = [w for n in range(0, 2) for w in sp.basis_words(n)]
     def rnd():
-        e = UnitalForm(Scalar.from_int(rng.randint(0, 2)),
-                       sp.word(rng.choice(words)))
-        t = UnitalForm(ZERO, sp.word(rng.choice(words)))
-        return ZekriElement(e, t)
+        # scalar + word, plus word . X
+        e = {(0, ()): rng.randint(0, 2), (0, rng.choice(words)): ONE}
+        e[(1, rng.choice(words))] = ONE
+        return {k: c for k, c in e.items() if c}
+    checked = 0
     for _ in range(25):
         z1, z2, z3 = rnd(), rnd(), rnd()
-        lhs = zekri_mul(zekri_mul(z1, z2), z3)
-        rhs = zekri_mul(z1, zekri_mul(z2, z3))
-        if not (lhs.even_part.body.lossy or rhs.even_part.body.lossy
-                or lhs.twisted_part.body.lossy or rhs.twisted_part.body.lossy):
+        z12, l1 = _zekri_product(E, z1, z2)
+        lhs, l2 = _zekri_product(E, z12, z3)
+        z23, l3 = _zekri_product(E, z2, z3)
+        rhs, l4 = _zekri_product(E, z1, z23)
+        if not (l1 or l2 or l3 or l4):
+            checked += 1
             assert lhs == rhs
+    assert checked
 
 
 def test_eta_even_cases(dual):

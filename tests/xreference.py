@@ -4,15 +4,19 @@
 generated X-complex with the plain triple loop over r, z and g: every term
 goes through temporaries and copies, and the classes of z.d(y) have their
 own memo.  `fedosov_full` is the Fedosov product of two forms assembled
-degree by degree from `graded_mul` and `d`, loss flags included.  The
-kernels in `xchern` must give the same rows and the same (coefficients,
-loss flag) pairs; keep these slow and obvious.
+degree by degree from `graded_mul` and `d`, loss flags included.
+`ch_odd_even_col` is the even slot of the odd universal cocycle with its
+products taken as `Form`s through that `fedosov_full`.  The kernels in
+`xchern` must give the same rows and the same (coefficients, loss flag)
+pairs; keep these slow and obvious.
 """
 
 from xchern.scalars import ONE
 from xchern.linalg import vec_axpy, Span
-from xchern.forms import graded_mul, d
+from xchern.forms import Form, graded_mul, d
+from xchern import tensoralg as T
 from xchern.xcomplex import _seq_product
+from xchern.chern import d_chain_map
 
 
 def fedosov_full(f1, f2):
@@ -27,6 +31,31 @@ def fedosov_full(f1, f2):
         out = (out + term - corr) if n1 % 2 == 0 else (out + term + corr)
     out.lossy = out.lossy or f1.lossy or f2.lossy
     return out
+
+
+def ch_odd_even_col(algebra, n, tgt, conv_space, word):
+    """Even column of the degree 2n+1 universal cocycle into the super
+    X-complex tgt at the tensor word: minus d of the one-form sum
+    sum_i (1~ d a_{2i+1} ... d a_{2n+2}) (.) (a0~ da1 ... da_{2i-1}) d a_{2i}
+    over the degree 2n+2 forms of the word; (vec, loss)."""
+    qspace = tgt.alg.space
+    forms = T.to_forms(T.TensorElement(algebra, {tuple(word): ONE},
+                                       len(word)), conv_space)
+    loss = forms.lossy
+    dmap = d_chain_map(tgt)
+    out = {}
+    for w, c in forms.component(2 * n + 2).coeffs.items():
+        for i in range(1, n + 2):
+            left, mid, right = w[:2 * i], w[2 * i], w[2 * i + 1:]
+            prod = Form(qspace, {left: ONE})
+            if right:
+                prod = fedosov_full(Form(qspace, {(0,) + right: ONE}), prod)
+            loss = loss or prod.lossy
+            v, l = tgt.omega1_vec(prod.coeffs, {(mid + 1,): ONE})
+            dv, ld = dmap.apply_odd(v)
+            loss = loss or l or ld
+            vec_axpy(out, -c, dv)
+    return out, loss
 
 
 def relations(x):
