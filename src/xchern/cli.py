@@ -479,9 +479,12 @@ def _check_degrees(args):
 
 
 def cmd_universal(args):
-    report = Report(["universal", args.spec, "--n", str(args.n),
-                     "--parity", args.parity, "--window", str(args.window)],
-                    timings=args.timings)
+    command = ["universal", args.spec, "--n", str(args.n), "--parity",
+               args.parity, "--window", str(args.window), "--src-len",
+               str(args.src_len)]
+    if args.solve:
+        command.append("--solve")
+    report = Report(command, timings=args.timings)
     _check_degrees(args)
     algebra = load_algebra(load_spec(args.spec))
     parity = {"even": 0, "odd": 1}[args.parity]
@@ -497,8 +500,8 @@ def cmd_universal(args):
 
 
 def cmd_chern(args):
-    report = Report(["chern", args.spec, "--n", str(args.n)],
-                    timings=args.timings)
+    report = Report(["chern", args.spec, "--n", str(args.n), "--src-len",
+                     str(args.src_len)], timings=args.timings)
     _check_degrees(args)
     spec = load_spec(args.spec)
     kind = spec["kind"]
@@ -559,7 +562,8 @@ def _within(residuals, tol):
 
 def cmd_jlo(args):
     report = Report(["jlo", args.spec, "--n", str(args.n), "--T",
-                     str(args.T), "--quad-order", str(args.quad_order)],
+                     str(args.T), "--quad-order", str(args.quad_order),
+                     "--tolerance", str(args.tolerance)],
                     timings=args.timings)
     if args.n < 0 or not 0 < args.T < math.inf:
         raise SpecError("--n must be at least 0 and --T finite and positive")
