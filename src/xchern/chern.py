@@ -500,7 +500,6 @@ def identity_map(cx):
 def eta_chain_map(xe, xqs):
     """The case-table map from the crossed-product X-complex to the super
     one, as a chain map on canonical labels."""
-
     def efn(lab):
         return eta_even({lab: ONE}), False
 
