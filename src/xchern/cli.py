@@ -12,6 +12,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .scalars import ONE, parse as parse_scalar, bott_constant
@@ -304,55 +305,59 @@ def dga_suite(algebra, max_degree, report, samples=200, seed=11):
     def words_upto(n):
         return [w for k in range(n + 1) for w in sp.basis_words(k)]
 
+    # the checks compose the memoized word images as coefficient dicts
+    d, b, kappa, B = F._d_word, F._b_word, F._kappa_word, F._B_word
+    image, extend = partial(F._image, sp), partial(F._extend, sp)
+
     def check_b_b():
         for w in words_upto(max_degree):
-            if not F.b(F.b(sp.word(w))).is_zero():
+            if extend(b, image(b, w)[0])[0]:
                 return False, repr(w)
         return True, None
 
     def check_B_B():
         for w in words_upto(max_degree - 2):
-            one = F.connes_B(sp.word(w))
-            if one.lossy:
+            one, lossy = image(B, w)
+            if lossy:
                 continue
-            two = F.connes_B(one)
-            if two.lossy:
+            two, lossy = extend(B, one)
+            if lossy:
                 continue
-            if not two.is_zero():
+            if two:
                 return False, repr(w)
         return True, None
 
     def check_bB():
         for w in words_upto(max_degree - 1):
-            f = sp.word(w)
-            Bf = F.connes_B(f)
-            bf = F.b(f)
-            Bbf = F.connes_B(bf)
-            if Bf.lossy or Bbf.lossy:
+            Bf, l1 = image(B, w)
+            Bbf, l2 = extend(B, image(b, w)[0])
+            if l1 or l2:
                 continue
-            if not (F.b(Bf) + Bbf).is_zero():
+            if vec_axpy(extend(b, Bf)[0], ONE, Bbf):
                 return False, repr(w)
         return True, None
 
     def check_kappa():
         for w in words_upto(max_degree - 1):
-            f = sp.word(w)
-            df = F.d(f)
-            if df.lossy:
+            df, lossy = image(d, w)
+            if lossy:
                 continue
-            lhs = f - F.kappa(f)
-            rhs = F.d(F.b(f)) + F.b(df)
-            if not (lhs - rhs).is_zero():
+            # f - kappa(f) - d(b(f)) - b(df)
+            out = {w: ONE}
+            vec_axpy(out, -ONE, image(kappa, w)[0])
+            vec_axpy(out, -ONE, extend(d, image(b, w)[0])[0])
+            vec_axpy(out, -ONE, extend(b, df)[0])
+            if out:
                 return False, repr(w)
         return True, None
 
     def check_Bkappa():
         for w in words_upto(max_degree - 1):
-            f = sp.word(w)
-            Bf = F.connes_B(f)
-            if Bf.lossy:
+            Bf, lossy = image(B, w)
+            if lossy:
                 continue
-            if F.connes_B(F.kappa(f)) != Bf or F.kappa(Bf) != Bf:
+            if (extend(B, image(kappa, w)[0])[0] != Bf
+                    or extend(kappa, Bf)[0] != Bf):
                 return False, repr(w)
         return True, None
 

@@ -6,10 +6,18 @@ algebra, and the letters i are algebra basis indices.  Degree-0 words have
 u >= 1 (slot zero of a 0-form lives in the algebra itself, not its
 unitalization).
 
-All operators act word-wise and sparsely.  Components pushed above the
-space's max_degree are dropped and the result is flagged lossy; identities
-are only ever asserted where no loss occurred.
+All operators act word-wise and sparsely, in closed form on degree-n forms
+as A~ (x) A^(x)n: b is the bar formula, right multiplication by a letter the
+same signed sum of adjacent merges, and B the signed sum of the cyclic
+rotations of dw.  Each space memoizes every operator's value on every word
+it meets, one dict per operator.  Components pushed above the space's
+max_degree are dropped and the result is flagged lossy; identities are only
+ever asserted where no loss occurred.
 """
+
+import itertools
+from collections import defaultdict
+from fractions import Fraction
 
 from .scalars import ZERO, ONE
 from .linalg import vec_axpy, Span
@@ -22,25 +30,17 @@ class FormSpace:
         self.algebra = algebra
         self.max_degree = max_degree
         self._proj_cache = {}
-        self._op_cache = {}
+        # word operator -> {word: (image dict, lossy)}
+        self._op_cache = defaultdict(dict)
 
     def basis_words(self, n):
         """All degree-n basis words, in lexicographic order."""
         if n > self.max_degree:
             return []
         dim = self.algebra.dim
-        words = []
         if n == 0:
             return [(u,) for u in range(1, dim + 1)]
-        def rec(prefix, k):
-            if k == 0:
-                words.append(tuple(prefix))
-                return
-            for i in range(dim):
-                rec(prefix + [i], k - 1)
-        for u in range(dim + 1):
-            rec([u], n)
-        return words
+        return list(itertools.product(range(dim + 1), *[range(dim)] * n))
 
     def dim_degree(self, n):
         d = self.algebra.dim
@@ -126,6 +126,39 @@ class Form:
 # ---------------------------------------------------------------------------
 
 
+def _add_term(out, w, c):
+    """In place: out[w] += c, with vec_axpy's rules for the sum (a zero is
+    dropped, an integer-valued Fraction is stored as an int)."""
+    s = out.get(w)
+    if s is not None:
+        c = s + c
+    if not c:
+        out.pop(w, None)
+    elif type(c) is Fraction and c.denominator == 1:
+        out[w] = c.numerator
+    else:
+        out[w] = c
+
+
+def _add_merges(space, out, x, sign):
+    """In place: out += sign * sum_i (-1)^i x_i, where x = (u, a1, ..., am)
+    and x_i merges its letters i and i+1 into their product, i < m.  Slot
+    zero is merged through the unitalization: a unit slot u = 0 contributes
+    the letter a1 itself."""
+    prod = space.algebra.product_basis
+    for i in range(len(x) - 2, 0, -1):
+        s = sign if i % 2 == 0 else -sign
+        head, tail = x[:i], x[i + 2:]
+        for k, c in prod(x[i], x[i + 1]).items():
+            _add_term(out, head + (k,) + tail, s * c)
+    tail = x[2:]
+    if x[0] == 0:
+        _add_term(out, (x[1] + 1,) + tail, sign)
+    else:
+        for k, c in prod(x[0] - 1, x[1]).items():
+            _add_term(out, (k + 1,) + tail, sign * c)
+
+
 def _d_word(space, w):
     if w[0] == 0:
         return {}, False
@@ -145,23 +178,11 @@ def _left_mul_word(space, j, w):
 
 
 def _right_mul_word(space, w, j):
-    """w * e_j via the Leibniz recursion d(a)b = d(ab) - a.db."""
-    if len(w) == 1:
-        if w[0] == 0:
-            return {(j + 1,): ONE}, False
-        out = {}
-        for k, c in space.algebra.product_basis(w[0] - 1, j).items():
-            out[(k + 1,)] = c
-        return out, False
-    prefix, last = w[:-1], w[-1]
+    """w * e_j = sum_i (-1)^{n-i} (a0, ..., an, e_j) with its letters i and
+    i+1 merged, for a degree-n word w and a basis index j."""
     out = {}
-    for k, c in space.algebra.product_basis(last, j).items():
-        key = prefix + (k,)
-        vec_axpy(out, ONE, {key: c})
-    inner, lossy = _right_mul_word(space, prefix, last)
-    for iw, c in inner.items():
-        vec_axpy(out, ONE, {iw + (j,): -c})
-    return out, lossy
+    _add_merges(space, out, w + (j,), -ONE if len(w) % 2 == 0 else ONE)
+    return out, False
 
 
 def _mul_words(space, w1, w2):
@@ -171,31 +192,39 @@ def _mul_words(space, w1, w2):
         return {}, True
     tail = w2[1:]
     if w2[0] == 0:
-        absorbed = {w1: ONE}
-        lossy = False
-    else:
-        absorbed, lossy = _right_mul_word(space, w1, w2[0] - 1)
+        return {w1 + tail: ONE}, False
+    absorbed, lossy = _right_mul_word(space, w1, w2[0] - 1)
+    return {w + tail: c for w, c in absorbed.items()}, lossy
+
+
+def _image(space, fn, w):
+    """Value (vec, lossy) of the word operator fn on the word w, memoized in
+    the space.  vec is the memo's own dict: read it, never change it."""
+    memo = space._op_cache[fn]
+    hit = memo.get(w)
+    if hit is None:
+        hit = memo[w] = fn(space, w)
+    return hit
+
+
+def _extend(space, fn, vec, lossy=False):
+    """Linear extension of the word operator fn to the coefficient dict vec,
+    through the memoized values on its words: a new (dict, lossy)."""
     out = {}
-    for w, c in absorbed.items():
-        vec_axpy(out, c, {w + tail: ONE})
+    for w, c in vec.items():
+        img, l = _image(space, fn, w)
+        lossy = lossy or l
+        vec_axpy(out, c, img)
     return out, lossy
 
 
-def _apply(space, fn, form, cache_tag):
-    """Extend the word operator fn linearly to form, memoizing its value on
-    each word under cache_tag in the space's operator cache."""
-    out = {}
-    lossy = form.lossy
-    cache = space._op_cache
-    for w, c in form.coeffs.items():
-        key = (cache_tag, w)
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = fn(space, w)
-        vec, l = hit
-        lossy = lossy or l
-        vec_axpy(out, c, vec)
-    return Form(space, out, lossy)
+def _apply(space, fn, form):
+    """The word operator fn extended linearly to a form; the extension
+    holds no zeros, so Form.__init__ need not filter them again."""
+    out = Form.__new__(Form)
+    out.space = space
+    out.coeffs, out.lossy = _extend(space, fn, form.coeffs, form.lossy)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +234,25 @@ def _apply(space, fn, form, cache_tag):
 
 def d(form):
     """Differential: d(a0.da1...dan) = da0.da1...dan, d(1~ ...) = 0."""
-    return _apply(form.space, _d_word, form, cache_tag="d")
+    return _apply(form.space, _d_word, form)
 
 
 def _b_word(space, w):
+    """The bar formula; zero in degree 0."""
     n = len(w) - 1
     if n == 0:
         return {}, False
-    prefix, last = w[:-1], w[-1]
-    sign = ONE if (n - 1) % 2 == 0 else -ONE
-    out, _ = _right_mul_word(space, prefix, last)
-    out = {k: c * sign for k, c in out.items()}
-    left, _ = _left_mul_word(space, last, prefix)
-    for k, c in left.items():
-        vec_axpy(out, -sign * c, {k: ONE})
+    out = {}
+    _add_merges(space, out, w, ONE)
+    wrap = ONE if n % 2 == 0 else -ONE
+    for v, c in _left_mul_word(space, w[-1], w[:-1])[0].items():
+        _add_term(out, v, wrap * c)
     return out, False
 
 
 def b(form):
     """Hochschild boundary: b(w.da) = (-1)^{|w|}[w, a], zero in degree 0."""
-    return _apply(form.space, _b_word, form, cache_tag="b")
+    return _apply(form.space, _b_word, form)
 
 
 def _kappa_word(space, w):
@@ -248,23 +276,28 @@ def _kappa_word(space, w):
 
 def kappa(form):
     """Karoubi operator, 1 - kappa = db + bd."""
-    return _apply(form.space, _kappa_word, form, cache_tag="kappa")
+    return _apply(form.space, _kappa_word, form)
 
 
 def _B_word(space, w):
-    n = len(w) - 1
+    """B on a degree-n word: kappa rotates the exact word dw = dx0...dxn to
+    (-1)^n dxn.dx0...dx_{n-1}, so B(w) sums the rotations j <= n of dw with
+    sign (-1)^{nj}; lossy exactly when dw is."""
     dw, lossy = _d_word(space, w)
-    acc = Form(space, dw)
-    total = dict(dw)
-    for _ in range(n):
-        acc = kappa(acc)
-        vec_axpy(total, ONE, acc.coeffs)
-    return total, lossy
+    out = {}
+    for x in dw:
+        letters = x[1:]
+        n = len(letters) - 1
+        for j in range(n + 1):
+            cut = n + 1 - j
+            _add_term(out, (0,) + letters[cut:] + letters[:cut],
+                      -ONE if n * j % 2 else ONE)
+    return out, lossy
 
 
 def connes_B(form):
     """Connes boundary (1 + kappa + ... + kappa^n) d on degree n."""
-    return _apply(form.space, _B_word, form, cache_tag="B")
+    return _apply(form.space, _B_word, form)
 
 
 def graded_mul(f1, f2):
@@ -326,11 +359,9 @@ def fedosov_full(f1, f2):
 # ---------------------------------------------------------------------------
 
 
-def _operator_columns(space, n, op):
-    cols = {}
-    for w in space.basis_words(n):
-        cols[w] = op(Form(space, {w: ONE})).coeffs
-    return cols
+def _operator_columns(space, n, fn):
+    """Columns of the word operator fn on degree n, as new dicts."""
+    return {w: dict(_image(space, fn, w)[0]) for w in space.basis_words(n)}
 
 
 def _compose_columns(cols_a, cols_b):
@@ -356,8 +387,8 @@ def cyclic_projection(space, n):
     if n in space._proj_cache:
         return space._proj_cache[n]
     words = space.basis_words(n)
-    k2 = _operator_columns(space, n, lambda f: kappa(kappa(f)))
-    m = {w: dict(vec) for w, vec in k2.items()}
+    k = _operator_columns(space, n, _kappa_word)
+    m = _compose_columns(k, k)
     for w in words:
         dd = m[w].get(w, ZERO) - ONE
         if dd:

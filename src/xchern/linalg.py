@@ -10,6 +10,8 @@ total order on labels keeps echelon forms and quotient bases reproducible
 across runs.
 """
 
+from fractions import Fraction
+
 from .scalars import ONE, coerce, inv
 
 
@@ -52,14 +54,16 @@ def vec_scale(u, c):
 
 
 def vec_axpy(out, coeff, v):
-    """In place: out += coeff * v."""
+    """In place: out += coeff * v.  An integer-valued Fraction entry is
+    stored as an int, as the tower of scalars.coerce asks."""
     if not coeff:
         return out
     for k, c in v.items():
         s = out.get(k)
         s = coeff * c if s is None else s + coeff * c
         if s:
-            out[k] = s
+            out[k] = (s.numerator if type(s) is Fraction
+                      and s.denominator == 1 else s)
         elif k in out:
             del out[k]
     return out

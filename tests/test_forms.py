@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from xchern.scalars import Scalar, ZERO, ONE
+from xchern.linalg import vec_axpy
 from xchern.algebra import dual_numbers, matrix_units, split_pair
 from xchern import forms as F
 from xchern.forms import (FormSpace, Form, d, b, kappa, connes_B, graded_mul,
                           fedosov_even, fedosov_full, cyclic_projection,
                           apply_columns)
 from xchern.forms import _operator_columns, _compose_columns
+from xchern.cli import Report, dga_suite
 
 import xreference
 
@@ -21,6 +24,28 @@ def test_dimensions(dual):
     for n in range(1, 5):
         assert sp.dim_degree(n) == 3 * 2 ** n
         assert len(sp.basis_words(n)) == sp.dim_degree(n)
+
+
+def test_basis_words_keep_the_recursive_order(dual, m2):
+    """Lexicographic order as enumerated by the former recursive helper."""
+    def recursive(dim, n):
+        if n == 0:
+            return [(u,) for u in range(1, dim + 1)]
+        words = []
+        def rec(prefix, k):
+            if k == 0:
+                words.append(tuple(prefix))
+                return
+            for i in range(dim):
+                rec(prefix + [i], k - 1)
+        for u in range(dim + 1):
+            rec([u], n)
+        return words
+    for alg in (dual, m2):
+        sp = FormSpace(alg, 4)
+        for n in range(5):
+            assert sp.basis_words(n) == recursive(alg.dim, n), (alg.name, n)
+        assert sp.basis_words(5) == []
 
 
 def test_d_examples(dual):
@@ -104,6 +129,55 @@ def test_dga_identities(corpus_algebras):
                     assert connes_B(kappa(f)) == Bf
                     assert kappa(Bf) == Bf
                 assert kappa(b(f)) == b(kappa(f))
+
+
+def _dga_statuses(alg, degree):
+    report = Report(["verify-dga"])
+    dga_suite(alg, degree, report)
+    return {c["name"]: c["status"] for c in report.checks}
+
+
+def test_dga_suite_catches_a_flipped_wrap_term(monkeypatch, corpus_algebras):
+    """Negative control: b with the sign of its wrap term
+    (-1)^n (an.a0).da1...da_{n-1} flipped no longer squares to zero."""
+    good = F._b_word
+
+    def flipped(space, w):
+        out, lossy = good(space, w)
+        out = dict(out)
+        n = len(w) - 1
+        if n:
+            wrap, _ = F._left_mul_word(space, w[-1], w[:-1])
+            vec_axpy(out, -2 if n % 2 == 0 else 2, wrap)
+        return out, lossy
+
+    for alg in corpus_algebras:
+        assert set(_dga_statuses(alg, 4).values()) == {"pass"}, alg.name
+    monkeypatch.setattr(F, "_b_word", flipped)
+    for alg in corpus_algebras:
+        assert _dga_statuses(alg, 4)["b.b = 0"] == "fail", alg.name
+
+
+def test_dga_suite_catches_a_dropped_rotation(monkeypatch, corpus_algebras):
+    """Negative control: B without its last cyclic rotation of dw fails
+    B.B = 0 or b.B + B.b = 0."""
+    def short(space, w):
+        dw, lossy = F._d_word(space, w)
+        out = {}
+        for x in dw:
+            letters = x[1:]
+            n = len(letters) - 1
+            for j in range(n):
+                cut = n + 1 - j
+                vec_axpy(out, -1 if n * j % 2 else 1,
+                         {(0,) + letters[cut:] + letters[:cut]: ONE})
+        return out, lossy
+
+    monkeypatch.setattr(F, "_B_word", short)
+    for alg in corpus_algebras:
+        status = _dga_statuses(alg, 4)
+        assert "fail" in (status["B.B = 0"], status["b.B + B.b = 0"]), (
+            alg.name, status)
 
 
 def test_graded_mul_examples(dual):
@@ -236,7 +310,7 @@ def test_cyclic_projection(dual, corpus_algebras):
         spa = FormSpace(alg, top + 1)
         for n in range(0, top + 1):
             P = cyclic_projection(spa, n)
-            K = _operator_columns(spa, n, kappa)
+            K = _operator_columns(spa, n, F._kappa_word)
             assert _compose_columns(P, K) == _compose_columns(K, P), (
                 alg.name, n)
 

@@ -13,8 +13,11 @@ from fractions import Fraction
 
 import pytest
 
+import xreference
 from xchern.scalars import Scalar, SQRT_PI, inv, is_rational
-from xchern.algebra import Algebra, dual_numbers, group_algebra_z2
+from xchern.algebra import (Algebra, dual_numbers, group_algebra_z2,
+                            matrix_units, split_pair)
+from xchern import forms as F
 from xchern.forms import FormSpace
 from xchern.xcomplex import (XGenerated, FedosovAlg, build_X, verify_dd,
                              hodge_filtration)
@@ -111,3 +114,52 @@ def test_identities_on_generated_algebras(name):
     assert quotient_dims(alg, 3) == quotient_dims(original(), 3)
     # the commutator quotient is an invariant of the algebra too
     assert len(x_alg.odd_basis()) == len(build_X(original()).odd_basis())
+
+
+CORPUS = {"dual": dual_numbers, "m2": lambda: matrix_units(2),
+          "z2": group_algebra_z2, "qq": split_pair}
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + list(GENERATED))
+def test_closed_form_word_operators_match_oracles(name):
+    """Bar-formula b, cyclic-sum B and the merge sum w * e_j against the
+    Leibniz and kappa-iterated oracles, values and loss flags, on every
+    word up to degree 4 and every letter; B also on the degree-5 words,
+    where d leaves the window unless the word is exact."""
+    alg = CORPUS[name]() if name in CORPUS else GENERATED[name][1]()
+    sp = FormSpace(alg, 5)
+    for n in range(5):
+        for w in sp.basis_words(n):
+            assert F._b_word(sp, w) == xreference.b_word(sp, w), w
+            assert F._B_word(sp, w) == xreference.B_word(sp, w), w
+            for j in range(alg.dim):
+                assert (F._right_mul_word(sp, w, j)
+                        == xreference.right_mul_word(sp, w, j)), (w, j)
+    for w in sp.basis_words(5):
+        assert (F._B_word(sp, w) == xreference.B_word(sp, w)
+                == ({}, w[0] != 0)), w
+
+
+def _whole_fractions(vec):
+    return [c for c in vec.values()
+            if type(c) is Fraction and c.denominator == 1]
+
+
+@pytest.mark.parametrize("name", ["dual-rebased", "z2-rebased"])
+def test_integer_valued_sums_are_stored_as_ints(name):
+    """The integer tier: a plain int for every integer-valued entry of the
+    operator images and of the commutator relations over rational tables."""
+    alg = GENERATED[name][1]()
+    sp = FormSpace(alg, 3)
+    for fn in (F._b_word, F._kappa_word, F._B_word):
+        for n in range(4):
+            for w in sp.basis_words(n):
+                vec, _ = F._image(sp, fn, w)
+                assert not _whole_fractions(vec), (fn.__name__, w, vec)
+    for w1 in sp.basis_words(1):
+        for w2 in sp.basis_words(2):
+            vec, _ = F.fedosov_words(sp, w1, w2)
+            assert not _whole_fractions(vec), (w1, w2, vec)
+    rows = XGenerated(FedosovAlg(FormSpace(alg, 2)),
+                      exact_quotient=True).relations().rows
+    assert rows and not any(_whole_fractions(r) for r in rows.values())

@@ -1,5 +1,7 @@
 """Properties of the echelon kernel (Span) and of solve built on it."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from xchern.scalars import Scalar, ZERO, ONE
@@ -115,3 +117,18 @@ def test_untracked_solve_names_the_first_inconsistent_equation(
     assert sol is None
     assert solve(eqs[:idx], rhs[:idx])[0] is not None
     assert solve(eqs[:idx + 1], rhs[:idx + 1])[0] is None
+
+
+def test_vec_axpy_stores_integer_valued_fractions_as_ints():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    out = {"a": half, "b": third}
+    vec_axpy(out, ONE, {"a": half, "b": third, "c": 2})
+    assert out == {"a": 1, "b": Fraction(2, 3), "c": 2}
+    assert type(out["a"]) is int and type(out["c"]) is int
+    # a product that is an integer, first stored and then summed
+    out = vec_axpy({}, half, {"a": 4, "b": 3})
+    vec_axpy(out, third, {"b": Fraction(3, 2)})
+    assert out == {"a": 2, "b": 2}
+    assert all(type(c) is int for c in out.values())
+    vec_axpy(out, -2, {"a": 1})
+    assert out == {"b": 2}

@@ -6,14 +6,18 @@ goes through temporaries and copies, and the classes of z.d(y) have their
 own memo.  `fedosov_full` is the Fedosov product of two forms assembled
 degree by degree from `graded_mul` and `d`, loss flags included.
 `ch_odd_even_col` is the even slot of the odd universal cocycle with its
-products taken as `Form`s through that `fedosov_full`.  The kernels in
-`xchern` must give the same rows and the same (coefficients, loss flag)
-pairs; keep these slow and obvious.
+products taken as `Form`s through that `fedosov_full`.  `right_mul_word`,
+`b_word` and `B_word` are the word operators of `xchern.forms` before their
+closed forms: right multiplication by the Leibniz recursion
+d(a)b = d(ab) - a.db, b as the signed commutator (-1)^{|w|}[w, a] built on
+it, and B by applying kappa n times to dw.  The kernels in `xchern` must
+give the same rows and the same (coefficients, loss flag) pairs; keep these
+slow and obvious.
 """
 
 from xchern.scalars import ONE
 from xchern.linalg import vec_axpy, Span
-from xchern.forms import Form, graded_mul, d
+from xchern.forms import Form, graded_mul, d, kappa, _d_word, _left_mul_word
 from xchern import tensoralg as T
 from xchern.xcomplex import _seq_product
 from xchern.chern import d_chain_map
@@ -147,3 +151,48 @@ class _Reference:
                 loss = loss or l
                 vec_axpy(out, cy * cz, vec)
         return out, loss
+
+
+def right_mul_word(space, w, j):
+    """w * e_j via the Leibniz recursion d(a)b = d(ab) - a.db."""
+    if len(w) == 1:
+        if w[0] == 0:
+            return {(j + 1,): ONE}, False
+        out = {}
+        for k, c in space.algebra.product_basis(w[0] - 1, j).items():
+            out[(k + 1,)] = c
+        return out, False
+    prefix, last = w[:-1], w[-1]
+    out = {}
+    for k, c in space.algebra.product_basis(last, j).items():
+        vec_axpy(out, ONE, {prefix + (k,): c})
+    inner, lossy = right_mul_word(space, prefix, last)
+    for iw, c in inner.items():
+        vec_axpy(out, ONE, {iw + (j,): -c})
+    return out, lossy
+
+
+def b_word(space, w):
+    """b(w'.da) = (-1)^{|w'|} (w'.a - a.w'), zero in degree 0."""
+    n = len(w) - 1
+    if n == 0:
+        return {}, False
+    prefix, last = w[:-1], w[-1]
+    sign = ONE if (n - 1) % 2 == 0 else -ONE
+    out = {}
+    vec_axpy(out, sign, right_mul_word(space, prefix, last)[0])
+    vec_axpy(out, -sign, _left_mul_word(space, last, prefix)[0])
+    return out, False
+
+
+def B_word(space, w):
+    """(1 + kappa + ... + kappa^n) dw on a degree-n word, kappa applied to
+    Forms one power at a time."""
+    n = len(w) - 1
+    dw, lossy = _d_word(space, w)
+    acc = Form(space, dw)
+    total = dict(dw)
+    for _ in range(n):
+        acc = kappa(acc)
+        vec_axpy(total, ONE, acc.coeffs)
+    return total, lossy
