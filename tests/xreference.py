@@ -7,8 +7,8 @@ own memo.  `fedosov_full` is the Fedosov product of two forms assembled
 degree by degree from `graded_mul` and `d`, loss flags included.
 `ch_odd_even_col` is the even slot of the odd universal cocycle with its
 products taken as `Form`s through that `fedosov_full`.  `right_mul_word`,
-`b_word` and `B_word` are the word operators of `xchern.forms` before their
-closed forms: right multiplication by the Leibniz recursion
+`b_word` and `B_word` are recursive forms of the closed-form word operators
+of `xchern.forms`: right multiplication by the Leibniz recursion
 d(a)b = d(ab) - a.db, b as the signed commutator (-1)^{|w|}[w, a] built on
 it, and B by applying kappa n times to dw.  The kernels in `xchern` must
 give the same rows and the same (coefficients, loss flag) pairs; keep these
