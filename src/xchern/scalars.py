@@ -181,10 +181,6 @@ class Scalar:
         return coerce(Fraction(n))
 
     @staticmethod
-    def from_fraction(q):
-        return coerce(Fraction(q))
-
-    @staticmethod
     def rational(a, b=1):
         return coerce(Fraction(a, b))
 

@@ -7,6 +7,13 @@ unitalization of R (None denotes the formal unit) and g a generator.  The
 reduction of a general z.d(y) runs the Leibniz rule through an ordered
 factorization of y and the trace property, with Koszul signs read from
 the parities of the algebra's labels (all 0 in an ungraded algebra).
+
+The honest quotient comes from the span of the classes red([r, z.dg]).
+On a truncated algebra with a filtration degree (FedosovAlg, ZekriAlg,
+TensorAlg) that span is built only from the triples whose degrees leave
+room under the window, since the others are provably empty, and its
+classes come from a per-build evaluator that shares the prefix and suffix
+products of each factorization.
 """
 
 from .scalars import ZERO, ONE
@@ -25,7 +32,9 @@ class TableAlg:
     """Adapter for a materialized Algebra; labels are basis indices.
 
     product_flag hands out the algebra's own table entry: callers must not
-    mutate it."""
+    mutate it.  It carries no filtration degree (window None)."""
+
+    window = None
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -56,11 +65,14 @@ class FedosovAlg:
     Truncation is the quotient by forms of degree above the window, so the
     product is exactly associative; a loss flag reports when a product fell
     out of the window (where values differ from the untruncated algebra).
-    product_flag hands out its memo entry: callers must not mutate it.
+    The filtration degree of a word is its form degree, and the window is
+    the top degree kept.  product_flag hands out its memo entry: callers
+    must not mutate it.
     """
 
     def __init__(self, space, graded=False):
         self.space = space
+        self.window = space.max_degree
         self.graded = graded
         self.name = "Q%s(%s)" % ("s" if graded else "", space.algebra.name)
         self._memo = {}
@@ -75,6 +87,9 @@ class FedosovAlg:
         if hit is None:
             hit = self._memo[key] = F.fedosov_words(self.space, l1, l2)
         return hit
+
+    def degree(self, label):
+        return len(label) - 1
 
     def parity(self, label):
         return (len(label) - 1) % 2 if self.graded else 0
@@ -98,11 +113,12 @@ class FedosovAlg:
 class ZekriAlg:
     """Crossed product of the unitalized Fedosov algebra by the parity
     involution; labels are (flag, word) with word = () the unit part and
-    flag = 1 carrying the symmetry.  product_flag hands out its memo entry:
-    callers must not mutate it."""
+    flag = 1 carrying the symmetry, which has degree 0 like the unit part.
+    product_flag hands out its memo entry: callers must not mutate it."""
 
     def __init__(self, space):
         self.space = space
+        self.window = space.max_degree
         self.name = "E(%s)" % space.algebra.name
         self._memo = {}
 
@@ -133,6 +149,9 @@ class ZekriAlg:
                                   for w, c in prod.items()}, loss)
         return hit
 
+    def degree(self, label):
+        return len(label[1]) - 1 if label[1] else 0
+
     def parity(self, label):
         return 0
 
@@ -161,11 +180,13 @@ class ZekriAlg:
 
 class TensorAlg:
     """Truncated tensor algebra over a labelled coefficient algebra; labels
-    are tuples of coefficient labels, with () the unit when unital."""
+    are tuples of coefficient labels, with () the unit when unital.  The
+    filtration degree of a word is its length, and the window max_len."""
 
     def __init__(self, coeff, max_len, unital=False):
         self.coeff = coeff
         self.max_len = max_len
+        self.window = max_len
         self.unital = unital
         self.name = "T%d(%s)" % (max_len, coeff.name)
 
@@ -187,6 +208,9 @@ class TensorAlg:
             return {}, True
         return {l1 + l2: ONE}, False
 
+    def degree(self, label):
+        return len(label)
+
     def parity(self, label):
         return sum(self.coeff.parity(l) for l in label) % 2
 
@@ -204,7 +228,10 @@ class MatrixAlg:
     """N x N matrices over a labelled algebra; labels are (row, col, base).
 
     graded installs the block-checkerboard grading (blocks of size half)
-    on top of the base parity."""
+    on top of the base parity.  It carries no filtration degree (window
+    None)."""
+
+    window = None
 
     def __init__(self, base, nsize, graded=False, half=1):
         self.base = base
@@ -289,6 +316,54 @@ def _seq_product(alg, seq):
     return acc, loss
 
 
+class _ClassValues:
+    """Values of the classes of z.d(y), without loss flags, for one
+    relations() build; the memos die with it.
+
+    Rotation i of the factorization y = f_0 ... f_{m-1} is taken as
+    (suffix_i . z) . prefix_i, with suffix_i = f_{i+1} ... f_{m-1} and
+    prefix_i = f_0 ... f_{i-1} multiplied once per y.  Every truncated
+    algebra here is an exactly associative quotient, so the values equal
+    those of _raw_class's left-to-right chains; its loss flags may depend
+    on the association, which is why the boundaries keep that memo."""
+
+    def __init__(self, xgen):
+        self.alg = xgen.alg
+        self.parity = xgen._parity
+        self.memo = {}  # (z, y) -> class vector
+        self._rotations = {}  # y -> [(factor, prefix, suffix, parities)]
+
+    def _rotations_of(self, y):
+        hit = self._rotations.get(y)
+        if hit is None:
+            alg = self.alg
+            fac = alg.factor(y)
+            pars = [alg.parity(g) for g in fac]
+            # with the parities of suffix_i and of f_0 ... f_i, which give
+            # the Koszul sign
+            hit = self._rotations[y] = [
+                (g, _seq_product(alg, fac[:i])[0],
+                 _seq_product(alg, fac[i + 1:])[0],
+                 sum(pars[i + 1:]) % 2, sum(pars[:i + 1]) % 2)
+                for i, g in enumerate(fac)]
+        return hit
+
+    def __call__(self, z, y):
+        key = (z, y)
+        hit = self.memo.get(key)
+        if hit is None:
+            alg = self.alg
+            pz = self.parity(z)
+            hit = {}
+            for g, prefix, suffix, p_suf, p_pre in self._rotations_of(y):
+                left = _seq_dict_product(alg, suffix, {z: ONE})[0]
+                chunk = _seq_dict_product(alg, left, prefix)[0]
+                sign = -ONE if p_suf and (pz + p_pre) % 2 else ONE
+                vec_axpy(hit, sign, {(lab, g): c for lab, c in chunk.items()})
+            self.memo[key] = hit
+        return hit
+
+
 class XGenerated:
     """X-complex in the canonical generated presentation.
 
@@ -308,17 +383,48 @@ class XGenerated:
         self.name = "X(%s)" % alg.name
 
     def relations(self):
-        """Span of the reduced commutator classes red([r, z.dg])."""
+        """Span of the reduced commutator classes red([r, z.dg]).
+
+        Only triples (z, g, r) with deg z + deg g + deg r - 1 <= window
+        are built (deg None = 0); on an algebra without a window (TableAlg,
+        MatrixAlg) every triple is.  A skipped triple's vector is
+        structurally empty.  Let D = deg z + deg g + deg r.  Each term of
+        the vector is either (rz, g) or a rotation label paired with one
+        factor g' of the factorization of gr (classes of z.d(y)) or of r
+        (classes of k.dr, k in zg), and its algebra part is the product of
+        all the other factors with z, resp. k.  Factor degrees add up to
+        the degree of the factored label, every generator has degree <= 1,
+        and products never lower degree, so that algebra part has degree
+        >= D - 1; rz has degree >= D - deg g >= D - 1 too.  The truncated
+        product drops every term above the window, so for D - 1 > window
+        each term is zero and the triple would never reach Span.add: the
+        span is exactly that of all triples.
+
+        The classes come from a values-only evaluator that lives for this
+        build only (see _ClassValues); the flagged memo of _raw_class is
+        left to the boundaries and omega1_vec."""
         if self._relations is None:
             span = Span()
             alg = self.alg
             basis = alg.basis()
+            gens = alg.generators()
+            window = alg.window
+            fits = {}  # degree budget of r -> the r of basis within it
+            classes = _ClassValues(self)
             for z in [None] + basis:
                 pz = self._parity(z)
-                for g in alg.generators():
+                dz = 0 if z is None or window is None else alg.degree(z)
+                for g in gens:
                     zg = {g: ONE} if z is None else alg.product_flag(z, g)[0]
                     odd_zg = (pz + alg.parity(g)) % 2
-                    for r in basis:
+                    rs = basis
+                    if window is not None:
+                        budget = window + 1 - dz - alg.degree(g)
+                        rs = fits.get(budget)
+                        if rs is None:
+                            rs = fits[budget] = [r for r in basis
+                                                 if alg.degree(r) <= budget]
+                    for r in rs:
                         # r . (z d g)
                         if z is None:
                             vec = {(r, g): ONE}
@@ -328,9 +434,9 @@ class XGenerated:
                         # minus (z d g) . r = z d(g r) - (z g) d r
                         sign = -ONE if odd_zg and alg.parity(r) else ONE
                         for y, c in alg.product_flag(g, r)[0].items():
-                            vec_axpy(vec, -sign * c, self._raw_class(z, y)[0])
+                            vec_axpy(vec, -sign * c, classes(z, y))
                         for k, c in zg.items():
-                            vec_axpy(vec, sign * c, self._raw_class(k, r)[0])
+                            vec_axpy(vec, sign * c, classes(k, r))
                         if vec:
                             span.add(vec)
             self._relations = span
@@ -346,7 +452,8 @@ class XGenerated:
 
     def odd_basis(self):
         zs = [None] + self.alg.basis()
-        labels = [(z, g) for z in zs for g in self.alg.generators()]
+        gens = self.alg.generators()
+        labels = [(z, g) for z in zs for g in gens]
         if not self.exact_quotient:
             return labels
         # unit vectors on non-pivot labels are their own residuals and form

@@ -11,7 +11,7 @@ from xchern.forms import FormSpace, Form, kappa, b as formb, connes_B
 from xchern import forms as F
 from xchern import tensoralg as T
 from xchern.xcomplex import (build_X, XGenerated, FedosovAlg, ZekriAlg,
-                             TensorAlg, TableAlg, MatrixAlg,
+                             TensorAlg, TableAlg, MatrixAlg, _ClassValues,
                              OmegaComplex, verify_dd, ChainMap,
                              verify_chain_map, verify_homotopy, maps_equal,
                              homotopy_solve,
@@ -434,7 +434,8 @@ def test_order_certificate_reports_a_bumped_column(dual, side):
 
 
 # the generated X-complexes whose commutator quotients the universal
-# checks build, and one over a rebased algebra with Fraction constants
+# checks build, one over a rebased algebra with Fraction constants, and
+# the matrix and split-pair ones at window 2
 QUOTIENTS = {
     "Q(dual) w2": lambda: FedosovAlg(FormSpace(dual_numbers(), 2)),
     "Q(dual) w3": lambda: FedosovAlg(FormSpace(dual_numbers(), 3)),
@@ -445,6 +446,8 @@ QUOTIENTS = {
     "E(dual) w3": lambda: ZekriAlg(FormSpace(dual_numbers(), 3)),
     "Q(dual-rebased) w2": lambda: FedosovAlg(FormSpace(
         rational_rebasing(dual_numbers, 3), 2)),
+    "Q(m2) w2": lambda: FedosovAlg(FormSpace(matrix_units(2), 2)),
+    "E(qq) w2": lambda: ZekriAlg(FormSpace(split_pair(), 2)),
 }
 
 
@@ -452,6 +455,54 @@ QUOTIENTS = {
 def test_relations_match_reference_loop(name):
     x = XGenerated(QUOTIENTS[name](), exact_quotient=True)
     assert x.relations().rows == xreference.relations(x).rows
+
+
+# relations() skips the triples (z, g, r) with deg z + deg g + deg r - 1
+# above the window; the lemma behind it needs factor degrees that add up
+# and generators of degree <= 1, and its conclusion is that every skipped
+# triple is empty in the reference loop, which builds them all
+DEGREE_BOUND = dict(QUOTIENTS, **{
+    "T3(dual) unital": lambda: TensorAlg(TableAlg(dual_numbers()), 3,
+                                         unital=True)})
+
+
+@pytest.mark.parametrize("name", list(DEGREE_BOUND))
+def test_triples_beyond_the_degree_bound_are_empty(name):
+    alg = DEGREE_BOUND[name]()
+    basis = alg.basis()
+    gens = alg.generators()
+    assert all(alg.degree(g) <= 1 for g in gens)
+    for y in basis:
+        assert sum(alg.degree(f) for f in alg.factor(y)) == alg.degree(y), y
+
+    def deg(label):
+        return 0 if label is None else alg.degree(label)
+
+    ref = xreference._Reference(alg)
+    beyond = [(r, z, g) for z in [None] + basis for g in gens for r in basis
+              if deg(z) + deg(g) + deg(r) - 1 > alg.window]
+    assert beyond
+    for r, z, g in beyond:
+        assert not ref.vector(r, z, g), (r, z, g)
+
+
+@pytest.mark.parametrize("name", list(QUOTIENTS))
+def test_class_values_agree_with_the_flagged_memo(name, monkeypatch):
+    # relations() reads classes from a values-only evaluator that shares
+    # prefix and suffix products; the boundaries read _raw_class, which
+    # multiplies each rotation left to right
+    made = []
+
+    def recording(self, *args, _init=_ClassValues.__init__):
+        _init(self, *args)
+        made.append(self)
+    monkeypatch.setattr(_ClassValues, "__init__", recording)
+    x = XGenerated(QUOTIENTS[name](), exact_quotient=True)
+    x.relations()
+    [classes] = made
+    assert classes.memo
+    for (z, y), vec in classes.memo.items():
+        assert vec == x._raw_class(z, y)[0], (z, y)
 
 
 def test_memos_stay_intact_through_universal_suites(dual, monkeypatch):

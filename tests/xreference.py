@@ -1,10 +1,12 @@
 """Straightforward forms of two exact kernels, kept as test oracles.
 
 `relations` spans the reduced commutator classes red([r, z.dg]) of a
-generated X-complex with the plain triple loop over r, z and g: every term
-goes through temporaries and copies, and the classes of z.d(y) have their
-own memo.  `fedosov_full` is the Fedosov product of two forms assembled
-degree by degree from `graded_mul` and `d`, loss flags included.
+generated X-complex with the plain triple loop over r, z and g, every
+triple included (`vector` gives one triple's class): every term goes
+through temporaries and copies, and the classes of z.d(y) have their own
+memo and left-to-right products.  `fedosov_full` is the Fedosov product of
+two forms assembled degree by degree from `graded_mul` and `d`, loss flags
+included.
 `ch_odd_even_col` is the even slot of the odd universal cocycle with its
 products taken as `Form`s through that `fedosov_full`.  `right_mul_word`,
 `b_word` and `B_word` are recursive forms of the closed-form word operators
@@ -82,32 +84,34 @@ class _Reference:
         basis = self.alg.basis()
         gens = self.alg.generators()
         for r in basis:
-            pr = self._parity(r)
             for z in [None] + basis:
-                pz = self._parity(z)
                 for g in gens:
-                    pg = self.alg.parity(g)
-                    vec = {}
-                    # r . (z d g)
-                    left = {r: ONE} if z is None else \
-                        self.alg.product_flag(r, z)[0]
-                    for k, c in left.items():
-                        vec_axpy(vec, c, {(k, g): ONE})
-                    sign = ONE
-                    if pr and (pz + pg) % 2:
-                        sign = -ONE
-                    # minus (z d g) . r = z d(g r) - (z g) d r
-                    gr, _ = self.alg.product_flag(g, r)
-                    mid, _ = self._raw_vec(
-                        {z: ONE} if z is not None else {None: ONE}, gr)
-                    vec_axpy(vec, -sign, mid)
-                    zg = {g: ONE} if z is None else \
-                        self.alg.product_flag(z, g)[0]
-                    tail, _ = self._raw_vec(zg, {r: ONE})
-                    vec_axpy(vec, sign, tail)
+                    vec = self.vector(r, z, g)
                     if vec:
                         span.add(vec)
         return span
+
+    def vector(self, r, z, g):
+        """red([r, z.dg])."""
+        pr = self._parity(r)
+        pz = self._parity(z)
+        pg = self.alg.parity(g)
+        vec = {}
+        # r . (z d g)
+        left = {r: ONE} if z is None else self.alg.product_flag(r, z)[0]
+        for k, c in left.items():
+            vec_axpy(vec, c, {(k, g): ONE})
+        sign = ONE
+        if pr and (pz + pg) % 2:
+            sign = -ONE
+        # minus (z d g) . r = z d(g r) - (z g) d r
+        gr, _ = self.alg.product_flag(g, r)
+        mid, _ = self._raw_vec({z: ONE}, gr)
+        vec_axpy(vec, -sign, mid)
+        zg = {g: ONE} if z is None else self.alg.product_flag(z, g)[0]
+        tail, _ = self._raw_vec(zg, {r: ONE})
+        vec_axpy(vec, sign, tail)
+        return vec
 
     def _raw_class(self, z, y):
         """Class of z.d(y) reduced through the factorization; (vec, loss)."""
