@@ -1,5 +1,12 @@
 """Batch front door: spec-file ingestion, verification suites, reports.
 
+The module header imports only what load_algebra and verify-dga run
+(scalars, linalg, algebra, forms).  Each loader or command that needs
+another layer imports it in its own body, before any check runs, so a
+command loads only the layers it runs: numpy comes in only with jlo
+(spectral-triple specs and the jlo command), and verify-dga never imports
+xcomplex, chern or quasihom.
+
 Spec files are JSON with exact scalars serialized as strings ("3/4",
 "1+2i", "sqrt(pi)").  Reports are deterministic: fixed check order, sorted
 keys, no timestamps unless asked for.  Exit codes: 0 all checks pass, 2 a
@@ -20,10 +27,6 @@ from .linalg import vec_axpy
 from .algebra import (Algebra, dual_numbers, matrix_units,
                       group_algebra_z2, split_pair, rationals)
 from . import forms as F
-from . import xcomplex as X
-from . import chern as C
-from . import quasihom as QH
-from . import jlo as J
 
 
 BUILTINS = {
@@ -155,6 +158,7 @@ def load_spec(path):
 
 
 def load_quasihom(spec):
+    from . import quasihom as QH
     base = load_algebra(_field(spec, "base"))
     target = load_algebra(_field(spec, "target"))
     n = _positive(_field(spec, "nsize"), "nsize")
@@ -168,6 +172,7 @@ def load_quasihom(spec):
 
 
 def load_extension(spec):
+    from . import quasihom as QH
     base = load_algebra(_field(spec, "base"))
     target = load_algebra(_field(spec, "target"))
     n = _positive(_field(spec, "nsize"), "nsize")
@@ -180,6 +185,7 @@ def load_extension(spec):
 
 
 def load_fredholm(spec):
+    from . import xcomplex as X, chern as C
     base = load_algebra(_field(spec, "base"))
     parity = _int(spec.get("parity", 0), "parity")
     if parity not in (0, 1):
@@ -227,6 +233,7 @@ def load_complex_matrix(rows, n, what):
 def load_spectral_triple(spec):
     """D of positive even size and one rho matrix of that size per basis
     element of the base algebra."""
+    from . import jlo as J
     base = load_algebra(_field(spec, "base"))
     rows = _field(spec, "D")
     size = len(rows) if isinstance(rows, list) else 0
@@ -403,6 +410,7 @@ def cmd_verify_dga(args):
 
 def universal_suite(algebra, n, parity, q_window, src_len, report,
                     solve=False):
+    from . import xcomplex as X, chern as C
     xt = X.x_of_tensor_algebra(algebra, src_len)
     osp = F.FormSpace(algebra, 2 * src_len)
     omega = X.OmegaComplex(osp)
@@ -461,6 +469,7 @@ def universal_suite(algebra, n, parity, q_window, src_len, report,
 
 
 def _chainmap_check(f, src):
+    from . import xcomplex as X
     rep = X.verify_chain_map(f, even_labels=src.even_basis(),
                              odd_labels=src.odd_basis())
     detail = None
@@ -471,6 +480,7 @@ def _chainmap_check(f, src):
 
 
 def _maps_equal_check(f, g, src):
+    from . import xcomplex as X
     rep = X.maps_equal(f, g, src.even_basis(), src.odd_basis())
     detail = None
     if not rep["ok"]:
@@ -505,6 +515,7 @@ def cmd_universal(args):
 
 
 def cmd_chern(args):
+    from . import chern as C, quasihom as QH
     report = Report(["chern", args.spec, "--n", str(args.n), "--src-len",
                      str(args.src_len)], timings=args.timings)
     _check_degrees(args)
@@ -566,6 +577,7 @@ def _within(residuals, tol):
 
 
 def cmd_jlo(args):
+    from . import jlo as J
     report = Report(["jlo", args.spec, "--n", str(args.n), "--T",
                      str(args.T), "--quad-order", str(args.quad_order),
                      "--tolerance", str(args.tolerance)],
@@ -628,6 +640,7 @@ def cmd_jlo(args):
 
 
 def cmd_pair(args):
+    from . import quasihom as QH
     report = Report(["pair", args.spec], timings=args.timings)
     spec = load_spec(args.spec)
     if spec["kind"] != "fredholm":

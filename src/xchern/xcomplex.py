@@ -1153,16 +1153,26 @@ def rescale_map(xtensor, omega):
 
 def x_of_hom(src_cx, tgt_cx, image_of_label, name="X(hom)"):
     """Functorial chain map X(rho) for an algebra map given on source basis
-    labels by image_of_label(label) -> (coefficient dict, loss)."""
+    labels by image_of_label(label) -> (coefficient dict, loss).
+
+    image_of_label runs once per label: its results are memoized in one
+    dict that the even and odd columns share, and that nothing mutates
+    (ChainMap hands out copies, omega1_vec only reads)."""
+    images = {}
+
     def efn(lab):
-        return image_of_label(lab)
+        hit = images.get(lab)
+        if hit is None:
+            hit = images[lab] = image_of_label(lab)
+        return hit
+
     def ofn(lab):
         z, g = lab
-        gvec, l1 = image_of_label(g)
+        gvec, l1 = efn(g)
         if z is None:
             zvec, l2 = {None: ONE}, False
         else:
-            zvec, l2 = image_of_label(z)
+            zvec, l2 = efn(z)
         out, l3 = tgt_cx.omega1_vec(zvec, gvec)
         return out, l1 or l2 or l3
     return ChainMap(src_cx, tgt_cx, 0, efn, ofn, name=name)

@@ -340,6 +340,53 @@ def test_gamma_chain_maps(dual):
     assert rep1["ok"], rep1["failures"][:2]
 
 
+def _x_of_hom_unmemoized(src_cx, tgt_cx, image_of_label, name="X(hom)"):
+    """Reference X(rho) that calls image_of_label on every use."""
+    def ofn(lab):
+        z, g = lab
+        gvec, l1 = image_of_label(g)
+        zvec, l2 = ({None: ONE}, False) if z is None else image_of_label(z)
+        out, l3 = tgt_cx.omega1_vec(zvec, gvec)
+        return out, l1 or l2 or l3
+    return ChainMap(src_cx, tgt_cx, 0, image_of_label, ofn, name=name)
+
+
+def test_x_of_hom_calls_each_image_once(dual, monkeypatch):
+    # X(v) and X(phi) inside gamma^2 evaluate their image function once per
+    # distinct label, and gamma^2 has the columns of the unmemoized maps
+    import xchern.chern as chern_mod
+    from collections import Counter
+    W = GammaWindows(src_len=3, mid_len=3, q_inner_deg=2, q_letter_deg=1,
+                     out_len=6)
+
+    def columns(x_of_hom):
+        calls = {}
+
+        def counting(src_cx, tgt_cx, image_of_label, name="X(hom)"):
+            seen = calls[name] = Counter()
+
+            def counted(lab):
+                seen[lab] += 1
+                return image_of_label(lab)
+            return x_of_hom(src_cx, tgt_cx, counted, name=name)
+        monkeypatch.setattr(chern_mod, "x_of_hom", counting)
+        g2, parts = gamma_even(dual, 1, W)
+        xt = parts["xt"]
+        cols = ([g2.even_col(lab) for lab in xt.even_basis()],
+                [g2.odd_col(lab) for lab in xt.odd_basis()])
+        return cols, calls
+
+    cols, calls = columns(chern_mod.x_of_hom)
+    ref_cols, ref_calls = columns(_x_of_hom_unmemoized)
+    assert cols == ref_cols
+    assert any(v for v, _ in cols[0] + cols[1])
+    assert set(calls) == {"X(v)", "X(phi)"}
+    for name, seen in calls.items():
+        assert seen and set(seen.values()) == {1}, name
+        assert set(seen) == set(ref_calls[name]), name
+        assert sum(ref_calls[name].values()) > len(seen), name
+
+
 def test_trace_map_examples(dual):
     from xchern.xcomplex import MatrixAlg
     tb = TensorAlg(TableAlg(dual), 3, unital=True)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -275,3 +277,36 @@ def test_unreadable_spec_exits_3(command, case, tmp_path, capsys):
     assert code == 3
     assert captured.err.startswith("input error: ")
     assert captured.out == ""
+
+
+# each command imports only the layers it runs: the exact commands never
+# load numpy or jlo, and verify-dga none of the complex layers either
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LAYERS = ("numpy", "xchern.jlo", "xchern.xcomplex", "xchern.chern",
+          "xchern.quasihom")
+REPORT_MODULES = """
+import sys
+from xchern.cli import main
+code = main(sys.argv[1:])
+print(" ".join(m for m in %r if m in sys.modules))
+sys.exit(code)
+""" % (LAYERS,)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["verify-dga", "specs/dual.json", "--max-degree", "2"], []),
+    (["universal", "specs/dual.json", "--window", "2"],
+     ["xchern.xcomplex", "xchern.chern"]),
+    (["chern", "specs/idqh.json"],
+     ["xchern.xcomplex", "xchern.chern", "xchern.quasihom"]),
+    (["pair", "specs/fredholm.json"],
+     ["xchern.xcomplex", "xchern.chern", "xchern.quasihom"]),
+    (["jlo", "specs/triple2x2.json"], ["numpy", "xchern.jlo"]),
+], ids=["verify-dga", "universal", "chern", "pair", "jlo"])
+def test_command_imports_only_its_layers(argv, loaded):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", REPORT_MODULES] + argv,
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == loaded
