@@ -1,9 +1,12 @@
 """Finite-dimensional associative algebras given by structure constants.
 
 The structure table is sparse: mul[(i, j)] is a dict {k: coefficient} with
-e_i * e_j = sum_k c * e_k.  Algebras are not assumed unital; a unit, when
-present, is stored as a coefficient vector and checked.  An optional grading
-assigns parity 0/1 to each basis element (used by super X-complexes).
+e_i * e_j = sum_k c * e_k.  Elements are coefficient dicts {basis index:
+coefficient}, multiplied by Algebra.product; elements of a unitalization
+are label dicts over xcomplex.TableAlg.  Algebras are not assumed unital;
+a unit, when present, is stored as a coefficient vector and checked.  An
+optional grading assigns parity 0/1 to each basis element (used by super
+X-complexes).
 """
 
 from .scalars import ONE
@@ -66,103 +69,8 @@ class Algebra:
             if self.product(self.unit, e) != e or self.product(e, self.unit) != e:
                 raise ValueError("declared unit is not a two-sided unit")
 
-    def element(self, coeffs):
-        return Element(self, dict(coeffs))
-
-    def basis_element(self, i):
-        return Element(self, {i: ONE})
-
-    def zero(self):
-        return Element(self, {})
-
     def __repr__(self):
         return "Algebra(%s, dim=%d)" % (self.name, self.dim)
-
-
-class Element:
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra, coeffs):
-        self.algebra = algebra
-        self.coeffs = {i: c for i, c in coeffs.items() if c}
-
-    def __add__(self, other):
-        assert self.algebra is other.algebra
-        out = dict(self.coeffs)
-        vec_axpy(out, ONE, other.coeffs)
-        return Element(self.algebra, out)
-
-    def __sub__(self, other):
-        assert self.algebra is other.algebra
-        return self + (-other)
-
-    def __neg__(self):
-        return Element(self.algebra, {i: -c for i, c in self.coeffs.items()})
-
-    def scale(self, c):
-        return Element(self.algebra, {i: c * v for i, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return self.algebra is other.algebra and self.coeffs == other.coeffs
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        names = self.algebra.basis_names
-        return " + ".join("(%s)*%s" % (c, names[i])
-                          for i, c in sorted(self.coeffs.items()))
-
-
-def multiply(x, y):
-    """Bilinear product via the structure constants."""
-    if x.algebra is not y.algebra:
-        raise ValueError("elements live in different algebras")
-    return Element(x.algebra, x.algebra.product(x.coeffs, y.coeffs))
-
-
-class Homomorphism:
-    """Linear map stored column-wise with a verified multiplicativity flag."""
-
-    def __init__(self, source, target, columns, check=True):
-        self.source = source
-        self.target = target
-        # columns[i] = image of source basis i, as a coefficient dict
-        self.columns = [dict(col) for col in columns]
-        if len(self.columns) != source.dim:
-            raise ValueError("homomorphism needs one column per source basis")
-        self.multiplicative_certificate = False
-        if check:
-            if not check_hom(self):
-                raise ValueError("map is not multiplicative on basis pairs")
-            self.multiplicative_certificate = True
-
-    @staticmethod
-    def identity(algebra):
-        return Homomorphism(algebra, algebra,
-                            [{i: ONE} for i in range(algebra.dim)], check=False)
-
-
-def check_hom(f):
-    """True iff f(e_i e_j) = f(e_i) f(e_j) on all basis pairs, and f maps
-    the declared unit to the declared unit when both algebras carry one."""
-    src, tgt = f.source, f.target
-    for i in range(src.dim):
-        for j in range(src.dim):
-            img = {}
-            for k, c in src.product_basis(i, j).items():
-                vec_axpy(img, c, f.columns[k])
-            if img != tgt.product(f.columns[i], f.columns[j]):
-                return False
-    if src.unit is not None and tgt.unit is not None:
-        fu = {}
-        for i, c in src.unit.items():
-            vec_axpy(fu, c, f.columns[i])
-        if fu and fu != tgt.unit:
-            return False
-    return True
 
 
 def matrix_algebra(base, n, graded=False):
@@ -208,24 +116,6 @@ def matrix_algebra(base, n, graded=False):
     return alg
 
 
-def unitalize(base):
-    """Adjoin a unit; basis 0 is the new unit, basis i+1 is base basis i."""
-    names = ["1~"] + list(base.basis_names)
-    mul = {}
-    for i in range(base.dim + 1):
-        mul[(0, i)] = {i: ONE}
-        mul[(i, 0)] = {i: ONE}
-    for (i, j), tab in base.mul.items():
-        mul[(i + 1, j + 1)] = {k + 1: c for k, c in tab.items()}
-    grading = None
-    if base.grading is not None:
-        grading = [0] + list(base.grading)
-    alg = Algebra(names, mul, unit={0: ONE}, grading=grading, check=False,
-                  name="unital(%s)" % base.name)
-    alg.unitalized_from = base
-    return alg
-
-
 # ---------------------------------------------------------------------------
 # corpus constructors
 # ---------------------------------------------------------------------------
@@ -260,6 +150,3 @@ def split_pair():
 def rationals():
     return Algebra(["1"], {(0, 0): {0: ONE}}, unit={0: ONE}, name="Q")
 
-
-def corpus():
-    return [dual_numbers(), matrix_units(2), group_algebra_z2(), split_pair()]

@@ -338,8 +338,7 @@ def _word_forms(algebra, z, deg, space):
     tensor word z; z = None is the unit, the form 1 in degree 0."""
     if z is None:
         return ({(0,): ONE} if deg == 0 else {}), False
-    z = tuple(z)
-    form = T.to_forms(T.TensorElement(algebra, {z: ONE}, len(z)), space)
+    form = T.to_forms({tuple(z): ONE}, space)
     return form.component(deg).coeffs, form.lossy
 
 

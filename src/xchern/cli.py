@@ -85,8 +85,12 @@ def load_algebra(spec):
         if name not in BUILTINS:
             raise SpecError("unknown builtin algebra %r" % name)
         return BUILTINS[name]()
+    names = _field(spec, "basis")
+    if not (isinstance(names, list) and names
+            and all(isinstance(name, str) for name in names)):
+        raise SpecError("basis must be a nonempty list of names, got %r"
+                        % (names,))
     try:
-        names = list(spec["basis"])
         if len(set(names)) != len(names):
             raise SpecError("duplicate basis name in %r" % (names,))
         mul = {}
@@ -652,6 +656,8 @@ def cmd_pair(args):
     idems = spec.get("idempotents", [])
     if not isinstance(idems, list):
         raise SpecError("idempotents must be a list")
+    if not idems:
+        raise SpecError("pair needs at least one idempotent")
     idems = [load_idempotent(idem, M.base) for idem in idems]
     for idx, (k, mat) in enumerate(idems):
 

@@ -55,8 +55,8 @@ class FormSpace:
         return Form(self, coeffs, lossy)
 
     def from_element(self, x):
-        """Degree-0 form from an algebra element."""
-        return Form(self, {(i + 1,): c for i, c in x.coeffs.items() if c})
+        """Degree-0 form from an algebra element {basis index: coefficient}."""
+        return Form(self, {(i + 1,): c for i, c in x.items() if c})
 
     def word(self, w, coeff=ONE):
         return Form(self, {tuple(w): coeff})

@@ -264,16 +264,6 @@ def chi_hat_T(triple, algebra, n, t_big, tup, t_order=40):
     return val
 
 
-def retract_T(triple, algebra, n, t_max, tuples, t_order=40):
-    """The degree-n retraction evaluated on a batch of tuples; returns a
-    table tuple -> value covering all degrees up to n + 1."""
-    out = {}
-    for tup in tuples:
-        out[tup] = chi_hat_T(triple, algebra, n, t_max, tup,
-                             t_order=t_order)
-    return out
-
-
 def chi_hat_infty_exact(triple, n, tup):
     """The closed retraction formula for F = D with F^2 = 1 (numeric).
 
@@ -311,74 +301,3 @@ def interpolate_Du(triple, u):
     scaled = np.sign(d) * np.abs(d) ** (1.0 - u)
     Du = triple.vecs @ np.diag(scaled) @ triple.vecs.conj().T
     return SpectralTriple(triple.base_dim, triple.rho, Du)
-
-
-def weight_integral_check(dsq, u, order=80):
-    """Quadrature check of |D|^{-u} = C(u/2) int lambda^{-u/2}/(lambda+D^2)
-    on one eigenvalue dsq = d^2; returns the quadrature value of |d|^{-u}."""
-    a = u / 2.0
-    nodes, weights = gauss_nodes(order)
-    # piece [0, 1] with the substitution lambda = sigma^{1/(1-a)}
-    total = 0.0
-    for s, w in zip(nodes, weights):
-        lam = s ** (1.0 / (1.0 - a))
-        total += w * (1.0 / (1.0 - a)) / (lam + dsq)
-    # piece [1, inf): lambda = 1/s, then s = sigma^{1/a} to kill the
-    # endpoint singularity
-    for s, w in zip(nodes, weights):
-        total += w * (1.0 / a) / (1.0 + dsq * s ** (1.0 / a))
-    # normalization C(a) = sin(pi a)/pi
-    return math.sin(math.pi * a) / math.pi * total
-
-
-def c_normalization(u, order=200):
-    """C(u)^{-1} = (1-u)^{-1} int_0^inf dlambda/(1+lambda^{1/(1-u)})."""
-    b = 1.0 - u
-    nodes, weights = gauss_nodes(order)
-    total = 0.0
-    # lambda in [0, 1]
-    for s, w in zip(nodes, weights):
-        total += w / (1.0 + s ** (1.0 / b))
-    # lambda in [1, inf): lambda = 1/s then s = sigma^{b/(1-b)} when the
-    # endpoint is singular
-    if b > 0.5:
-        for s, w in zip(nodes, weights):
-            total += w * (b / (1.0 - b)) / (1.0 + s ** (1.0 / (1.0 - b)))
-    else:
-        for s, w in zip(nodes, weights):
-            total += w * s ** (1.0 / b - 2.0) / (1.0 + s ** (1.0 / b))
-    return total / b
-
-
-def limits_report(triple, algebra, p, n_range, t_grid):
-    """Empirical decay tables with fitted rates for the summability and
-    invertibility conditions."""
-    report = {"conditions": [], "tables": {}}
-    tuples = {}
-    for n in n_range:
-        letters = tuple((i % triple.base_dim) for i in range(n))
-        tuples[n] = ((0.0, 0),) + letters
-    for n, tup in tuples.items():
-        rows = []
-        for t in t_grid:
-            v = jlo_component(triple, n, t, tup)
-            rows.append((t, abs(v)))
-        report["tables"][n] = rows
-        small = [r for r in rows if r[0] <= 0.5 and r[1] > 1e-300]
-        if len(small) >= 2:
-            (t1, v1), (t2, v2) = small[0], small[-1]
-            rate = (math.log(v2) - math.log(v1)) / (math.log(t2) - math.log(t1)) \
-                if v1 > 0 and v2 > 0 else float("nan")
-        else:
-            rate = float("nan")
-        big = [r for r in rows if r[0] >= 2.0]
-        decay_ok = all(b[1] <= 1e-3 for b in big[-1:]) if big else False
-        report["conditions"].append({
-            "degree": n,
-            "small_t_rate": rate,
-            "small_t_pass": bool(rate != rate or n == 0 or rate > n - 0.5),
-            "large_t_pass": bool(decay_ok or not triple.invertible_square),
-        })
-    report["all_pass"] = all(c["small_t_pass"] and c["large_t_pass"]
-                             for c in report["conditions"])
-    return report

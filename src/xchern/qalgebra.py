@@ -2,23 +2,23 @@
 
 Q(A) is the space of degree-truncated forms with the product
 w1 (.) w2 = w1 w2 - (-1)^{|w1|} dw1 dw2; the two canonical copies of A sit
-as iota(a) = a + da and iotabar(a) = a - da, and fold maps back onto A.
-The same space read in the graded category is Qs(A).  Products of basis
-labels live in xcomplex.FedosovAlg, whose label dicts take the key None
-for the adjoined unit, and the crossed product of the unitalization by
-the parity involution (X^2 = 1, X w X = parity of w) in xcomplex.ZekriAlg.
-Here also is the case table of the chain map eta from the X-complex of
-that crossed product to the X-complex of Qs(A).
+as iota(a) = a + da and iotabar(a) = a - da, for a in A given as a
+coefficient dict {basis index: coefficient}.  The same space read in the
+graded category is Qs(A).  Products of basis labels live in
+xcomplex.FedosovAlg, whose label dicts take the key None for the adjoined
+unit, and the crossed product of the unitalization by the parity
+involution (X^2 = 1, X w X = parity of w) in xcomplex.ZekriAlg.  Here also
+is the case table of the chain map eta from the X-complex of that crossed
+product to the X-complex of Qs(A).
 """
 
 from .scalars import ONE
 from .linalg import vec_axpy
-from .algebra import Element
 from . import forms as F
 
 
 def iota(x, space):
-    """a + da for a non-unital algebra element."""
+    """a + da for an element {basis index: coefficient} of A."""
     f = space.from_element(x)
     return f + F.d(f)
 
@@ -33,16 +33,6 @@ def q_gen(x, space):
     """q(a) = iota(a) - iotabar(a) = 2 da; q kills the unit."""
     f = space.from_element(x)
     return F.d(f).scale(2)
-
-
-def fold(form):
-    """Folding map onto the algebra: the degree-0 component."""
-    alg = form.space.algebra
-    out = {}
-    for w, c in form.coeffs.items():
-        if len(w) == 1:
-            out[w[0] - 1] = c
-    return Element(alg, out)
 
 
 # ---------------------------------------------------------------------------

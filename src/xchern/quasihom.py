@@ -137,29 +137,6 @@ class InvertibleExtension:
         return True
 
 
-def busby(ext):
-    """Compressions P alpha P and (1 - P) alpha (1 - P) with their defect
-    tables of multiplicativity; returns a report dict."""
-    n = ext.nsize
-    two = 2 * n
-    def compress(mat, lower):
-        out = mat_zero(two)
-        rng = range(n, two) if lower else range(n)
-        for r in rng:
-            for c in rng:
-                out[r][c] = dict(mat[r][c])
-        return out
-    sigma = [compress(ext.alpha[i], False) for i in range(ext.base.dim)]
-    sigma_inv = [compress(ext.alpha[i], True) for i in range(ext.base.dim)]
-    d1 = _defect_table(ext.base, ext.target, sigma, two)
-    d2 = _defect_table(ext.base, ext.target, sigma_inv, two)
-    return {
-        "defect": d1,
-        "inverse_defect": d2,
-        "zero_defect": all(mat_is_zero(m) for m in d1.values()),
-    }
-
-
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
@@ -252,40 +229,6 @@ def ch_odd(ext, n, windows, return_parts=False):
         parts.update({"xmat": xmat, "xtb": xtb})
         return ch, parts
     return ch
-
-
-def compose_quasihom(psi_plus, psi_minus, quasi2, base, target2, n1, window_deg):
-    """Kasparov-style composition through a declared lift.
-
-    psi_plus/minus: lists over base basis of N1 x N1 matrices whose entries
-    are window forms over quasi2.base (dicts keyed by form words or None),
-    representing the lift into matrices over the unitalized free product.
-    quasi2 is then applied letterwise through its free-product form.
-    """
-    talg2 = TableAlg(quasi2.target)
-    n2 = quasi2.nsize
-
-    def expand(entry_mat):
-        """Matrix over Q~B -> matrix over M_{n2}(C~) via the free product."""
-        out = mat_zero(n1 * n2)
-        for r in range(n1):
-            for c in range(n1):
-                for key, coeff in entry_mat[r][c].items():
-                    if key is None:
-                        block = mat_unit(n2)
-                    else:
-                        block = _rep_on_window_word(
-                            quasi2.rho_plus, quasi2.rho_minus, key, talg2, n2)
-                    # the slices share their entry dicts with out
-                    view = [row[c * n2:(c + 1) * n2]
-                            for row in out[r * n2:(r + 1) * n2]]
-                    mat_axpy(view, coeff, block)
-        return out
-
-    rp = [expand(psi_plus[i]) for i in range(base.dim)]
-    rm = [expand(psi_minus[i]) for i in range(base.dim)]
-    return Quasihomomorphism(base, quasi2.target, n1 * n2, rp, rm,
-                             name="composite")
 
 
 # ---------------------------------------------------------------------------

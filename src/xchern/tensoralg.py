@@ -1,14 +1,17 @@
 """Tensor algebras in two pictures: tensor words and even Fedosov forms.
 
-Tensor words are tuples of algebra basis indices, length >= 1.  The
-correspondence with even forms sends a word a1 x ... x an to the iterated
-even Fedosov product a1 (.) a2 (.) ... (.) an, and conversely expands a
-word a0.da1...da2n through curvature letters a*b - a x b.
+Tensor words are tuples of algebra basis indices, length >= 1, and an
+element of T(A) is a dict {word: coefficient}.  The correspondence with
+even forms sends a word a1 x ... x an to the iterated even Fedosov product
+a1 (.) a2 (.) ... (.) an, and conversely expands a word a0.da1...da2n
+through curvature letters a*b - a x b.
 """
+
+import itertools
 
 from .scalars import ONE
 from .linalg import vec_axpy, Span
-from .algebra import Algebra, Element
+from .algebra import Algebra
 from . import forms as F
 
 
@@ -26,103 +29,27 @@ def _concat_into(out, u, v, max_len=None):
     return lossy
 
 
-def tensor_words(dim, max_len, min_len=1):
-    out = []
-    def rec(prefix, k):
-        if k == 0:
-            out.append(tuple(prefix))
-            return
-        for i in range(dim):
-            rec(prefix + [i], k - 1)
-    for n in range(min_len, max_len + 1):
-        rec([], n)
-    return out
+def tensor_words(dim, max_len):
+    """Words of length 1..max_len, by length, each length in lexicographic
+    order."""
+    return [w for n in range(1, max_len + 1)
+            for w in itertools.product(range(dim), repeat=n)]
 
 
-class TensorElement:
-    __slots__ = ("algebra", "terms", "max_length", "lossy")
-
-    def __init__(self, algebra, terms, max_length, lossy=False):
-        self.algebra = algebra
-        self.terms = {w: c for w, c in terms.items() if c}
-        self.max_length = max_length
-        self.lossy = lossy
-
-    def __add__(self, other):
-        assert self.algebra is other.algebra
-        out = dict(self.terms)
-        vec_axpy(out, ONE, other.terms)
-        return TensorElement(self.algebra, out,
-                             min(self.max_length, other.max_length),
-                             self.lossy or other.lossy)
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def scale(self, c):
-        return TensorElement(self.algebra,
-                             {w: c * v for w, v in self.terms.items()},
-                             self.max_length, self.lossy)
-
-    def __eq__(self, other):
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def concat(self, other):
-        """Tensor-algebra product: concatenation of words."""
-        assert self.algebra is other.algebra
-        L = min(self.max_length, other.max_length)
-        out = {}
-        lossy = _concat_into(out, self.terms, other.terms, L)
-        return TensorElement(self.algebra, out, L,
-                             lossy or self.lossy or other.lossy)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        names = self.algebra.basis_names
-        if not self.terms:
-            return "Tensor(0)"
-        return "Tensor(" + " + ".join(
-            "(%s)*%s" % (c, "x".join(str(names[i]) for i in w))
-            for w, c in sorted(self.terms.items())) + ")"
-
-
-def sigma(a, max_length):
-    """Linear lift of the multiplication map: a single-letter word."""
-    return TensorElement(a.algebra, {(i,): c for i, c in a.coeffs.items()},
-                         max_length)
-
-
-def mult_map(x):
-    """Multiplication map T(A) -> A, the degree-0 part in the forms picture."""
-    alg = x.algebra
-    out = {}
-    for w, c in x.terms.items():
-        acc = {w[0]: ONE}
-        for i in w[1:]:
-            nxt = {}
-            for k, v in acc.items():
-                vec_axpy(nxt, v, alg.product_basis(k, i))
-            acc = nxt
-        vec_axpy(out, c, acc)
-    return Element(alg, out)
-
-
-def to_forms(x, space):
-    """Image of a tensor element in the even Fedosov picture."""
+def to_forms(terms, space):
+    """Even Fedosov form of a tensor-algebra element {word: coefficient}."""
     out = space.zero()
-    for w, c in x.terms.items():
+    for w, c in terms.items():
         acc = space.word((w[0] + 1,))
         for i in w[1:]:
             acc = F.fedosov_even(acc, space.word((i + 1,)))
         out = out + acc.scale(c)
-    out.lossy = out.lossy or x.lossy
     return out
 
 
 def from_forms(form, max_length):
-    """Inverse of to_forms on even forms, via curvature letters.
+    """Inverse of to_forms on even forms, via curvature letters: returns
+    (terms {word: coefficient}, lossy).
 
     The expansion is summed in full before truncating, so words beyond the
     window only flag a loss when their total coefficient is nonzero."""
@@ -156,7 +83,7 @@ def from_forms(form, max_length):
             lossy = True
         else:
             kept[w] = c
-    return TensorElement(alg, kept, max_length, lossy)
+    return kept, lossy
 
 
 def truncated_tensor_algebra(base, max_len):
@@ -173,22 +100,6 @@ def truncated_tensor_algebra(base, max_len):
                   name="T%d(%s)" % (max_len, base.name))
     alg.tensor_info = (base, max_len, index, words)
     return alg
-
-
-def v_map(x, outer_max, talg=None):
-    """Canonical homomorphism into the tensor algebra over T(A): letters
-    become singleton lifts."""
-    if talg is None:
-        talg = truncated_tensor_algebra(x.algebra, x.max_length)
-    _, _, index, _ = talg.tensor_info
-    out = {}
-    lossy = x.lossy
-    for w, c in x.terms.items():
-        if len(w) > outer_max:
-            lossy = True
-            continue
-        out[tuple(index[(i,)] for i in w)] = c
-    return TensorElement(talg, out, outer_max, lossy)
 
 
 class LiftedHom:
@@ -248,10 +159,6 @@ class LiftedHom:
         """A matrix over words as one vector over (row, col, word)."""
         return {(r, c, w): v for r, row in enumerate(mat)
                 for c, entry in enumerate(row) for w, v in entry.items()}
-
-
-def lift_hom(rho_matrices, source, nsize, max_len_src, max_len_tgt):
-    return LiftedHom(source, rho_matrices, nsize, max_len_src, max_len_tgt)
 
 
 class IdealBasis:

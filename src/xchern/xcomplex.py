@@ -16,6 +16,8 @@ classes come from a per-build evaluator that shares the prefix and suffix
 products of each factorization.
 """
 
+import itertools
+
 from .scalars import ZERO, ONE
 from .linalg import vec_add, vec_axpy, vec_scale, Span, label_key, solve
 from . import forms as F
@@ -193,14 +195,8 @@ class TensorAlg:
     def basis(self):
         base = self.coeff.basis()
         out = [()] if self.unital else []
-        def rec(prefix, k):
-            if k == 0:
-                out.append(tuple(prefix))
-                return
-            for l in base:
-                rec(prefix + [l], k - 1)
         for n in range(1, self.max_len + 1):
-            rec([], n)
+            out.extend(itertools.product(base, repeat=n))
         return out
 
     def product_flag(self, l1, l2):
@@ -1018,16 +1014,6 @@ class TensorIdealFiltration:
         return True
 
 
-def order_of_map(f, src_basis_fn, tgt_filt, levels, candidates=range(0, 9)):
-    """Smallest certified order within the candidate range, or None when no
-    candidate certifies on the representable window."""
-    for n in candidates:
-        ok, _ = order_certificate(f, src_basis_fn, tgt_filt, n, levels)
-        if ok:
-            return n
-    return None
-
-
 def order_certificate(f, src_basis_fn, tgt_filt, shift, levels):
     """Certify f(F^{k+shift}) inside F^k for the listed k, where
     src_basis_fn(m) yields (even rows, odd rows) of the source level."""
@@ -1056,16 +1042,6 @@ def x_of_tensor_algebra(algebra, max_len):
     return XGenerated(TensorAlg(TableAlg(algebra), max_len))
 
 
-def xt_even_to_form(vec, space):
-    """Even X(T) vector (tensor words of basis indices) to even forms."""
-    alg = space.algebra
-    out = space.zero()
-    for w, c in vec.items():
-        x = T.TensorElement(alg, {tuple(w): ONE}, len(w))
-        out = out + T.to_forms(x, space).scale(c)
-    return out
-
-
 def xt_odd_to_form(vec, space):
     """Odd X(T) vector: class of z.d(a) corresponds to the form z da."""
     out = space.zero()
@@ -1074,8 +1050,7 @@ def xt_odd_to_form(vec, space):
         if z is None:
             out = out + space.word((0, a)).scale(c)
             continue
-        zf = T.to_forms(T.TensorElement(space.algebra, {tuple(z): ONE},
-                                        len(z)), space)
+        zf = T.to_forms({z: ONE}, space)
         appended = F.Form(space, {w + (a,): cc for w, cc in zf.coeffs.items()
                                   if len(w) <= space.max_degree},
                           zf.lossy)
@@ -1088,11 +1063,11 @@ def form_to_xt_even(space, formvec, xtensor):
     must be large enough for a lossless correspondence."""
     max_len = xtensor.alg.max_len
     f = F.Form(space, formvec)
-    te = T.from_forms(f, max_len)
-    if te.lossy:
+    terms, lossy = T.from_forms(f, max_len)
+    if lossy:
         raise ValueError("tensor window too small for degree %d forms"
                          % f.top_degree())
-    return dict(te.terms)
+    return terms
 
 
 def form_to_xt_odd(space, formvec, xtensor):
@@ -1104,11 +1079,11 @@ def form_to_xt_odd(space, formvec, xtensor):
         if prefix == (0,):
             vec_axpy(out, c, {(None, (last,)): ONE})
             continue
-        te = T.from_forms(F.Form(space, {prefix: ONE}), max_len)
-        if te.lossy:
+        terms, lossy = T.from_forms(F.Form(space, {prefix: ONE}), max_len)
+        if lossy:
             raise ValueError("tensor window too small for degree %d forms"
                              % (len(w) - 1))
-        for tw, cc in te.terms.items():
+        for tw, cc in terms.items():
             vec_axpy(out, c * cc, {(tw, (last,)): ONE})
     return out
 
@@ -1116,7 +1091,7 @@ def form_to_xt_odd(space, formvec, xtensor):
 def kappa_map(xtensor, space):
     """Karoubi operator on X(T) through the forms correspondence."""
     def efn(lab):
-        f = xt_even_to_form({lab: ONE}, space)
+        f = T.to_forms({lab: ONE}, space)
         k = F.kappa(f)
         return form_to_xt_even(space, k.coeffs, xtensor), k.lossy or f.lossy
     def ofn(lab):
@@ -1143,7 +1118,7 @@ def rescale_map(xtensor, omega):
     """The rescaling as a chain map X(T) -> (forms, b + B)."""
     space = omega.space
     def efn(lab):
-        f = xt_even_to_form({lab: ONE}, space)
+        f = T.to_forms({lab: ONE}, space)
         return rescale_c(f).coeffs, f.lossy
     def ofn(lab):
         f = xt_odd_to_form({lab: ONE}, space)

@@ -12,7 +12,7 @@ import pytest
 from xchern.scalars import Scalar, ZERO, ONE, bott_constant
 from xchern.linalg import vec_axpy
 from xchern.algebra import (dual_numbers, matrix_units, group_algebra_z2,
-                            split_pair, rationals, multiply)
+                            split_pair, rationals)
 from xchern.forms import FormSpace, Form
 from xchern import forms as F
 from xchern.qalgebra import iota, iotabar, q_gen
@@ -89,8 +89,8 @@ def test_criterion_2_q_identity(corpus):
         sp = FormSpace(alg, 3)
         for i in range(alg.dim):
             for j in range(alg.dim):
-                a, bb = alg.basis_element(i), alg.basis_element(j)
-                lhs = q_gen(multiply(a, bb), sp)
+                a, bb = {i: ONE}, {j: ONE}
+                lhs = q_gen(alg.product(a, bb), sp)
                 rhs = F.fedosov_full(iota(a, sp), q_gen(bb, sp)) \
                     + F.fedosov_full(q_gen(a, sp), iotabar(bb, sp))
                 assert lhs == rhs, (alg.name, i, j)

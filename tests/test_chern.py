@@ -50,10 +50,10 @@ def test_ch2_value(dual):
     ch2 = universal_ch_even(dual, 1, xt, xq)
     # ch^2 on eps d eps d eps: (1/2) q(eps)^3 = 4 d eps d eps d eps
     from xchern.tensoralg import from_forms
-    vec = from_forms(Form(FormSpace(dual, 6), {(2, 1, 1): ONE}), 3)
+    vec, _ = from_forms(Form(FormSpace(dual, 6), {(2, 1, 1): ONE}), 3)
     out = {}
     loss = False
-    for w, c in vec.terms.items():
+    for w, c in vec.items():
         col, l = ch2.even_col(w)
         loss = loss or l
         vec_axpy(out, c, col)

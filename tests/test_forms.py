@@ -48,6 +48,39 @@ def test_basis_words_keep_the_recursive_order(dual, m2):
         assert sp.basis_words(5) == []
 
 
+def _recursive_words(letters, max_len):
+    """Words of length 1..max_len as the former recursive helpers of
+    tensoralg.tensor_words and xcomplex.TensorAlg.basis listed them."""
+    out = []
+    def rec(prefix, k):
+        if k == 0:
+            out.append(tuple(prefix))
+            return
+        for l in letters:
+            rec(prefix + [l], k - 1)
+    for n in range(1, max_len + 1):
+        rec([], n)
+    return out
+
+
+@pytest.mark.parametrize("enumerator", ["tensor_words", "TensorAlg.basis",
+                                        "unital TensorAlg.basis"])
+def test_word_enumerators_keep_the_recursive_order(enumerator, dual, m2):
+    from xchern.tensoralg import tensor_words
+    from xchern.xcomplex import TensorAlg, TableAlg
+    for alg in (dual, m2):
+        for max_len in range(5):
+            expect = _recursive_words(range(alg.dim), max_len)
+            if enumerator == "tensor_words":
+                got = tensor_words(alg.dim, max_len)
+            else:
+                unital = enumerator.startswith("unital")
+                got = TensorAlg(TableAlg(alg), max_len, unital=unital).basis()
+                if unital:
+                    expect = [()] + expect
+            assert got == expect, (alg.name, max_len)
+
+
 def test_d_examples(dual):
     sp = FormSpace(dual, 4)
     a = sp.word((1,))

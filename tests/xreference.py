@@ -45,8 +45,7 @@ def ch_odd_even_col(algebra, n, tgt, conv_space, word):
     sum_i (1~ d a_{2i+1} ... d a_{2n+2}) (.) (a0~ da1 ... da_{2i-1}) d a_{2i}
     over the degree 2n+2 forms of the word; (vec, loss)."""
     qspace = tgt.alg.space
-    forms = T.to_forms(T.TensorElement(algebra, {tuple(word): ONE},
-                                       len(word)), conv_space)
+    forms = T.to_forms({tuple(word): ONE}, conv_space)
     loss = forms.lossy
     dmap = d_chain_map(tgt)
     out = {}
