@@ -23,7 +23,10 @@ class Algebra:
             v = {k: c for k, c in vec.items() if c}
             if v:
                 self.mul[(i, j)] = v
-        self.unit = dict(unit) if unit else None
+        # a declared unit is kept even when it is zero, so that check_unit
+        # turns the zero vector away
+        self.unit = (None if unit is None
+                     else {k: c for k, c in unit.items() if c})
         self.grading = list(grading) if grading is not None else None
         self.name = name or "algebra"
         if check:

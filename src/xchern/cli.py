@@ -23,7 +23,7 @@ from functools import partial
 
 from . import __version__
 from .scalars import ONE, parse as parse_scalar, bott_constant
-from .linalg import vec_axpy
+from .linalg import vec_axpy, check_columns
 from .algebra import (Algebra, dual_numbers, matrix_units,
                       group_algebra_z2, split_pair, rationals)
 from . import forms as F
@@ -320,80 +320,83 @@ def dga_suite(algebra, max_degree, report, samples=200, seed=11):
     d, b, kappa, B = F._d_word, F._b_word, F._kappa_word, F._B_word
     image, extend = partial(F._image, sp), partial(F._extend, sp)
 
-    def check_b_b():
-        for w in words_upto(max_degree):
-            if extend(b, image(b, w)[0])[0]:
-                return False, repr(w)
-        return True, None
+    def b_b(_, w):
+        return extend(b, image(b, w)[0])
 
-    def check_B_B():
-        for w in words_upto(max_degree - 2):
-            one, lossy = image(B, w)
-            if lossy:
-                continue
-            two, lossy = extend(B, one)
-            if lossy:
-                continue
-            if two:
-                return False, repr(w)
-        return True, None
+    def B_B(_, w):
+        one, lossy = image(B, w)
+        return (None, True) if lossy else extend(B, one)
 
-    def check_bB():
-        for w in words_upto(max_degree - 1):
-            Bf, l1 = image(B, w)
-            Bbf, l2 = extend(B, image(b, w)[0])
-            if l1 or l2:
-                continue
-            if vec_axpy(extend(b, Bf)[0], ONE, Bbf):
-                return False, repr(w)
-        return True, None
+    def bB(_, w):
+        Bf, l1 = image(B, w)
+        Bbf, l2 = extend(B, image(b, w)[0])
+        if l1 or l2:
+            return None, True
+        return vec_axpy(extend(b, Bf)[0], ONE, Bbf), False
 
-    def check_kappa():
-        for w in words_upto(max_degree - 1):
-            df, lossy = image(d, w)
-            if lossy:
-                continue
-            # f - kappa(f) - d(b(f)) - b(df)
-            out = {w: ONE}
-            vec_axpy(out, -ONE, image(kappa, w)[0])
-            vec_axpy(out, -ONE, extend(d, image(b, w)[0])[0])
-            vec_axpy(out, -ONE, extend(b, df)[0])
-            if out:
-                return False, repr(w)
-        return True, None
+    def kappa_identity(_, w):
+        df, lossy = image(d, w)
+        if lossy:
+            return None, True
+        # f - kappa(f) - d(b(f)) - b(df)
+        out = {w: ONE}
+        vec_axpy(out, -ONE, image(kappa, w)[0])
+        vec_axpy(out, -ONE, extend(d, image(b, w)[0])[0])
+        vec_axpy(out, -ONE, extend(b, df)[0])
+        return out, False
 
-    def check_Bkappa():
-        for w in words_upto(max_degree - 1):
-            Bf, lossy = image(B, w)
-            if lossy:
-                continue
-            if (extend(B, image(kappa, w)[0])[0] != Bf
-                    or extend(kappa, Bf)[0] != Bf):
-                return False, repr(w)
-        return True, None
+    def B_kappa(_, w):
+        # the first nonzero of B(kappa f) - B f and kappa(B f) - B f; the
+        # sides are compared first, so a passing word subtracts nothing
+        Bf, lossy = image(B, w)
+        if lossy:
+            return None, True
+        other = extend(B, image(kappa, w)[0])[0]
+        if other == Bf:
+            other = extend(kappa, Bf)[0]
+        return ({} if other == Bf else vec_axpy(other, -ONE, Bf)), False
 
-    def check_fedosov_assoc():
+    def fedosov_assoc(_, triple):
+        f1, f2, f3 = (sp.word(w) for w in triple)
+        left = F.fedosov_full(F.fedosov_full(f1, f2), f3)
+        right = F.fedosov_full(f1, F.fedosov_full(f2, f3))
+        if left.lossy or right.lossy:
+            return None, True
+        return ({} if left == right else (left - right).coeffs), False
+
+    def triples():
         low = words_upto(2)
-        for _ in range(samples):
-            w1, w2, w3 = (rng.choice(low) for _ in range(3))
-            f1, f2, f3 = sp.word(w1), sp.word(w2), sp.word(w3)
-            left = F.fedosov_full(F.fedosov_full(f1, f2), f3)
-            right = F.fedosov_full(f1, F.fedosov_full(f2, f3))
-            if left.lossy or right.lossy:
-                continue
-            if left != right:
-                return False, repr((w1, w2, w3))
-        return True, None
+        return [tuple(rng.choice(low) for _ in range(3))
+                for _ in range(samples)]
 
-    report.run("b.b = 0", "hochschild boundary squares to zero", check_b_b)
-    report.run("B.B = 0", "cyclic boundary squares to zero", check_B_B)
-    report.run("b.B + B.b = 0", "boundaries anticommute", check_bB)
-    report.run("1 - kappa = d.b + b.d", "karoubi operator identity",
-               check_kappa)
-    report.run("B.kappa = kappa.B = B", "cyclic invariance of B",
-               check_Bkappa)
-    report.run("fedosov associativity", "deformed product is associative",
-               check_fedosov_assoc)
+    for name, anchor, column, labels in (
+            ("b.b = 0", "hochschild boundary squares to zero", b_b,
+             partial(words_upto, max_degree)),
+            ("B.B = 0", "cyclic boundary squares to zero", B_B,
+             partial(words_upto, max_degree - 2)),
+            ("b.B + B.b = 0", "boundaries anticommute", bB,
+             partial(words_upto, max_degree - 1)),
+            ("1 - kappa = d.b + b.d", "karoubi operator identity",
+             kappa_identity, partial(words_upto, max_degree - 1)),
+            ("B.kappa = kappa.B = B", "cyclic invariance of B", B_kappa,
+             partial(words_upto, max_degree - 1)),
+            ("fedosov associativity", "deformed product is associative",
+             fedosov_assoc, triples)):
+        report.run(name, anchor, lambda: _verdict(
+            check_columns([(name, labels())], column)))
+
+
+def _verdict(rep, prefix=None, tagged=False):
+    """(pass, detail) of a check_columns report.  The detail of a failure
+    is the repr of its first failing label, or prefix and the first three
+    failing labels, with their tags if tagged."""
+    fails = rep["failures"]
+    if not fails:
+        return True, None
+    if prefix is None:
+        return False, repr(fails[0][1])
+    return False, "%s %s" % (prefix, [(tag, lab) if tagged else lab
+                                       for tag, lab, _ in fails[:3]])
 
 
 # ---------------------------------------------------------------------------
@@ -439,22 +442,29 @@ def universal_suite(algebra, n, parity, q_window, src_len, report,
         lhs = X.ChainMap.compose(C.eta_chain_map(xr, xq), lhs)
     rhs = X.ChainMap.compose(ch, C.kappa_power_sum(xt, osp, deg)).scale(scal)
 
+    def chain_map(f, src):
+        return lambda: _verdict(X.verify_chain_map(
+            f, src.even_basis(), src.odd_basis()), "failures at")
+
+    def equal(f, g):
+        return lambda: _verdict(X.maps_equal(
+            f, g, xt.even_basis(), xt.odd_basis()), "differs at",
+            tagged=True)
+
     report.run("chain map: universal cocycle",
-               "boundaries intertwine with the cocycle",
-               lambda: _chainmap_check(ch, xt))
+               "boundaries intertwine with the cocycle", chain_map(ch, xt))
     report.run("chain map: retracted cocycle",
-               "cocycle identity against b + B",
-               lambda: _chainmap_check(chi, omega))
+               "cocycle identity against b + B", chain_map(chi, omega))
     km = X.kappa_map(xt, osp)
     power = km
     for _ in range(deg):
         power = X.ChainMap.compose(km, power)
     cyc = X.ChainMap.compose(ch, power)
     report.run("cyclicity", "invariance under the karoubi power",
-               lambda: _maps_equal_check(cyc, ch, xt))
+               equal(cyc, ch))
     report.run("universal equality",
                "retraction of the universal bimodule matches the cocycle",
-               lambda: _maps_equal_check(lhs, rhs, xt))
+               equal(lhs, rhs))
     if solve:
         diff = universal_ch(algebra, 1, xt, xq).sub(
             universal_ch(algebra, 0, xt, xq))
@@ -462,34 +472,9 @@ def universal_suite(algebra, n, parity, q_window, src_len, report,
             h, _ = X.homotopy_solve(diff)
             if h is None:
                 return False, "no primitive"
-            rep = X.verify_homotopy(diff, h)
-            detail = None
-            if not rep["ok"]:
-                detail = "primitive fails at %s" % (
-                    [lab for _, lab, _ in rep["failures"][:3]],)
-            return rep["ok"], detail
+            return _verdict(X.verify_homotopy(diff, h), "primitive fails at")
         report.run("coboundary solve", "consecutive cocycles differ by a "
                    "coboundary on the window", run_solve)
-
-
-def _chainmap_check(f, src):
-    from . import xcomplex as X
-    rep = X.verify_chain_map(f, even_labels=src.even_basis(),
-                             odd_labels=src.odd_basis())
-    detail = None
-    if not rep["ok"]:
-        detail = "failures at %s" % ([lab for _, lab, _ in
-                                      rep["failures"][:3]],)
-    return rep["ok"], detail
-
-
-def _maps_equal_check(f, g, src):
-    from . import xcomplex as X
-    rep = X.maps_equal(f, g, src.even_basis(), src.odd_basis())
-    detail = None
-    if not rep["ok"]:
-        detail = "differs at %s" % (rep["failures"][:3],)
-    return rep["ok"], detail
 
 
 def _check_degrees(args):
@@ -519,7 +504,7 @@ def cmd_universal(args):
 
 
 def cmd_chern(args):
-    from . import chern as C, quasihom as QH
+    from . import xcomplex as X, chern as C, quasihom as QH
     report = Report(["chern", args.spec, "--n", str(args.n), "--src-len",
                      str(args.src_len)], timings=args.timings)
     _check_degrees(args)
@@ -538,37 +523,32 @@ def cmd_chern(args):
     else:
         ch, parts = QH.ch_odd(phi, args.n, W, return_parts=True)
     xt = parts["xt"]
+    even, odd = xt.even_basis(), xt.odd_basis()
+    sides = (("even", even), ("odd", odd))
     report.run("chain map: bivariant character",
                "boundaries intertwine through the lift and trace",
-               lambda: _chainmap_check(ch, xt))
-    degenerate = phi.is_degenerate()
-    if degenerate:
-        def zero_check():
-            for lab in xt.even_basis():
-                if ch.even_col(lab)[0]:
-                    return False, repr(lab)
-            for lab in xt.odd_basis():
-                if ch.odd_col(lab)[0]:
-                    return False, repr(lab)
-            return True, None
+               lambda: _verdict(X.verify_chain_map(ch, even, odd),
+                                "failures at"))
+    if phi.is_degenerate():
+        def vanishing(tag, lab):
+            # lossy columns count too: a degenerate character is zero
+            col = ch.odd_col if tag == "odd" else ch.even_col
+            return col(lab)[0], False
         report.run("degenerate vanishing", "character of a degenerate "
-                   "element is zero", zero_check)
+                   "element is zero",
+                   lambda: _verdict(check_columns(sides, vanishing)))
     if kind == "quasihom":
-        swap = phi.swap()
-        ch_swap = QH.ch_even(swap, args.n, W)
-        def antisym():
-            for lab in xt.even_basis():
-                v1, l1 = ch.even_col(lab)
-                v2, l2 = ch_swap.even_col(lab)
-                if l1 or l2:
-                    continue
-                s = dict(v1)
-                vec_axpy(s, ONE, v2)
-                if s:
-                    return False, repr(lab)
-            return True, None
+        ch_swap = QH.ch_even(phi.swap(), args.n, W)
+
+        def antisymmetry(_, lab):
+            v1, l1 = ch.even_col(lab)
+            v2, l2 = ch_swap.even_col(lab)
+            if l1 or l2:
+                return None, True
+            return vec_axpy(v1, ONE, v2), False
         report.run("swap antisymmetry", "exchanging the pair negates the "
-                   "character", antisym)
+                   "character",
+                   lambda: _verdict(check_columns(sides[:1], antisymmetry)))
     print(report.emit(args.emit))
     return 0 if report.ok else 2
 

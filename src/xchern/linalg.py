@@ -149,6 +149,29 @@ class Span:
         return {k: -c for k, c in combo.items()}
 
 
+def check_columns(sides, column):
+    """Check an identity column by column on a truncation window.
+
+    sides yields (tag, labels); column(tag, label) returns (vector, lossy),
+    the vector zero where the identity holds.  A lossy column is skipped
+    and its vector ignored, so column may return None for it.  Returns
+    {"ok", "checked", "skipped", "failures"}, the failures as
+    (tag, label, vector) in the order checked."""
+    failures = []
+    checked = skipped = 0
+    for tag, labels in sides:
+        for label in labels:
+            vec, lossy = column(tag, label)
+            if lossy:
+                skipped += 1
+                continue
+            checked += 1
+            if vec:
+                failures.append((tag, label, vec))
+    return {"ok": not failures, "checked": checked, "skipped": skipped,
+            "failures": failures}
+
+
 def solve(equations, rhs, track_witness=False):
     """Solve a sparse linear system over the coefficient field.
 

@@ -161,26 +161,9 @@ class LiftedHom:
                 for c, entry in enumerate(row) for w, v in entry.items()}
 
 
-class IdealBasis:
-    def __init__(self, ambient, generators, power, span):
-        self.ambient = ambient
-        self.generators = generators
-        self.power = power
-        self.span = span
-
-    @property
-    def dim(self):
-        return self.span.dim
-
-    def contains(self, vec):
-        return self.span.contains(vec)
-
-    def basis(self):
-        return self.span.basis()
-
-
 def ideal_power(ambient, generators, n, product=None, basis=None):
-    """Span of the n-th power of the two-sided ideal generated in ambient.
+    """Span of the n-th power of the two-sided ideal generated in ambient,
+    as a linalg.Span.
 
     ambient must have an enumerable basis; the closure runs span growth to a
     fixed point.  product(u, v) and basis may be supplied for labelled
@@ -207,7 +190,7 @@ def ideal_power(ambient, generators, n, product=None, basis=None):
                         new_frontier.append(w)
         frontier = new_frontier
     if n == 1:
-        return IdealBasis(ambient, generators, 1, ideal)
+        return ideal
     power = ideal
     base_rows = ideal.basis()
     for _ in range(n - 1):
@@ -218,4 +201,4 @@ def ideal_power(ambient, generators, n, product=None, basis=None):
                 if w:
                     nxt.add(w)
         power = nxt
-    return IdealBasis(ambient, generators, n, power)
+    return power

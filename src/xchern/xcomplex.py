@@ -19,7 +19,8 @@ products of each factorization.
 import itertools
 
 from .scalars import ZERO, ONE
-from .linalg import vec_add, vec_axpy, vec_scale, Span, label_key, solve
+from .linalg import (vec_add, vec_axpy, vec_scale, Span, label_key, solve,
+                     check_columns)
 from . import forms as F
 from . import tensoralg as T
 
@@ -562,14 +563,11 @@ def build_X(algebra):
     return XGenerated(TableAlg(algebra), exact_quotient=True)
 
 
-_TAGS = ("even", "odd")
-
-
 def _sides(cx, even_labels=None, odd_labels=None):
-    """(odd, labels) for the even side, then the odd side; the labels
+    """(tag, labels) for the even side, then the odd side; the labels
     default to the bases of the complex."""
-    yield 0, even_labels if even_labels is not None else cx.even_basis()
-    yield 1, odd_labels if odd_labels is not None else cx.odd_basis()
+    yield "even", even_labels if even_labels is not None else cx.even_basis()
+    yield "odd", odd_labels if odd_labels is not None else cx.odd_basis()
 
 
 def _bdry(cx, odd):
@@ -578,20 +576,13 @@ def _bdry(cx, odd):
 
 def verify_dd(cx, even_labels=None, odd_labels=None):
     """Check that both composites of the boundaries vanish where no
-    truncation loss occurs; returns (checked, failures)."""
-    failures = []
-    checked = 0
-    for odd, labels in _sides(cx, even_labels, odd_labels):
-        first, second = _bdry(cx, odd), _bdry(cx, 1 - odd)
-        for lab in labels:
-            v1, l1 = first({lab: ONE})
-            v2, l2 = second(v1)
-            if l1 or l2:
-                continue
-            checked += 1
-            if v2:
-                failures.append((_TAGS[odd], lab, v2))
-    return checked, failures
+    truncation loss occurs; returns the report of linalg.check_columns."""
+    def column(tag, lab):
+        odd = tag == "odd"
+        v1, l1 = _bdry(cx, odd)({lab: ONE})
+        v2, l2 = _bdry(cx, not odd)(v1)
+        return v2, l1 or l2
+    return check_columns(_sides(cx, even_labels, odd_labels), column)
 
 
 # ---------------------------------------------------------------------------
@@ -703,76 +694,57 @@ class ChainMap:
 
 
 def verify_chain_map(f, even_labels=None, odd_labels=None):
-    """Exact check of bdry . f = (-1)^parity f . bdry on non-lossy columns.
-
-    Returns a dict report with counts and the offending columns."""
+    """Exact check of bdry . f = (-1)^parity f . bdry on non-lossy columns;
+    returns the report of linalg.check_columns."""
     src, tgt = f.source, f.target
     sign = -ONE if f.parity else ONE
-    failures = []
-    checked = skipped = 0
-    for odd, labels in _sides(src, even_labels, odd_labels):
-        col, bsrc = f._col(odd), _bdry(src, odd)
-        btgt, apply = _bdry(tgt, (odd + f.parity) % 2), f._apply(1 - odd)
-        for lab in labels:
-            fcol, lf = col(lab)
-            dsrc, ls = bsrc({lab: ONE})
-            lhs, lt = btgt(fcol)
-            rhs, lr = apply(dsrc)
-            if lf or ls or lt or lr:
-                skipped += 1
-                continue
-            checked += 1
-            diff = vec_add(lhs, vec_scale(rhs, -sign))
-            if diff:
-                failures.append((_TAGS[odd], lab, diff))
-    return {"ok": not failures, "checked": checked, "skipped": skipped,
-            "failures": failures}
+
+    def column(tag, lab):
+        odd = tag == "odd"
+        fcol, lf = f._col(odd)(lab)
+        dsrc, ls = _bdry(src, odd)({lab: ONE})
+        lhs, lt = _bdry(tgt, (odd + f.parity) % 2)(fcol)
+        rhs, lr = f._apply(not odd)(dsrc)
+        if lf or ls or lt or lr:
+            return None, True
+        return vec_add(lhs, vec_scale(rhs, -sign)), False
+    return check_columns(_sides(src, even_labels, odd_labels), column)
 
 
 def verify_homotopy(f, h):
     """Exact check of bdry h - (-1)^{|h|} h bdry = f on the source columns
     that feed homotopy_solve: those where f and the source boundary are
-    loss-free.  Returns a dict report like verify_chain_map."""
+    loss-free.  Returns the report of linalg.check_columns."""
     src, tgt = f.source, f.target
     hsign = -ONE if h.parity else ONE
-    failures = []
-    checked = skipped = 0
-    for odd, labels in _sides(src):
-        for lab in labels:
-            fcol, lf = f._col(odd)(lab)
-            dsrc, ls = _bdry(src, odd)({lab: ONE})
-            if lf or ls:
-                skipped += 1
-                continue
-            checked += 1
-            hcol, _ = h._col(odd)(lab)
-            # h(lab) has parity |h| + |lab|; the solver reads target
-            # boundaries without their loss flags, and so does this check
-            diff = dict(_bdry(tgt, (h.parity + odd) % 2)(hcol)[0])
-            vec_axpy(diff, -hsign, h._apply(1 - odd)(dsrc)[0])
-            vec_axpy(diff, -ONE, fcol)
-            if diff:
-                failures.append((_TAGS[odd], lab, diff))
-    return {"ok": not failures, "checked": checked, "skipped": skipped,
-            "failures": failures}
+
+    def column(tag, lab):
+        odd = tag == "odd"
+        fcol, lf = f._col(odd)(lab)
+        dsrc, ls = _bdry(src, odd)({lab: ONE})
+        if lf or ls:
+            return None, True
+        hcol, _ = h._col(odd)(lab)
+        # h(lab) has parity |h| + |lab|; the solver reads target
+        # boundaries without their loss flags, and so does this check
+        diff = dict(_bdry(tgt, (h.parity + odd) % 2)(hcol)[0])
+        vec_axpy(diff, -hsign, h._apply(not odd)(dsrc)[0])
+        vec_axpy(diff, -ONE, fcol)
+        return diff, False
+    return check_columns(_sides(src), column)
 
 
 def maps_equal(f, g, even_labels, odd_labels):
-    """Columnwise equality on the given labels; losses make a column
-    inconclusive and are reported separately."""
-    bad = []
-    skipped = 0
-    for odd, labels in enumerate((even_labels, odd_labels)):
-        fcol, gcol = f._col(odd), g._col(odd)
-        for lab in labels:
-            v1, l1 = fcol(lab)
-            v2, l2 = gcol(lab)
-            if l1 or l2:
-                skipped += 1
-                continue
-            if vec_add(v1, vec_scale(v2, -ONE)):
-                bad.append((_TAGS[odd], lab))
-    return {"ok": not bad, "failures": bad, "skipped": skipped}
+    """Columnwise equality on the given labels, skipping lossy columns;
+    returns the report of linalg.check_columns."""
+    def column(tag, lab):
+        odd = tag == "odd"
+        v1, l1 = f._col(odd)(lab)
+        v2, l2 = g._col(odd)(lab)
+        if l1 or l2:
+            return None, True
+        return vec_add(v1, vec_scale(v2, -ONE)), False
+    return check_columns(_sides(f.source, even_labels, odd_labels), column)
 
 
 # ---------------------------------------------------------------------------
@@ -885,8 +857,8 @@ def hodge_filtration(space, m, xtensor=None, cap_degree=None):
 def adic_filtration(xgen, ideal_powers, m):
     """Level m of the ideal-adic filtration of a generated X-complex.
 
-    ideal_powers maps k >= 1 to IdealBasis-like objects with .basis() and
-    .span; level 2n is (I^{n+1} + [I^n, R]) in degree 0 and I^n dR in
+    ideal_powers maps k >= 1 to the Span of I^k (tensoralg.ideal_power);
+    level 2n is (I^{n+1} + [I^n, R]) in degree 0 and I^n dR in
     degree 1, level 2n+1 is I^{n+1} and I^{n+1} dR + I^n dI.  Negative
     levels give the whole complex."""
     alg = xgen.alg

@@ -145,6 +145,17 @@ def test_chern_command(tmp_path, capsys):
     assert code == 0 and "overall: PASS" in out
 
 
+def test_chern_degenerate_pair(tmp_path, capsys):
+    spec = dict(QH_SPEC, rho_minus=QH_SPEC["rho_plus"])
+    path = _write(tmp_path, "degenerate.json", spec)
+    assert main(["chern", path, "--n", "0", "--emit", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("chain map: bivariant character", "pass"),
+        ("degenerate vanishing", "pass"),
+        ("swap antisymmetry", "pass")]
+
+
 def test_chern_extension(tmp_path, capsys):
     path = _write(tmp_path, "ext.json", EXT_SPEC)
     code = main(["chern", path, "--n", "0"])

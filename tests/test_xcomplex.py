@@ -41,8 +41,8 @@ def test_x_small_commutator(dual):
 def test_dd_zero_small(corpus_algebras, dual):
     graded_m2 = matrix_algebra(dual, 2, graded=True)
     for alg in list(corpus_algebras) + [graded_m2]:
-        checked, fails = verify_dd(build_X(alg))
-        assert not fails and checked > 0, alg.name
+        rep = verify_dd(build_X(alg))
+        assert rep["ok"] and rep["checked"] > 0, alg.name
 
 
 def test_dd_zero_generated(dual):
@@ -51,8 +51,8 @@ def test_dd_zero_generated(dual):
                XGenerated(FedosovAlg(sp, graded=True), exact_quotient=True),
                XGenerated(ZekriAlg(FormSpace(dual, 2)), exact_quotient=True),
                x_of_tensor_algebra(dual, 3)):
-        checked, fails = verify_dd(cx)
-        assert not fails and checked > 0, cx.name
+        rep = verify_dd(cx)
+        assert rep["ok"] and rep["checked"] > 0, cx.name
 
 
 def test_super_anticommutator(dual):
@@ -382,14 +382,14 @@ def test_maps_equal_reports_a_bumped_column(dual, side):
     xt = x_of_tensor_algebra(dual, 2)
     ident, bumped = _identity_with_bump(xt, side)
     rep = maps_equal(ident, bumped, xt.even_basis(), xt.odd_basis())
-    assert rep["failures"] == [(side, BUMPS[side])]
+    assert [(s, l) for s, l, _ in rep["failures"]] == [(side, BUMPS[side])]
     assert rep["skipped"] == 0
 
 
 def test_verify_dd_reports_odd_failures():
     # without the exact quotient the generated odd labels of X(M_2) are
     # not independent, and d.d fails on ten of them
-    checked, fails = verify_dd(XGenerated(TableAlg(matrix_units(2))))
+    fails = verify_dd(XGenerated(TableAlg(matrix_units(2))))["failures"]
     assert len(fails) == 10
     assert {side for side, _, _ in fails} == {"odd"}
 
@@ -407,8 +407,48 @@ def test_verify_dd_reports_an_even_failure(dual):
             vec_axpy(out, vec.get(BUMPS["even"], ZERO), {BUMPS["odd"]: ONE})
             return out, loss
 
-    checked, fails = verify_dd(BentBoundary())
+    fails = verify_dd(BentBoundary())["failures"]
     assert [(side, lab) for side, lab, _ in fails] == [("even", (0,))]
+
+
+def _labels(cx):
+    return len(cx.even_basis()) + len(cx.odd_basis())
+
+
+def test_each_label_is_checked_or_skipped(dual):
+    omega = OmegaComplex(FormSpace(dual, 1))
+    xt = x_of_tensor_algebra(dual, 2)
+    km = kappa_map(xt, FormSpace(dual, 0))
+    f, _, _ = _random_coboundary(dual)
+    h, _ = homotopy_solve(f)
+    for rep, cx in ((verify_dd(omega), omega),
+                    (verify_chain_map(identity_map(omega)), omega),
+                    (verify_homotopy(f, h), xt),
+                    (maps_equal(km, km, xt.even_basis(), xt.odd_basis()),
+                     xt)):
+        assert rep["ok"] and rep["checked"] and rep["skipped"]
+        assert rep["checked"] + rep["skipped"] == _labels(cx)
+
+
+def test_a_window_of_lossy_columns_checks_nothing_and_passes(dual):
+    # on form window 0 the boundary of every form leaves the window, so
+    # every column is skipped; a check that checked nothing still reports
+    # ok, the vacuous pass that an inconclusive status is to replace
+    omega = OmegaComplex(FormSpace(dual, 0))
+    bdry = ChainMap(omega, omega, 1,
+                    lambda lab: omega.bdry_even({lab: ONE}),
+                    lambda lab: omega.bdry_odd({lab: ONE}))
+
+    def unread(lab):
+        raise AssertionError("h read on a lossy column")
+    h = ChainMap(omega, omega, 1, unread, unread)
+    vacuous = {"ok": True, "checked": 0, "skipped": _labels(omega),
+               "failures": []}
+    assert verify_dd(omega) == vacuous
+    assert verify_chain_map(identity_map(omega)) == vacuous
+    assert verify_homotopy(ChainMap.zero(omega, omega), h) == vacuous
+    assert maps_equal(bdry, bdry, omega.even_basis(),
+                      omega.odd_basis()) == vacuous
 
 
 @pytest.mark.parametrize("side", ["even", "odd"])
