@@ -49,10 +49,19 @@ def _field(spec, key):
 
 
 def _scalar(text):
+    if not isinstance(text, str):
+        raise SpecError("a scalar must be a string, got %r" % (text,))
     try:
         return parse_scalar(text)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SpecError("bad scalar %r: %s" % (text, exc))
+
+
+def _name(spec, default):
+    name = spec.get("name", default)
+    if not isinstance(name, str):
+        raise SpecError("name must be a string, got %r" % (name,))
+    return name
 
 
 def _int(value, what):
@@ -106,7 +115,7 @@ def load_algebra(spec):
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise SpecError("malformed algebra spec: %s" % exc)
     try:
-        return Algebra(names, mul, unit=unit, name=spec.get("name", "algebra"))
+        return Algebra(names, mul, unit=unit, name=_name(spec, "algebra"))
     except ValueError as exc:
         raise SpecError("algebra rejected: %s" % exc)
 
@@ -170,7 +179,7 @@ def load_quasihom(spec):
     rm = _matrices(spec, "rho_minus", base.dim, n, target.dim)
     try:
         return QH.Quasihomomorphism(base, target, n, rp, rm,
-                                    name=spec.get("name", "phi"))
+                                    name=_name(spec, "phi"))
     except ValueError as exc:
         raise SpecError("quasihomomorphism rejected: %s" % exc)
 
@@ -183,7 +192,7 @@ def load_extension(spec):
     alpha = _matrices(spec, "alpha", base.dim, 2 * n, target.dim)
     try:
         return QH.InvertibleExtension(base, target, n, alpha,
-                                      name=spec.get("name", "ext"))
+                                      name=_name(spec, "ext"))
     except ValueError as exc:
         raise SpecError("extension rejected: %s" % exc)
 
@@ -202,13 +211,15 @@ def load_fredholm(spec):
     target = X.TableAlg(target_alg)
     try:
         return C.FredholmBimodule(base, target, parity, rho, fmat, n,
-                                  name=spec.get("name", "module"))
+                                  name=_name(spec, "module"))
     except ValueError as exc:
         raise SpecError("bimodule rejected: %s" % exc)
 
 
 def load_idempotent(idem, base):
-    """(size k, k x k matrix of (scalar, body over base indices))."""
+    """(size k, k x k matrix of (scalar, body over base indices)), checked
+    to square to itself."""
+    from . import quasihom as QH
     k = _positive(_field(idem, "size"), "idempotent size")
     scalars, bodies = _field(idem, "scalar"), _field(idem, "body")
     for rows in (scalars, bodies):
@@ -217,6 +228,8 @@ def load_idempotent(idem, base):
             for j in range(k)] for i in range(k)]
     if any(None in body for row in mat for _, body in row):
         raise SpecError("idempotent bodies are keyed by basis indices")
+    if not QH.is_idempotent(base, mat):
+        raise SpecError("the idempotent matrix does not square to itself")
     return k, mat
 
 

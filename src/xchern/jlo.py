@@ -13,6 +13,11 @@ bidiagonal Opitz matrix exponential.  jlo_component and cs_component
 accept an `order` keyword (the CLI's --quad-order) that has no effect;
 only the t-integral of the finite-time retraction is a Gauss-Legendre
 quadrature, of order t_order.
+
+Each SpectralTriple memoizes its heat tables (one per node count and t^2
+grid) and its multiset folds (one per word length) in its own dict, so a
+table is evaluated once per triple however many tuples read it; entries are
+read-only arrays and die with the triple.
 """
 
 import itertools
@@ -54,6 +59,9 @@ class SpectralTriple:
         self.evals = evals
         self.vecs = vecs
         self.invertible_square = bool(np.min(np.abs(evals)) > 1e-10)
+        # heat tables and multiset folds, filled by _heat_table and
+        # _folded_word; both depend only on D and the key
+        self._memo = {}
 
     def rho_tilde(self, slot):
         """slot = (scalar, index or None) for the unitalization."""
@@ -65,6 +73,11 @@ class SpectralTriple:
 
     def bracket(self, idx):
         return self.D @ self.rho[idx] - self.rho[idx] @ self.D
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
 
 
 def _multisets(dim, size):
@@ -118,7 +131,11 @@ def _folded_word(triple, lead, insertions):
     for M in insertions:
         acc = acc[..., :, None, :] * (Vh @ M @ V)[:, :, None]
     word = np.diagonal(acc, axis1=-2, axis2=-1).reshape(-1)
-    combos, where = _multisets(triple.dim, len(insertions) + 1)
+    key = ("multisets", len(insertions) + 1)
+    if key not in triple._memo:
+        triple._memo[key] = tuple(map(_frozen, _multisets(triple.dim,
+                                                          key[1])))
+    combos, where = triple._memo[key]
     folded = np.zeros(len(combos), dtype=complex)
     np.add.at(folded, where, word)
     return combos, folded
@@ -126,8 +143,16 @@ def _folded_word(triple, lead, insertions):
 
 def _heat_table(triple, combos, t2):
     """Simplex integrals of the heat factors at nodes t^2 lambda_k, one row
-    per t^2 in t2 and one column per multiset."""
-    return _simplex_exp(np.multiply.outer(t2, triple.evals[combos] ** 2))
+    per t^2 in t2 and one column per multiset; combos are the triple's own
+    multisets of their size, so the node count and the exact t^2 values
+    (shape included) name the table."""
+    grid = np.asarray(t2, dtype=float)
+    key = ("heat", combos.shape[1], grid.shape, grid.tobytes())
+    if key not in triple._memo:
+        # a copy, so the memo does not keep the whole exponential alive
+        table = _simplex_exp(np.multiply.outer(t2, triple.evals[combos] ** 2))
+        triple._memo[key] = _frozen(table.copy())
+    return triple._memo[key]
 
 
 def simplex_integral(triple, lead, insertions, t2):

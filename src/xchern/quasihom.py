@@ -320,15 +320,21 @@ def fredholm_index_oracle(M, e_matrix, k):
     return ker - coker
 
 
+def is_idempotent(base, e_matrix):
+    """Whether e_matrix, a square matrix of (scalar part, body dict over
+    base indices) pairs over the unitalized base, squares to itself."""
+    E = [[{key: c for key, c in [(None, s), *body.items()] if c}
+          for s, body in row] for row in e_matrix]
+    EE, _ = mat_mul(TableAlg(base), E, E)
+    return mat_is_zero(mat_sub(EE, E))
+
+
 def index_pairing(M, e_matrix, k, n=0):
     """Pairing of the retracted character with an idempotent over the
     unitalized base; exact, integer-valued, cross-checked by the oracle.
 
     e_matrix entries are pairs (scalar part, body dict over base indices)."""
-    E = [[{key: c for key, c in [(None, s), *body.items()] if c}
-          for s, body in row] for row in e_matrix]
-    EE, _ = mat_mul(TableAlg(M.base), E, E)
-    if not mat_is_zero(mat_sub(EE, E)):
+    if not is_idempotent(M.base, e_matrix):
         raise ValueError("matrix is not idempotent")
     if M.parity != 0:
         raise ValueError("index pairing needs an even bimodule")

@@ -1,9 +1,13 @@
+import collections
 import math
+import os
 
 import numpy as np
 import pytest
 
+from xchern import jlo
 from xchern.algebra import split_pair
+from xchern.cli import main
 from xchern.jlo import (SpectralTriple, jlo_component, cs_component,
                         simplex_integral, tuple_b, tuple_B, chi_hat_T,
                         chi_hat_infty_exact, interpolate_Du,
@@ -19,14 +23,18 @@ def toy():
     return SpectralTriple(2, rho, D)
 
 
-@pytest.fixture(scope="module")
-def toy4():
+def _toy4():
     z2 = np.zeros((2, 2))
     Wop = np.array([[2.0, 0.5], [0.0, 1.0]])
     D = np.block([[z2, Wop.conj().T], [Wop, z2]])
     rho = [np.block([[np.diag([1.0, 0.0]), z2], [z2, np.diag([1.0, 0.0])]]),
            np.block([[np.diag([0.0, 1.0]), z2], [z2, np.diag([0.0, 1.0])]])]
     return SpectralTriple(2, rho, D)
+
+
+@pytest.fixture(scope="module")
+def toy4():
+    return _toy4()
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +246,71 @@ def test_retract_table(toy, alg):
     table = {tup: chi_hat_T(toy, alg, 2, 6.0, tup, t_order=16)
              for tup in tuples}
     assert abs(table[((0.0, 0), 0)]) < 1e-12   # odd degree vanishes
+
+
+# heat tables and multiset folds are memoized per triple: each (node count,
+# t-grid) table is evaluated once, and a memo hit returns the same bits
+SPECS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "specs")
+
+
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    """Counts _simplex_exp calls by their exact node array."""
+    calls = collections.Counter()
+    real = jlo._simplex_exp
+
+    def counted(x):
+        calls[x.shape, x.tobytes()] += 1
+        return real(x)
+    monkeypatch.setattr(jlo, "_simplex_exp", counted)
+    return calls
+
+
+def test_jlo_command_evaluates_each_table_once(simplex_calls, capsys):
+    code = main(["jlo", os.path.join(SPECS, "triple2x2.json"), "--n", "2",
+                 "--T", "8", "--emit", "json"])
+    capsys.readouterr()
+    assert code == 0
+    # the cocycle, transgression and retraction checks read several node
+    # counts at t = 0.9, 0.8 +- h, 0.8 and the retraction's t-grid
+    assert len(simplex_calls) >= 10
+    assert set(simplex_calls.values()) == {1}
+
+
+def test_warm_and_fresh_triples_agree_bitwise(alg):
+    calls = []
+    for n in range(4):
+        for tup in (((0.0, 0),) + tuple(i % 2 for i in range(n)),
+                    ((0.5, 1),) + tuple((i + 1) % 2 for i in range(n))):
+            calls += [(jlo_component, (n, 0.9, tup), {}),
+                      (cs_component, (n, 0.8, tup), {}),
+                      (chi_hat_T, (alg, 2, 8.0, tup), {"t_order": 20})]
+    warm = _toy4()
+    first = [f(warm, *args, **kw) for f, args, kw in calls]
+    again = [f(warm, *args, **kw) for f, args, kw in calls]
+    fresh = [f(_toy4(), *args, **kw) for f, args, kw in calls]
+    assert first == again == fresh
+    assert any(v != 0 for v in first)
+
+
+def test_tables_are_keyed_by_t_and_owned_by_their_triple(simplex_calls):
+    tup = ((0.0, 0), 0, 1)
+    triple = _toy4()
+    v8 = jlo_component(triple, 2, 0.8, tup)
+    assert sum(simplex_calls.values()) == 1
+    v9 = jlo_component(triple, 2, 0.9, tup)
+    assert sum(simplex_calls.values()) == 2
+    assert jlo_component(triple, 2, 0.8, tup) == v8
+    assert jlo_component(triple, 2, 0.9, tup) == v9
+    assert sum(simplex_calls.values()) == 2
+    assert v8 != v9
+    assert v8 == jlo_component(_toy4(), 2, 0.8, tup)
+    assert v9 == jlo_component(_toy4(), 2, 0.9, tup)
+    # the interpolated triple has its own D, so its own tables
+    Du = interpolate_Du(triple, 0.5)
+    before = sum(simplex_calls.values())
+    vu = jlo_component(Du, 2, 0.8, tup)
+    assert sum(simplex_calls.values()) == before + 1
+    assert vu != v8
+    assert vu == jlo_component(interpolate_Du(_toy4(), 0.5), 2, 0.8, tup)
