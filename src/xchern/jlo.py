@@ -131,10 +131,10 @@ def _folded_word(triple, lead, insertions):
     for M in insertions:
         acc = acc[..., :, None, :] * (Vh @ M @ V)[:, :, None]
     word = np.diagonal(acc, axis1=-2, axis2=-1).reshape(-1)
-    key = ("multisets", len(insertions) + 1)
+    size = len(insertions) + 1
+    key = ("multisets", size)
     if key not in triple._memo:
-        triple._memo[key] = tuple(map(_frozen, _multisets(triple.dim,
-                                                          key[1])))
+        triple._memo[key] = tuple(map(_frozen, _multisets(triple.dim, size)))
     combos, where = triple._memo[key]
     folded = np.zeros(len(combos), dtype=complex)
     np.add.at(folded, where, word)
