@@ -29,6 +29,9 @@ EXACT = {
     "universal-w4": ["universal", "specs/dual.json", "--n", "1", "--parity",
                      "even", "--window", "4", "--src-len", "3"],
     "chern": ["chern", "specs/idqh.json", "--n", "0"],
+    # the lift at n = 1 and the graded lift of a full invertible extension
+    "chern-n1": ["chern", "specs/idqh.json", "--n", "1"],
+    "chern-extension": ["chern", "specs/extension.json", "--n", "0"],
     "pair": ["pair", "specs/fredholm.json"],
 }
 JLO = ["jlo", "specs/triple2x2.json", "--n", "2", "--T", "8",
