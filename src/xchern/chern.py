@@ -95,6 +95,19 @@ def mat_is_zero(A):
     return all(not e for row in A for e in row)
 
 
+def is_multiplicative(base, alg, mats):
+    """Whether the matrices mats over the unitalized alg, one per basis
+    element of base, satisfy mats[i] mats[j] = sum_k c_ij^k mats[k]."""
+    for i, mi in enumerate(mats):
+        for j, mj in enumerate(mats):
+            defect, _ = mat_mul(alg, mi, mj)
+            for k, c in base.product_basis(i, j).items():
+                mat_axpy(defect, -c, mats[k])
+            if not mat_is_zero(defect):
+                return False
+    return True
+
+
 def _doubled(x, y):
     """x + y*eps as the 2N x 2N matrix [[x, y], [y, x]]; eps is the odd
     Clifford generator."""
@@ -134,6 +147,8 @@ class FredholmBimodule:
         f2, _ = mat_mul(self.alg, self.fmat, self.fmat)
         if not mat_is_zero(mat_sub(f2, unit)):
             raise ValueError("F^2 is not the identity")
+        if not is_multiplicative(self.base, self.alg, self.rho):
+            raise ValueError("rho is not multiplicative")
         for r in range(2 * n):
             for c in range(2 * n):
                 on_diag = (r < n) == (c < n)
@@ -629,39 +644,3 @@ def gamma_even(algebra, n, windows):
 
 def gamma_odd(algebra, n, windows):
     return gamma_composite(algebra, n, windows, odd=True)
-
-
-# ---------------------------------------------------------------------------
-# trace maps from matrix X-complexes
-# ---------------------------------------------------------------------------
-
-
-def trace_map(x_mat, x_base):
-    """X(M_N(R)) -> X(R): multiplication over the matrix factor followed by
-    its trace, or its supertrace when the matrix algebra is graded."""
-    mat = x_mat.alg
-
-    def sign(r):
-        return -ONE if (mat.graded and (r // mat.half) % 2) else ONE
-
-    def efn(lab):
-        r, c, l = lab
-        if r != c:
-            return {}, False
-        return {l: sign(r)}, False
-
-    def ofn(lab):
-        z, g = lab
-        p, q, gb = g
-        if z is None:
-            if p != q:
-                return {}, False
-            return {(None, gb): sign(p)}, False
-        r, c, l = z
-        if c != p or q != r:
-            return {}, False
-        vec, loss = x_base.omega1_vec({l: ONE}, {gb: ONE})
-        return vec_scale(vec, sign(r)), loss
-
-    return ChainMap(x_mat, x_base, 0, efn, ofn,
-                    name="tr%s" % ("s" if mat.graded else ""))

@@ -65,10 +65,10 @@ def _name(spec, default):
 
 
 def _int(value, what):
-    try:
-        return int(value)
-    except (ValueError, TypeError):
+    """A JSON integer; booleans, floats and strings are turned away."""
+    if type(value) is not int:
         raise SpecError("%s must be an integer, got %r" % (what, value))
+    return value
 
 
 def _positive(value, what):
@@ -126,10 +126,16 @@ def _parse_entry(entry, dim):
         raise SpecError("matrix entry must be an object, got %r" % (entry,))
     out = {}
     for k, v in entry.items():
-        key = None if k == "unit" else _int(k, "entry key")
-        if key is not None and not 0 <= key < dim:
-            raise SpecError("entry key %d outside the basis of size %d"
-                            % (key, dim))
+        if k == "unit":
+            key = None
+        elif k.isascii() and k.isdigit():
+            key = int(k)
+            if key >= dim:
+                raise SpecError("entry key %d outside the basis of size %d"
+                                % (key, dim))
+        else:
+            raise SpecError('entry key must be "unit" or a decimal index, '
+                            "got %r" % (k,))
         out[key] = _scalar(v)
     return out
 

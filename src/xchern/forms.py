@@ -19,8 +19,8 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 
-from .scalars import ZERO, ONE
-from .linalg import vec_axpy, Span
+from .scalars import ONE
+from .linalg import vec_axpy
 
 
 class FormSpace:
@@ -29,7 +29,6 @@ class FormSpace:
             raise ValueError("max_degree must be nonnegative")
         self.algebra = algebra
         self.max_degree = max_degree
-        self._proj_cache = {}
         # word operator -> {word: (image dict, lossy)}
         self._op_cache = defaultdict(dict)
 
@@ -50,9 +49,6 @@ class FormSpace:
 
     def zero(self):
         return Form(self, {})
-
-    def form(self, coeffs, lossy=False):
-        return Form(self, coeffs, lossy)
 
     def from_element(self, x):
         """Degree-0 form from an algebra element {basis index: coefficient}."""
@@ -352,102 +348,3 @@ def fedosov_full(f1, f2):
             lossy = lossy or l
             vec_axpy(out, c1 * c2, vec)
     return Form(space, out, lossy)
-
-
-# ---------------------------------------------------------------------------
-# cyclic spectral projection
-# ---------------------------------------------------------------------------
-
-
-def _operator_columns(space, n, fn):
-    """Columns of the word operator fn on degree n, as new dicts."""
-    return {w: dict(_image(space, fn, w)[0]) for w in space.basis_words(n)}
-
-
-def _compose_columns(cols_a, cols_b):
-    """Columns of A after B (A o B)."""
-    out = {}
-    for w, vec in cols_b.items():
-        img = {}
-        for v, c in vec.items():
-            vec_axpy(img, c, cols_a.get(v, {}))
-        out[w] = img
-    return out
-
-
-def cyclic_projection(space, n):
-    """Projection onto the generalized 1-eigenspace of kappa^2 on degree n.
-
-    The exponent is allowed to reach dim of the degree-n space; kernels of
-    the iterated powers stabilize long before that, and the computation stops
-    exactly at stabilization, which yields the same subspace.
-    """
-    if n > space.max_degree:
-        raise ValueError("degree %d exceeds max_degree %d" % (n, space.max_degree))
-    if n in space._proj_cache:
-        return space._proj_cache[n]
-    words = space.basis_words(n)
-    k = _operator_columns(space, n, _kappa_word)
-    m = _compose_columns(k, k)
-    for w in words:
-        dd = m[w].get(w, ZERO) - ONE
-        if dd:
-            m[w][w] = dd
-        elif w in m[w]:
-            del m[w][w]
-    # iterate powers of (kappa^2 - 1) until the kernel stabilizes
-    power = m
-    prev_rank = None
-    while True:
-        img = Span(power.values())
-        if img.dim == prev_rank:
-            break
-        prev_rank = img.dim
-        power = _compose_columns(m, power)
-    image_span = Span(power.values())
-    kernel = _nullspace_of_columns(power, words)
-    # assemble the projector: write each unit vector as k + w, keep k
-    mixed = list(kernel) + list(image_span.basis())
-    keep = len(kernel)
-    prov = Span(mixed, track=True)
-    proj = {}
-    for w in words:
-        co = prov.coordinates({w: ONE})
-        if co is None:
-            raise ValueError("kernel and image do not span degree %d" % n)
-        img = {}
-        for idx, cf in co.items():
-            if idx < keep and cf:
-                vec_axpy(img, cf, mixed[idx])
-        proj[w] = img
-    space._proj_cache[n] = proj
-    return proj
-
-
-def _nullspace_of_columns(cols, domain_words):
-    """Kernel of the linear map with the given columns, as coefficient dicts
-    over domain words."""
-    rows = {}
-    for w in domain_words:
-        for lab, c in cols.get(w, {}).items():
-            rows.setdefault(lab, {})[w] = c
-    span = Span(rows.values())
-    pivots = set(span.rows.keys())
-    kernel = []
-    for w in domain_words:
-        if w in pivots:
-            continue
-        vec = {w: ONE}
-        for p, row in span.rows.items():
-            c = row.get(w)
-            if c:
-                vec[p] = -c
-        kernel.append(vec)
-    return kernel
-
-
-def apply_columns(cols, vec):
-    out = {}
-    for w, c in vec.items():
-        vec_axpy(out, c, cols.get(w, {}))
-    return out

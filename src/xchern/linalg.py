@@ -140,14 +140,6 @@ class Span:
     def basis(self):
         return [self.rows[p] for p in sorted(self.rows, key=label_key)]
 
-    def coordinates(self, vec):
-        """Coefficients of vec over the inserted vectors (by insertion
-        index), or None if vec lies outside the span.  Needs track."""
-        combo = {}
-        if self._eliminate(vec, combo):
-            return None
-        return {k: -c for k, c in combo.items()}
-
 
 def check_columns(sides, column):
     """Check an identity column by column on a truncation window.

@@ -9,13 +9,12 @@ supertrace and the Bott normalization.
 """
 
 from .scalars import ZERO, ONE, HALF, bott_constant, is_rational
-from .linalg import Span
-from . import tensoralg as T
+from .linalg import Span, vec_axpy
 from .xcomplex import (ChainMap, XGenerated, TensorAlg, TableAlg,
-                       MatrixAlg, x_of_hom,
                        x_of_tensor_algebra)
-from .chern import (gamma_even, gamma_odd, trace_map, mat_mul, mat_sub,
-                    mat_unit, mat_is_zero, mat_zero, mat_axpy, _supertrace)
+from .chern import (gamma_even, gamma_odd, is_multiplicative, mat_mul,
+                    mat_sub, mat_unit, mat_is_zero, mat_zero, mat_axpy,
+                    _supertrace)
 
 
 class Quasihomomorphism:
@@ -39,9 +38,9 @@ class Quasihomomorphism:
         for rho in (self.rho_plus, self.rho_minus):
             if len(rho) != self.base.dim:
                 raise ValueError("one matrix per basis element required")
+        talg = TableAlg(self.target)
         for rho in (self.rho_plus, self.rho_minus):
-            defect = _defect_table(self.base, self.target, rho, self.nsize)
-            if not all(mat_is_zero(m) for m in defect.values()):
+            if not is_multiplicative(self.base, talg, rho):
                 raise ValueError("representation is not multiplicative")
 
     def is_degenerate(self):
@@ -76,22 +75,6 @@ class Quasihomomorphism:
                                  check=False)
 
 
-def _defect_table(base, target, table, nsize):
-    """sum_k c_ij^k table[k] - table[i] table[j] for every basis pair (i, j)
-    of base, where table lists nsize x nsize matrices over the
-    unitalized target."""
-    talg = TableAlg(target)
-    rows = {}
-    for i in range(base.dim):
-        for j in range(base.dim):
-            prod, _ = mat_mul(talg, table[i], table[j])
-            expect = mat_zero(nsize)
-            for k, c in base.product_basis(i, j).items():
-                mat_axpy(expect, c, table[k])
-            rows[(i, j)] = mat_axpy(expect, -ONE, prod)
-    return rows
-
-
 def hom_quasi(base, target, nsize, rho, name="rho*0"):
     """The quasihomomorphism rho * 0 of a plain representation."""
     zero = [mat_zero(nsize) for _ in range(base.dim)]
@@ -113,9 +96,8 @@ class InvertibleExtension:
             self._check()
 
     def _check(self):
-        two = 2 * self.nsize
-        defect = _defect_table(self.base, self.target, self.alpha, two)
-        if not all(mat_is_zero(m) for m in defect.values()):
+        if not is_multiplicative(self.base, TableAlg(self.target),
+                                 self.alpha):
             raise ValueError("alpha is not multiplicative")
 
     def conjugate_by_x(self, mat):
@@ -157,22 +139,79 @@ def _rep_on_window_word(plus, minus, word, talg, nsize):
     return acc
 
 
-def _traced_lift(src_cx, letters, nsize, target, max_len_src, out_len, name,
+def lift_words(letters, tb):
+    """Word-level lift of matrix letters into M_N(tb): matrix letters
+    multiply, target letters stay tensored.
+
+    letters(i) is the N x N matrix of source letter i, with entries over
+    B~ keys (None = adjoined unit, k = basis of B); tb is the unital
+    truncated tensor algebra over B, whose keys are tuples of B basis
+    indices with () the unit.  Returns lift(word) -> (matrix over the
+    words of tb, loss); each letter and each word is lifted once."""
+    embedded = {}
+    lifts = {}
+
+    def letter(i):
+        hit = embedded.get(i)
+        if hit is None:
+            hit = embedded[i] = [[{() if key is None else (key,): coeff
+                                   for key, coeff in entry.items() if coeff}
+                                  for entry in row] for row in letters(i)]
+        return hit
+
+    def lift(word):
+        hit = lifts.get(word)
+        if hit is None:
+            acc, loss = letter(word[0]), False
+            for i in word[1:]:
+                acc, l = mat_mul(tb, acc, letter(i))
+                loss = loss or l
+            hit = lifts[word] = (acc, loss)
+        return hit
+    return lift
+
+
+def _traced_lift(src_cx, letters, nsize, target, out_len, name,
                  graded=False, half=1):
-    """X(lift) of matrix letters into X(M_N(T B~)) and the (super)trace
-    back to X(T B~); returns (X(lift), trace, matrix complex, X(T B~))."""
+    """trace . X(lift) of matrix letters, as one chain map from src_cx to
+    X(T B~), with the supertrace of blocks of size half when graded;
+    returns (map, X(T B~)).
+
+    An odd source label (z, g) pairs a lift with the lift of the one
+    letter g, whose entries are single letters or the unit word, so the
+    trace of its class is sum_{r,c} s_r class(lift(z)[r][c].d
+    lift(g)[c][r])."""
     tb = TensorAlg(TableAlg(target), out_len, unital=True)
-    xmat = XGenerated(MatrixAlg(tb, nsize, graded=graded, half=half))
     xtb = XGenerated(tb)
-    lift = T.LiftedHom(src_cx.alg, letters, nsize, max_len_src, out_len)
+    lift = lift_words(letters, tb)
+    signs = [-ONE if graded and (r // half) % 2 else ONE
+             for r in range(nsize)]
 
-    def lift_img(word):
-        mat, loss = lift.on_word(word)
-        return lift.flatten(mat), loss
+    def efn(word):
+        mat, loss = lift(word)
+        out = {}
+        for r, s in enumerate(signs):
+            vec_axpy(out, s, mat[r][r])
+        return out, loss
 
-    xlift = x_of_hom(src_cx, xmat, lift_img, name=name)
-    tr = trace_map(xmat, xtb)
-    return xlift, tr, xmat, xtb
+    def ofn(lab):
+        z, g = lab
+        gmat, loss = lift(g)
+        out = {}
+        if z is None:
+            for r, s in enumerate(signs):
+                vec_axpy(out, s, {(None, gb): c
+                                  for gb, c in gmat[r][r].items()})
+            return out, loss
+        zmat, l = lift(z)
+        loss = loss or l
+        for r, s in enumerate(signs):
+            for c in range(nsize):
+                vec, l = xtb.omega1_vec(zmat[r][c], gmat[c][r])
+                loss = loss or l
+                vec_axpy(out, s, vec)
+        return out, loss
+    return ChainMap(src_cx, xtb, 0, efn, ofn, name=name), xtb
 
 
 def ch_even(quasi, n, windows, return_parts=False):
@@ -185,13 +224,12 @@ def ch_even(quasi, n, windows, return_parts=False):
         return _rep_on_window_word(quasi.rho_plus, quasi.rho_minus, word,
                                    talg, quasi.nsize)
 
-    Xlift, tr, xmat, xtb = _traced_lift(parts["xtq"], rep, quasi.nsize,
-                                        quasi.target, W.out_len, W.out_len,
-                                        "X(lift)")
-    ch = ChainMap.compose(tr, ChainMap.compose(Xlift, gamma),
+    trlift, xtb = _traced_lift(parts["xtq"], rep, quasi.nsize, quasi.target,
+                               W.out_len, "tr.X(lift)")
+    ch = ChainMap.compose(trlift, gamma,
                           name="ch%d(%s)" % (2 * n, quasi.name))
     if return_parts:
-        parts.update({"xmat": xmat, "xtb": xtb, "lift": Xlift})
+        parts["xtb"] = xtb
         return ch, parts
     return ch
 
@@ -202,9 +240,9 @@ def x_of_t_rho(quasi, windows, branch="plus"):
     W = windows
     xt = x_of_tensor_algebra(quasi.base, W.src_len)
     rho = quasi.rho_plus if branch == "plus" else quasi.rho_minus
-    Xl, tr, _, xtb = _traced_lift(xt, rho, quasi.nsize, quasi.target,
-                                  W.src_len, W.out_len, "X(T%s)" % branch)
-    return ChainMap.compose(tr, Xl, name="trX(T%s)" % branch), xt, xtb
+    trx, xtb = _traced_lift(xt, rho.__getitem__, quasi.nsize, quasi.target,
+                            W.out_len, "trX(T%s)" % branch)
+    return trx, xt, xtb
 
 
 def ch_odd(ext, n, windows, return_parts=False):
@@ -220,13 +258,12 @@ def ch_odd(ext, n, windows, return_parts=False):
         """phi^s on a window form word: iota -> alpha, bar -> X alpha X."""
         return _rep_on_window_word(ext.alpha, xax, word, talg, two)
 
-    Xlift, tr, xmat, xtb = _traced_lift(parts["xtq"], rep, two, ext.target,
-                                        W.out_len, W.out_len, "X(lift_s)",
-                                        graded=True, half=ext.nsize)
-    ch = ChainMap.compose(tr, ChainMap.compose(Xlift, gamma)) \
+    trlift, xtb = _traced_lift(parts["xtq"], rep, two, ext.target, W.out_len,
+                               "trs.X(lift_s)", graded=True, half=ext.nsize)
+    ch = ChainMap.compose(trlift, gamma) \
         .scale(bott_constant(), name="ch%d(%s)" % (2 * n + 1, ext.name))
     if return_parts:
-        parts.update({"xmat": xmat, "xtb": xtb})
+        parts["xtb"] = xtb
         return ch, parts
     return ch
 

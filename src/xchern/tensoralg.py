@@ -102,65 +102,6 @@ def truncated_tensor_algebra(base, max_len):
     return alg
 
 
-class LiftedHom:
-    """Lift of rho: A -> M_N(B~) to word level: matrix letters multiply,
-    target letters stay tensored.
-
-    rho is given as a list over source letters, or as a function on them,
-    of N x N matrices whose entries are dicts over B~ keys (None = adjoined
-    unit, k = basis of B); each letter is embedded once.  Words map to
-    matrices with entries in the unital truncated tensor algebra over B:
-    keys are tuples of B basis indices, () = unit.
-    """
-
-    def __init__(self, source, rho_matrices, nsize, max_len_src, max_len_tgt):
-        self.source = source
-        self.nsize = nsize
-        self.max_len_src = max_len_src
-        self.max_len_tgt = max_len_tgt
-        self._rho = rho_matrices if callable(rho_matrices) \
-            else rho_matrices.__getitem__
-        self._letters = {}
-
-    def letter(self, i):
-        """Embedded matrix of a source letter."""
-        hit = self._letters.get(i)
-        if hit is None:
-            hit = [[{() if key is None else (key,): coeff
-                     for key, coeff in entry.items() if coeff}
-                    for entry in row] for row in self._rho(i)]
-            self._letters[i] = hit
-        return hit
-
-    def _matmul(self, A, B):
-        n = self.nsize
-        lossy = False
-        out = [[{} for _ in range(n)] for _ in range(n)]
-        for r in range(n):
-            for c in range(n):
-                for k in range(n):
-                    lossy = _concat_into(out[r][c], A[r][k], B[k][c],
-                                         self.max_len_tgt) or lossy
-        return out, lossy
-
-    def on_word(self, word):
-        """Image of a source tensor word, with the loss flag."""
-        if len(word) > self.max_len_src:
-            raise ValueError("word longer than the source window")
-        acc = self.letter(word[0])
-        lossy = False
-        for i in word[1:]:
-            acc, l = self._matmul(acc, self.letter(i))
-            lossy = lossy or l
-        return acc, lossy
-
-    @staticmethod
-    def flatten(mat):
-        """A matrix over words as one vector over (row, col, word)."""
-        return {(r, c, w): v for r, row in enumerate(mat)
-                for c, entry in enumerate(row) for w, v in entry.items()}
-
-
 def ideal_power(ambient, generators, n, product=None, basis=None):
     """Span of the n-th power of the two-sided ideal generated in ambient,
     as a linalg.Span.

@@ -221,75 +221,6 @@ class TensorAlg:
         return {(): ONE} if self.unital else None
 
 
-class MatrixAlg:
-    """N x N matrices over a labelled algebra; labels are (row, col, base).
-
-    graded installs the block-checkerboard grading (blocks of size half)
-    on top of the base parity.  It carries no filtration degree (window
-    None)."""
-
-    window = None
-
-    def __init__(self, base, nsize, graded=False, half=1):
-        self.base = base
-        self.nsize = nsize
-        self.graded = graded
-        self.half = half
-        self.name = "M%d%s(%s)" % (nsize, "s" if graded else "", base.name)
-
-    def basis(self):
-        bb = self.base.basis()
-        return [(r, c, l) for r in range(self.nsize)
-                for c in range(self.nsize) for l in bb]
-
-    def product_flag(self, l1, l2):
-        r1, c1, b1 = l1
-        r2, c2, b2 = l2
-        if c1 != r2:
-            return {}, False
-        prod, loss = self.base.product_flag(b1, b2)
-        return {(r1, c2, k): v for k, v in prod.items()}, loss
-
-    def parity(self, label):
-        r, c, b = label
-        p = self.base.parity(b)
-        if self.graded:
-            p = (p + r // self.half + c // self.half) % 2
-        return p
-
-    def generators(self):
-        gens = []
-        for r in range(self.nsize):
-            for c in range(self.nsize):
-                for g in self.base.generators():
-                    gens.append((r, c, g))
-                ud = self.base.unit_dict()
-                if ud is not None:
-                    for l in ud:
-                        gens.append((r, c, l))
-        return sorted(set(gens), key=label_key)
-
-    def factor(self, label):
-        r, c, b = label
-        fac = self.base.factor(b)
-        if not fac:
-            return [(r, c, b)]
-        out = [(r, c, fac[0])]
-        for g in fac[1:]:
-            out.append((c, c, g))
-        return out
-
-    def unit_dict(self):
-        ud = self.base.unit_dict()
-        if ud is None:
-            return None
-        out = {}
-        for k in range(self.nsize):
-            for l, v in ud.items():
-                out[(k, k, l)] = v
-        return out
-
-
 # ---------------------------------------------------------------------------
 # complexes
 # ---------------------------------------------------------------------------
@@ -383,8 +314,8 @@ class XGenerated:
         """Span of the reduced commutator classes red([r, z.dg]).
 
         Only triples (z, g, r) with deg z + deg g + deg r - 1 <= window
-        are built (deg None = 0); on an algebra without a window (TableAlg,
-        MatrixAlg) every triple is.  A skipped triple's vector is
+        are built (deg None = 0); on an algebra without a window (TableAlg)
+        every triple is.  A skipped triple's vector is
         structurally empty.  Let D = deg z + deg g + deg r.  Each term of
         the vector is either (rz, g) or a rotation label paired with one
         factor g' of the factorization of gr (classes of z.d(y)) or of r
@@ -645,12 +576,6 @@ class ChainMap:
             return lambda lab: (dict(cols.get(lab, {})), False)
         return ChainMap(source, target, parity, side(even_cols),
                         side(odd_cols), name=name)
-
-    @staticmethod
-    def zero(source, target, parity=0, name="0"):
-        return ChainMap(source, target, parity,
-                        lambda lab: ({}, False), lambda lab: ({}, False),
-                        name=name)
 
     @staticmethod
     def compose(g, f, name=None):

@@ -6,15 +6,14 @@ from xchern.linalg import vec_axpy
 from xchern.forms import FormSpace, Form
 from xchern import forms as F
 from xchern.xcomplex import (XGenerated, FedosovAlg, ZekriAlg, OmegaComplex,
-                             TensorAlg, TableAlg, x_of_tensor_algebra,
-                             rescale_map, kappa_map, verify_chain_map,
-                             maps_equal, ChainMap, hodge_filtration,
-                             TensorIdealFiltration, order_certificate,
-                             adic_filtration)
+                             x_of_tensor_algebra, rescale_map, kappa_map,
+                             verify_chain_map, maps_equal, ChainMap,
+                             hodge_filtration, TensorIdealFiltration,
+                             order_certificate, adic_filtration)
 from xchern.chern import (universal_ch_even, universal_ch_odd,
                           universal_bimodule_even, universal_bimodule_odd,
                           retracted_cocycle, kappa_power_sum, d_chain_map,
-                          eta_chain_map, trace_map, gamma_even, gamma_odd,
+                          eta_chain_map, gamma_even, gamma_odd,
                           GammaWindows, x_of_t_branch, ideal_power_like,
                           FredholmBimodule, mat_unit)
 
@@ -171,6 +170,19 @@ def test_bad_symmetry_rejected(dual):
     bad_f = [[{}, {None: Scalar.from_int(2)}], [{None: ONE}, {}]]
     with pytest.raises(ValueError):
         FredholmBimodule(dual, TableAlg(rationals()), 0, rho, bad_f, 1)
+
+
+def test_non_multiplicative_rho_rejected(qq):
+    from xchern.xcomplex import TableAlg
+    from xchern.algebra import rationals
+    # rho(e1) = diag(0, 2) squares to diag(0, 4), not to rho(e1)
+    rho = [[[{}, {}], [{}, {None: Scalar.from_int(2)}]],
+           [[{}, {}], [{}, {}]]]
+    fm = [[{}, {None: ONE}], [{None: ONE}, {}]]
+    with pytest.raises(ValueError, match="rho is not multiplicative"):
+        FredholmBimodule(qq, TableAlg(rationals()), 0, rho, fm, 1)
+    rho[0][1][1] = {None: ONE}
+    FredholmBimodule(qq, TableAlg(rationals()), 0, rho, fm, 1)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -387,42 +399,56 @@ def test_x_of_hom_calls_each_image_once(dual, monkeypatch):
         assert sum(ref_calls[name].values()) > len(seen), name
 
 
+def _unit_matrix(nsize, r, c, key):
+    """The matrix unit e_{r+1,c+1} (x) b_key over the unitalized target."""
+    mat = [[{} for _ in range(nsize)] for _ in range(nsize)]
+    mat[r][c] = {key: ONE}
+    return mat
+
+
+def _traced(target, letters, graded=False):
+    """The (super)trace of X of the word-level lift of 2 x 2 matrix letters
+    over target, from X(T A) with A = M_2(Q) as the alphabet, at window 2."""
+    from xchern.algebra import matrix_units
+    from xchern.quasihom import _traced_lift
+    xt = x_of_tensor_algebra(matrix_units(2), 2)
+    tr, _ = _traced_lift(xt, letters.__getitem__, 2, target, 3, "tr",
+                         graded=graded)
+    return tr
+
+
 def test_trace_map_examples(dual):
-    from xchern.xcomplex import MatrixAlg
-    tb = TensorAlg(TableAlg(dual), 3, unital=True)
-    xmat = XGenerated(MatrixAlg(tb, 2))
-    xtb = XGenerated(tb)
-    tr = trace_map(xmat, xtb)
-    # diagonal even entries trace through
-    v, _ = tr.even_col((0, 0, (1,)))
+    # letters 0..3: e12 (x) 1, e21 (x) eps, e12 (x) eps, e11 (x) eps
+    tr = _traced(dual, [_unit_matrix(2, 0, 1, 0), _unit_matrix(2, 1, 0, 1),
+                        _unit_matrix(2, 0, 1, 1), _unit_matrix(2, 0, 0, 1)])
+    # diagonal even entries trace through, off-diagonal ones vanish
+    v, _ = tr.even_col((3,))
     assert v == {(1,): ONE}
-    v, _ = tr.even_col((0, 1, (1,)))
+    v, _ = tr.even_col((0,))
     assert v == {}
+    v, _ = tr.even_col((0, 1))
+    assert v == {(0, 1): ONE}
     # nat (e12 (x) w) d (e21 (x) w') -> nat w d w'
-    v, _ = tr.odd_col(((0, 1, (0,)), (1, 0, (1,))))
+    v, _ = tr.odd_col(((0,), (1,)))
     assert v == {((0,), (1,)): ONE}
-    v, _ = tr.odd_col(((0, 1, (0,)), (0, 1, (1,))))
+    v, _ = tr.odd_col(((0,), (2,)))
     assert v == {}
-    # chain map on a window
-    rep = verify_chain_map(
-        tr, even_labels=[(r, c, w) for r in range(2) for c in range(2)
-                         for w in [(0,), (1,), (0, 1)]],
-        odd_labels=[((r, c, (0,)), (p, q, (1,))) for r in range(2)
-                    for c in range(2) for p in range(2) for q in range(2)])
-    assert rep["ok"], rep["failures"][:2]
+    # chain map on the whole window
+    rep = verify_chain_map(tr)
+    assert rep["ok"] and rep["checked"], rep["failures"][:2]
 
 
 def test_trace_map_graded(dual):
-    from xchern.xcomplex import MatrixAlg
-    tb = TensorAlg(TableAlg(dual), 3, unital=True)
-    xmat = XGenerated(MatrixAlg(tb, 2, graded=True))
-    xtb = XGenerated(tb)
-    tr = trace_map(xmat, xtb)
-    v, _ = tr.even_col((1, 1, (1,)))
+    # block-diagonal letters: e11 (x) 1, e22 (x) eps, e11 (x) eps, e22 (x) 1
+    tr = _traced(dual, [_unit_matrix(2, 0, 0, 0), _unit_matrix(2, 1, 1, 1),
+                        _unit_matrix(2, 0, 0, 1), _unit_matrix(2, 1, 1, 0)],
+                 graded=True)
+    # row 1 is the odd block: the supertrace gives it the sign -1
+    v, _ = tr.even_col((1,))
     assert v == {(1,): -ONE}
-    rep = verify_chain_map(
-        tr, even_labels=[(r, c, w) for r in range(2) for c in range(2)
-                         for w in [(0,), (1,)]],
-        odd_labels=[((r, c, (0,)), (p, q, (1,))) for r in range(2)
-                    for c in range(2) for p in range(2) for q in range(2)])
-    assert rep["ok"], rep["failures"][:2]
+    v, _ = tr.even_col((2,))
+    assert v == {(1,): ONE}
+    v, _ = tr.odd_col(((1,), (3,)))
+    assert v == {((1,), (0,)): -ONE}
+    rep = verify_chain_map(tr)
+    assert rep["ok"] and rep["checked"], rep["failures"][:2]

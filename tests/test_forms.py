@@ -10,9 +10,7 @@ from xchern.linalg import vec_axpy
 from xchern.algebra import dual_numbers, matrix_units, split_pair
 from xchern import forms as F
 from xchern.forms import (FormSpace, Form, d, b, kappa, connes_B, graded_mul,
-                          fedosov_even, fedosov_full, cyclic_projection,
-                          apply_columns)
-from xchern.forms import _operator_columns, _compose_columns
+                          fedosov_even, fedosov_full)
 from xchern.cli import Report, dga_suite
 
 import xreference
@@ -329,36 +327,3 @@ def test_fedosov_words_match_reference_on_every_word_pair(corpus_algebras):
                 want = xreference.fedosov_full(sp.word(w1), sp.word(w2))
                 got = F.fedosov_words(sp, w1, w2)
                 assert got == (want.coeffs, want.lossy), (alg.name, w1, w2)
-
-
-def test_cyclic_projection(dual, corpus_algebras):
-    sp = FormSpace(dual, 4)
-    P0 = cyclic_projection(sp, 0)
-    for w in sp.basis_words(0):
-        assert P0[w] == {w: ONE}
-    P2 = cyclic_projection(sp, 2)
-    assert _compose_columns(P2, P2) == P2
-    for alg in corpus_algebras:
-        top = 3 if alg.dim <= 2 else 2
-        spa = FormSpace(alg, top + 1)
-        for n in range(0, top + 1):
-            P = cyclic_projection(spa, n)
-            K = _operator_columns(spa, n, F._kappa_word)
-            assert _compose_columns(P, K) == _compose_columns(K, P), (
-                alg.name, n)
-
-
-def test_cyclic_projection_commutes_with_b(dual):
-    sp = FormSpace(dual, 3)
-    P2 = cyclic_projection(sp, 2)
-    P1 = cyclic_projection(sp, 1)
-    for w in sp.basis_words(2):
-        lhs = b(Form(sp, P2[w]))
-        rhs = apply_columns(P1, b(sp.word(w)).coeffs)
-        assert lhs.coeffs == rhs, w
-
-
-def test_cyclic_projection_range_check(dual):
-    sp = FormSpace(dual, 2)
-    with pytest.raises(ValueError):
-        cyclic_projection(sp, 5)

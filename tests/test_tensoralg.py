@@ -4,7 +4,9 @@ from xchern.scalars import ONE
 from xchern.forms import FormSpace
 from xchern.linalg import Span, vec_axpy
 from xchern.tensoralg import (to_forms, from_forms, truncated_tensor_algebra,
-                              LiftedHom, ideal_power, tensor_words)
+                              ideal_power, tensor_words)
+from xchern.xcomplex import TensorAlg, TableAlg
+from xchern.quasihom import lift_words
 
 
 def test_to_forms_examples(dual):
@@ -75,12 +77,19 @@ def test_truncated_tensor_algebra(dual):
     talg.check_associative()
 
 
+def _lift(rho, target, max_len):
+    return lift_words(rho.__getitem__,
+                      TensorAlg(TableAlg(target), max_len, unital=True))
+
+
 def test_lift_hom_identity(dual):
     # N = 1, rho = id: words map to themselves
     rho = [[[{i: ONE}]] for i in range(dual.dim)]
-    lift = LiftedHom(dual, rho, 1, 3, 3)
-    m, loss = lift.on_word((0, 1))
+    m, loss = _lift(rho, dual, 3)((0, 1))
     assert not loss and m[0][0] == {(0, 1): ONE}
+    # a word longer than the target window is dropped and flagged
+    m, loss = _lift(rho, dual, 1)((0, 1))
+    assert loss and m[0][0] == {}
 
 
 def test_lift_hom_matrix_letters(dual):
@@ -89,10 +98,10 @@ def test_lift_hom_matrix_letters(dual):
         [[{None: ONE}, {}], [{}, {None: ONE}]],        # 1 -> id
         [[{}, {None: ONE}], [{}, {}]],                 # eps -> e12 x 1
     ]
-    lift = LiftedHom(dual, rho, 2, 3, 3)
-    m, _ = lift.on_word((1, 1))
+    lift = _lift(rho, dual, 3)
+    m, _ = lift((1, 1))
     assert all(not e for row in m for e in row)        # e12^2 = 0
-    m2, _ = lift.on_word((0, 1))
+    m2, _ = lift((0, 1))
     assert m2[0][1] == {(): ONE}
 
 
@@ -102,8 +111,7 @@ def test_lift_hom_with_target_letters(dual, qq):
         [[{None: ONE}, {}], [{}, {None: ONE}]],
         [[{}, {0: ONE}], [{}, {}]],
     ]
-    lift = LiftedHom(dual, rho, 2, 3, 4)
-    m, _ = lift.on_word((1,))
+    m, _ = _lift(rho, qq, 4)((1,))
     assert m[0][1] == {(0,): ONE}
 
 
