@@ -315,8 +315,8 @@ class XGenerated:
 
         Only triples (z, g, r) with deg z + deg g + deg r - 1 <= window
         are built (deg None = 0); on an algebra without a window (TableAlg)
-        every triple is.  A skipped triple's vector is
-        structurally empty.  Let D = deg z + deg g + deg r.  Each term of
+        every triple is.  A skipped triple's vector is structurally
+        empty.  Let D = deg z + deg g + deg r.  Each term of
         the vector is either (rz, g) or a rotation label paired with one
         factor g' of the factorization of gr (classes of z.d(y)) or of r
         (classes of k.dr, k in zg), and its algebra part is the product of
