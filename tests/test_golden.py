@@ -1,8 +1,8 @@
-"""The --emit json reports of the README command lines on specs/, of the
-odd universal command and of the even universal command at window 4,
-against committed copies.
+"""The --emit json and --emit text reports of the README command lines on
+specs/, of the odd universal command and of the even universal command at
+window 4, against committed copies.
 
-The exact commands must reproduce their reports byte for byte.  The jlo
+The exact commands must reproduce both reports byte for byte.  The jlo
 report is compared without its detail strings, whose float digits depend
 on the BLAS build; each residual must still sit within its tolerance.
 """
@@ -41,21 +41,23 @@ JLO_TOLERANCE = {"cocycle identity": 1e-8, "transgression": 1e-6,
                  "retraction limit": 1e-6}
 
 
-def _report(argv, monkeypatch, capsys):
+def _report(argv, monkeypatch, capsys, mode="json"):
     monkeypatch.chdir(ROOT)
-    code = main(argv + ["--emit", "json"])
+    code = main(argv + ["--emit", mode])
     assert code == 0
     return capsys.readouterr().out
 
 
-def _golden(name):
-    with open(os.path.join(GOLDEN, name + ".json")) as fh:
+def _golden(name, ext="json"):
+    with open(os.path.join(GOLDEN, "%s.%s" % (name, ext))) as fh:
         return fh.read()
 
 
 @pytest.mark.parametrize("name", sorted(EXACT))
 def test_exact_report_is_byte_identical(name, monkeypatch, capsys):
-    assert _report(EXACT[name], monkeypatch, capsys) == _golden(name)
+    for mode, ext in (("json", "json"), ("text", "txt")):
+        got = _report(EXACT[name], monkeypatch, capsys, mode)
+        assert got == _golden(name, ext), mode
 
 
 def test_jlo_report_matches_up_to_residual_digits(monkeypatch, capsys):
