@@ -353,8 +353,8 @@ def _word_forms(algebra, z, deg, space):
     tensor word z; z = None is the unit, the form 1 in degree 0."""
     if z is None:
         return ({(0,): ONE} if deg == 0 else {}), False
-    form = T.to_forms({tuple(z): ONE}, space)
-    return form.component(deg).coeffs, form.lossy
+    form, lossy = T.to_forms({tuple(z): ONE}, space)
+    return {w: c for w, c in form.items() if len(w) - 1 == deg}, lossy
 
 
 def universal_ch_even(algebra, n, src, tgt, conv_space=None):
@@ -418,27 +418,24 @@ def d_chain_map(xqs):
     qspace = xqs.alg.space
 
     def efn(w):
-        out = F.d(F.Form(qspace, {w: ONE}))
-        return dict(out.coeffs), out.lossy
+        return F.d(qspace, {w: ONE})
 
     def ofn(lab):
         z, g = lab
         out = {}
         loss = False
         if z is not None:
-            dz = F.d(F.Form(qspace, {z: ONE}))
-            loss = loss or dz.lossy
-            v, l = xqs.omega1_vec(dz.coeffs, {g: ONE})
+            dz, loss = F.d(qspace, {z: ONE})
+            v, l = xqs.omega1_vec(dz, {g: ONE})
             loss = loss or l
             vec_axpy(out, ONE, v)
             pz = (len(z) - 1) % 2
         else:
             pz = 0
-        dg = F.d(F.Form(qspace, {g: ONE}))
-        loss = loss or dg.lossy
-        if dg.coeffs:
-            zvec = {z: ONE} if z is not None else {None: ONE}
-            v, l = xqs.omega1_vec(zvec, dg.coeffs)
+        dg, l = F.d(qspace, {g: ONE})
+        loss = loss or l
+        if dg:
+            v, l = xqs.omega1_vec({z: ONE}, dg)
             loss = loss or l
             vec_axpy(out, ONE if pz == 0 else -ONE, v)
         return out, loss
@@ -466,9 +463,9 @@ def universal_ch_odd(algebra, n, src, tgt, conv_space=None):
                 full = (0, a)
             else:
                 full = word + (a,)
-            df = F.d(F.Form(qspace, {full: ONE}))
-            loss = loss or df.lossy
-            vec_axpy(out, c, df.coeffs)
+            df, l = F.d(qspace, {full: ONE})
+            loss = loss or l
+            vec_axpy(out, c, df)
         return out, loss
 
     def efn(w):

@@ -376,12 +376,14 @@ def dga_suite(algebra, max_degree, report, samples=200, seed=11):
         return ({} if other == Bf else vec_axpy(other, -ONE, Bf)), False
 
     def fedosov_assoc(_, triple):
-        f1, f2, f3 = (sp.word(w) for w in triple)
-        left = F.fedosov_full(F.fedosov_full(f1, f2), f3)
-        right = F.fedosov_full(f1, F.fedosov_full(f2, f3))
-        if left.lossy or right.lossy:
+        f1, f2, f3 = ({w: ONE} for w in triple)
+        f12, l1 = F.fedosov_full(sp, f1, f2)
+        left, l2 = F.fedosov_full(sp, f12, f3)
+        f23, l3 = F.fedosov_full(sp, f2, f3)
+        right, l4 = F.fedosov_full(sp, f1, f23)
+        if l1 or l2 or l3 or l4:
             return None, True
-        return ({} if left == right else (left - right).coeffs), False
+        return ({} if left == right else vec_axpy(left, -ONE, right)), False
 
     def triples():
         low = words_upto(2)

@@ -6,13 +6,19 @@ algebra, and the letters i are algebra basis indices.  Degree-0 words have
 u >= 1 (slot zero of a 0-form lives in the algebra itself, not its
 unitalization).
 
+A form is a coefficient dict {word: coefficient} over one FormSpace.  Every
+operator takes (space, dict) and returns a new (dict, lossy) pair: lossy
+says that components pushed above the space's max_degree were dropped, and
+identities are only ever asserted where no loss occurred.  Callers carry
+the flag of a chain of operators themselves.
+
 All operators act word-wise and sparsely, in closed form on degree-n forms
 as A~ (x) A^(x)n: b is the bar formula, right multiplication by a letter the
 same signed sum of adjacent merges, and B the signed sum of the cyclic
 rotations of dw.  Each space memoizes every operator's value on every word
-it meets, one dict per operator.  Components pushed above the space's
-max_degree are dropped and the result is flagged lossy; identities are only
-ever asserted where no loss occurred.
+it meets, one dict per operator.  The product of the free-product algebra
+(the Fedosov product) is fedosov_words on two words and its bilinear
+extension fedosov_full on two forms.
 """
 
 import itertools
@@ -46,75 +52,6 @@ class FormSpace:
         if n == 0:
             return d
         return (d + 1) * d ** n
-
-    def zero(self):
-        return Form(self, {})
-
-    def from_element(self, x):
-        """Degree-0 form from an algebra element {basis index: coefficient}."""
-        return Form(self, {(i + 1,): c for i, c in x.items() if c})
-
-    def word(self, w, coeff=ONE):
-        return Form(self, {tuple(w): coeff})
-
-    def __repr__(self):
-        return "FormSpace(%s, max_degree=%d)" % (self.algebra.name,
-                                                 self.max_degree)
-
-
-class Form:
-    __slots__ = ("space", "coeffs", "lossy")
-
-    def __init__(self, space, coeffs, lossy=False):
-        self.space = space
-        self.coeffs = {w: c for w, c in coeffs.items() if c}
-        self.lossy = lossy
-
-    def __add__(self, other):
-        assert self.space is other.space
-        out = dict(self.coeffs)
-        vec_axpy(out, ONE, other.coeffs)
-        return Form(self.space, out, self.lossy or other.lossy)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Form(self.space, {w: -c for w, c in self.coeffs.items()},
-                    self.lossy)
-
-    def scale(self, c):
-        if not c:
-            return Form(self.space, {}, self.lossy)
-        return Form(self.space, {w: c * v for w, v in self.coeffs.items()},
-                    self.lossy)
-
-    def component(self, n):
-        return Form(self.space,
-                    {w: c for w, c in self.coeffs.items() if len(w) - 1 == n},
-                    self.lossy)
-
-    def degrees(self):
-        return sorted({len(w) - 1 for w in self.coeffs})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return self.space is other.space and self.coeffs == other.coeffs
-
-    def top_degree(self):
-        return max((len(w) - 1 for w in self.coeffs), default=-1)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "Form(0)"
-        names = self.space.algebra.basis_names
-        def wname(w):
-            head = "1~" if w[0] == 0 else str(names[w[0] - 1])
-            return head + "".join(".d%s" % names[i] for i in w[1:])
-        return "Form(" + " + ".join("(%s)*%s" % (c, wname(w))
-                                    for w, c in sorted(self.coeffs.items())) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +140,11 @@ def _image(space, fn, w):
     return hit
 
 
-def _extend(space, fn, vec, lossy=False):
+def _extend(space, fn, vec):
     """Linear extension of the word operator fn to the coefficient dict vec,
     through the memoized values on its words: a new (dict, lossy)."""
     out = {}
+    lossy = False
     for w, c in vec.items():
         img, l = _image(space, fn, w)
         lossy = lossy or l
@@ -214,23 +152,14 @@ def _extend(space, fn, vec, lossy=False):
     return out, lossy
 
 
-def _apply(space, fn, form):
-    """The word operator fn extended linearly to a form; the extension
-    holds no zeros, so Form.__init__ need not filter them again."""
-    out = Form.__new__(Form)
-    out.space = space
-    out.coeffs, out.lossy = _extend(space, fn, form.coeffs, form.lossy)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public operator suite
 # ---------------------------------------------------------------------------
 
 
-def d(form):
+def d(space, vec):
     """Differential: d(a0.da1...dan) = da0.da1...dan, d(1~ ...) = 0."""
-    return _apply(form.space, _d_word, form)
+    return _extend(space, _d_word, vec)
 
 
 def _b_word(space, w):
@@ -246,9 +175,9 @@ def _b_word(space, w):
     return out, False
 
 
-def b(form):
+def b(space, vec):
     """Hochschild boundary: b(w.da) = (-1)^{|w|}[w, a], zero in degree 0."""
-    return _apply(form.space, _b_word, form)
+    return _extend(space, _b_word, vec)
 
 
 def _kappa_word(space, w):
@@ -270,9 +199,9 @@ def _kappa_word(space, w):
     return out, False
 
 
-def kappa(form):
+def kappa(space, vec):
     """Karoubi operator, 1 - kappa = db + bd."""
-    return _apply(form.space, _kappa_word, form)
+    return _extend(space, _kappa_word, vec)
 
 
 def _B_word(space, w):
@@ -291,32 +220,9 @@ def _B_word(space, w):
     return out, lossy
 
 
-def connes_B(form):
+def connes_B(space, vec):
     """Connes boundary (1 + kappa + ... + kappa^n) d on degree n."""
-    return _apply(form.space, _B_word, form)
-
-
-def graded_mul(f1, f2):
-    """Multiplication of forms, determined by the Leibniz rule."""
-    if f1.space is not f2.space:
-        raise ValueError("forms live in different spaces")
-    space = f1.space
-    out = {}
-    lossy = f1.lossy or f2.lossy
-    for w1, c1 in f1.coeffs.items():
-        for w2, c2 in f2.coeffs.items():
-            vec, l = _mul_words(space, w1, w2)
-            lossy = lossy or l
-            vec_axpy(out, c1 * c2, vec)
-    return Form(space, out, lossy)
-
-
-def fedosov_even(f1, f2):
-    """Tensor-algebra product w1*w2 - dw1*dw2 on even forms."""
-    for f in (f1, f2):
-        if any(n % 2 for n in f.degrees()):
-            raise ValueError("fedosov_even requires purely even forms")
-    return graded_mul(f1, f2) - graded_mul(d(f1), d(f2))
+    return _extend(space, _B_word, vec)
 
 
 def fedosov_words(space, w1, w2):
@@ -335,16 +241,14 @@ def fedosov_words(space, w1, w2):
     return out, lossy
 
 
-def fedosov_full(f1, f2):
-    """Bilinear extension of fedosov_words to forms."""
-    if f1.space is not f2.space:
-        raise ValueError("forms live in different spaces")
-    space = f1.space
+def fedosov_full(space, u, v):
+    """Bilinear extension of fedosov_words to coefficient dicts; on even
+    forms it is the tensor-algebra product u*v - du*dv."""
     out = {}
-    lossy = f1.lossy or f2.lossy
-    for w1, c1 in f1.coeffs.items():
-        for w2, c2 in f2.coeffs.items():
+    lossy = False
+    for w1, c1 in u.items():
+        for w2, c2 in v.items():
             vec, l = fedosov_words(space, w1, w2)
             lossy = lossy or l
             vec_axpy(out, c1 * c2, vec)
-    return Form(space, out, lossy)
+    return out, lossy

@@ -3,7 +3,8 @@
 Q(A) is the space of degree-truncated forms with the product
 w1 (.) w2 = w1 w2 - (-1)^{|w1|} dw1 dw2; the two canonical copies of A sit
 as iota(a) = a + da and iotabar(a) = a - da, for a in A given as a
-coefficient dict {basis index: coefficient}.  The same space read in the
+coefficient dict {basis index: coefficient}; forms are dicts over form
+words, returned with their loss flag.  The same space read in the
 graded category is Qs(A).  Products of basis labels live in
 xcomplex.FedosovAlg, whose label dicts take the key None for the adjoined
 unit, and the crossed product of the unitalization by the parity
@@ -17,22 +18,28 @@ from .linalg import vec_axpy
 from . import forms as F
 
 
+def _branch(x, space, sign):
+    """a + sign da as (form dict, lossy)."""
+    f = {(i + 1,): c for i, c in x.items() if c}
+    df, lossy = F.d(space, f)
+    return vec_axpy(f, sign, df), lossy
+
+
 def iota(x, space):
-    """a + da for an element {basis index: coefficient} of A."""
-    f = space.from_element(x)
-    return f + F.d(f)
+    """a + da for an element {basis index: coefficient} of A, as (form
+    dict, lossy)."""
+    return _branch(x, space, ONE)
 
 
 def iotabar(x, space):
     """a - da."""
-    f = space.from_element(x)
-    return f - F.d(f)
+    return _branch(x, space, -ONE)
 
 
 def q_gen(x, space):
     """q(a) = iota(a) - iotabar(a) = 2 da; q kills the unit."""
-    f = space.from_element(x)
-    return F.d(f).scale(2)
+    df, lossy = F.d(space, {(i + 1,): c for i, c in x.items() if c})
+    return vec_axpy({}, 2, df), lossy
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Tensor algebras in two pictures: tensor words and even Fedosov forms.
 
 Tensor words are tuples of algebra basis indices, length >= 1, and an
-element of T(A) is a dict {word: coefficient}.  The correspondence with
+element of T(A) is a dict {word: coefficient}; a form is a dict over form
+words (see forms), returned with its loss flag.  The correspondence with
 even forms sends a word a1 x ... x an to the iterated even Fedosov product
 a1 (.) a2 (.) ... (.) an, and conversely expands a word a0.da1...da2n
 through curvature letters a*b - a x b.
@@ -37,27 +38,30 @@ def tensor_words(dim, max_len):
 
 
 def to_forms(terms, space):
-    """Even Fedosov form of a tensor-algebra element {word: coefficient}."""
-    out = space.zero()
+    """Even Fedosov form of a tensor-algebra element {word: coefficient}:
+    (form dict, lossy)."""
+    out = {}
+    lossy = False
     for w, c in terms.items():
-        acc = space.word((w[0] + 1,))
+        acc = {(w[0] + 1,): ONE}
         for i in w[1:]:
-            acc = F.fedosov_even(acc, space.word((i + 1,)))
-        out = out + acc.scale(c)
-    return out
+            acc, l = F.fedosov_full(space, acc, {(i + 1,): ONE})
+            lossy = lossy or l
+        vec_axpy(out, c, acc)
+    return out, lossy
 
 
-def from_forms(form, max_length):
+def from_forms(space, vec, max_length):
     """Inverse of to_forms on even forms, via curvature letters: returns
     (terms {word: coefficient}, lossy).
 
     The expansion is summed in full before truncating, so words beyond the
     window only flag a loss when their total coefficient is nonzero."""
-    if any(n % 2 for n in form.degrees()):
+    if any(len(w) % 2 == 0 for w in vec):
         raise ValueError("from_forms requires a purely even form")
-    alg = form.space.algebra
+    alg = space.algebra
     out = {}
-    for w, c in form.coeffs.items():
+    for w, c in vec.items():
         n2 = len(w) - 1
         letters = []
         if w[0] != 0:
@@ -76,7 +80,7 @@ def from_forms(form, max_length):
             _concat_into(nxt, acc, lett)
             acc = nxt
         vec_axpy(out, c, acc)
-    lossy = form.lossy
+    lossy = False
     kept = {}
     for w, c in out.items():
         if len(w) > max_length:

@@ -226,24 +226,6 @@ class TensorAlg:
 # ---------------------------------------------------------------------------
 
 
-def _seq_product(alg, seq):
-    """Ordered product of a sequence of basis labels; None denotes the
-    formal unit.  Returns (coefficient dict keyed by labels or None, loss)."""
-    labels = [l for l in seq if l is not None]
-    if not labels:
-        return {None: ONE}, False
-    acc = {labels[0]: ONE}
-    loss = False
-    for l in labels[1:]:
-        nxt = {}
-        for k, c in acc.items():
-            prod, pl = alg.product_flag(k, l)
-            loss = loss or pl
-            vec_axpy(nxt, c, prod)
-        acc = nxt
-    return acc, loss
-
-
 class _ClassValues:
     """Values of the classes of z.d(y), without loss flags, for one
     relations() build; the memos die with it.
@@ -268,12 +250,16 @@ class _ClassValues:
             fac = alg.factor(y)
             pars = [alg.parity(g) for g in fac]
             # with the parities of suffix_i and of f_0 ... f_i, which give
-            # the Koszul sign
-            hit = self._rotations[y] = [
-                (g, _seq_product(alg, fac[:i])[0],
-                 _seq_product(alg, fac[i + 1:])[0],
-                 sum(pars[i + 1:]) % 2, sum(pars[:i + 1]) % 2)
-                for i, g in enumerate(fac)]
+            # the Koszul sign; prefix_i is folded on from prefix_{i-1}
+            hit = self._rotations[y] = []
+            prefix = {None: ONE}
+            for i, g in enumerate(fac):
+                suffix = {None: ONE}
+                for f in fac[i + 1:]:
+                    suffix = _seq_dict_product(alg, suffix, {f: ONE})[0]
+                hit.append((g, prefix, suffix, sum(pars[i + 1:]) % 2,
+                            sum(pars[:i + 1]) % 2))
+                prefix = _seq_dict_product(alg, prefix, {g: ONE})[0]
         return hit
 
     def __call__(self, z, y):
@@ -415,8 +401,11 @@ class XGenerated:
                 sign = ONE
                 if p_suf and (pz + sum(pars[:i + 1])) % 2:
                     sign = -ONE
-                chunk, l = _seq_product(self.alg, fac[i + 1:] + [z] + fac[:i])
-                loss = loss or l
+                # the left-to-right product of the rotation
+                chunk = {None: ONE}
+                for f in fac[i + 1:] + [z] + fac[:i]:
+                    chunk, l = _seq_dict_product(self.alg, chunk, {f: ONE})
+                    loss = loss or l
                 vec_axpy(out, sign, {(lab, g): c for lab, c in chunk.items()})
             hit = (out, loss)
         self._red_memo[key] = hit
@@ -434,13 +423,7 @@ class XGenerated:
         return self.canonical_odd(out), loss
 
     def bdry_even(self, vec):
-        out = {}
-        loss = False
-        for y, c in vec.items():
-            v, l = self._raw_class(None, y)
-            loss = loss or l
-            vec_axpy(out, c, v)
-        return self.canonical_odd(out), loss
+        return self.omega1_vec({None: ONE}, vec)
 
     def bdry_odd(self, vec):
         out = {}
@@ -475,9 +458,9 @@ class OmegaComplex:
                 for w in self.space.basis_words(n)]
 
     def _bB(self, vec):
-        f = F.Form(self.space, vec)
-        out = F.b(f) + F.connes_B(f)
-        return out.coeffs, out.lossy
+        out, l1 = F.b(self.space, vec)
+        bvec, l2 = F.connes_B(self.space, vec)
+        return vec_axpy(out, ONE, bvec), l1 or l2
 
     def bdry_even(self, vec):
         return self._bB(vec)
@@ -765,9 +748,9 @@ def hodge_filtration(space, m, xtensor=None, cap_degree=None):
     if 0 <= m and m <= cap_degree and m + 1 <= space.max_degree:
         side = even if m % 2 == 0 else odd
         for w in space.basis_words(m + 1):
-            img = F.b(space.word(w))
-            if not img.is_zero():
-                side.add(img.coeffs)
+            img, _ = F.b(space, {w: ONE})
+            if img:
+                side.add(img)
     if xtensor is None:
         return even, odd
     teven = Span()
@@ -940,30 +923,29 @@ def x_of_tensor_algebra(algebra, max_len):
 
 
 def xt_odd_to_form(vec, space):
-    """Odd X(T) vector: class of z.d(a) corresponds to the form z da."""
-    out = space.zero()
+    """Odd X(T) vector: class of z.d(a) corresponds to the form z da;
+    returns (form dict, lossy)."""
+    out = {}
+    lossy = False
     for (z, g), c in vec.items():
         a = g[0]
         if z is None:
-            out = out + space.word((0, a)).scale(c)
+            vec_axpy(out, c, {(0, a): ONE})
             continue
-        zf = T.to_forms({z: ONE}, space)
-        appended = F.Form(space, {w + (a,): cc for w, cc in zf.coeffs.items()
-                                  if len(w) <= space.max_degree},
-                          zf.lossy)
-        out = out + appended.scale(c)
-    return out
+        zf, l = T.to_forms({z: ONE}, space)
+        lossy = lossy or l
+        vec_axpy(out, c, {w + (a,): cc for w, cc in zf.items()
+                          if len(w) <= space.max_degree})
+    return out, lossy
 
 
 def form_to_xt_even(space, formvec, xtensor):
     """Even form vector into tensor-word coordinates of X(T); the window
     must be large enough for a lossless correspondence."""
-    max_len = xtensor.alg.max_len
-    f = F.Form(space, formvec)
-    terms, lossy = T.from_forms(f, max_len)
+    terms, lossy = T.from_forms(space, formvec, xtensor.alg.max_len)
     if lossy:
         raise ValueError("tensor window too small for degree %d forms"
-                         % f.top_degree())
+                         % max(len(w) - 1 for w in formvec))
     return terms
 
 
@@ -976,7 +958,7 @@ def form_to_xt_odd(space, formvec, xtensor):
         if prefix == (0,):
             vec_axpy(out, c, {(None, (last,)): ONE})
             continue
-        terms, lossy = T.from_forms(F.Form(space, {prefix: ONE}), max_len)
+        terms, lossy = T.from_forms(space, {prefix: ONE}, max_len)
         if lossy:
             raise ValueError("tensor window too small for degree %d forms"
                              % (len(w) - 1))
@@ -988,38 +970,39 @@ def form_to_xt_odd(space, formvec, xtensor):
 def kappa_map(xtensor, space):
     """Karoubi operator on X(T) through the forms correspondence."""
     def efn(lab):
-        f = T.to_forms({lab: ONE}, space)
-        k = F.kappa(f)
-        return form_to_xt_even(space, k.coeffs, xtensor), k.lossy or f.lossy
+        f, lf = T.to_forms({lab: ONE}, space)
+        k, lk = F.kappa(space, f)
+        return form_to_xt_even(space, k, xtensor), lk or lf
     def ofn(lab):
-        f = xt_odd_to_form({lab: ONE}, space)
-        k = F.kappa(f)
-        return form_to_xt_odd(space, k.coeffs, xtensor), k.lossy or f.lossy
+        f, lf = xt_odd_to_form({lab: ONE}, space)
+        k, lk = F.kappa(space, f)
+        return form_to_xt_odd(space, k, xtensor), lk or lf
     return ChainMap(xtensor, xtensor, 0, efn, ofn, name="kappa")
 
 
-def rescale_c(form):
-    """Multiply the degree-n component by (-1)^{[n/2]} [n/2]!."""
+def rescale_c(vec):
+    """Multiply the degree-n component of a form dict by
+    (-1)^{[n/2]} [n/2]!."""
     out = {}
-    for w, c in form.coeffs.items():
+    for w, c in vec.items():
         k = (len(w) - 1) // 2
         fact = 1
         for j in range(2, k + 1):
             fact *= j
         val = fact if k % 2 == 0 else -fact
         out[w] = c * val
-    return F.Form(form.space, out, form.lossy)
+    return out
 
 
 def rescale_map(xtensor, omega):
     """The rescaling as a chain map X(T) -> (forms, b + B)."""
     space = omega.space
     def efn(lab):
-        f = T.to_forms({lab: ONE}, space)
-        return rescale_c(f).coeffs, f.lossy
+        f, lossy = T.to_forms({lab: ONE}, space)
+        return rescale_c(f), lossy
     def ofn(lab):
-        f = xt_odd_to_form({lab: ONE}, space)
-        return rescale_c(f).coeffs, f.lossy
+        f, lossy = xt_odd_to_form({lab: ONE}, space)
+        return rescale_c(f), lossy
     return ChainMap(xtensor, omega, 0, efn, ofn, name="c")
 
 

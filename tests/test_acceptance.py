@@ -13,7 +13,7 @@ from xchern.scalars import Scalar, ZERO, ONE, bott_constant
 from xchern.linalg import vec_axpy
 from xchern.algebra import (dual_numbers, matrix_units, group_algebra_z2,
                             split_pair, rationals)
-from xchern.forms import FormSpace, Form
+from xchern.forms import FormSpace
 from xchern import forms as F
 from xchern.qalgebra import iota, iotabar, q_gen
 from xchern.xcomplex import (XGenerated, FedosovAlg, ZekriAlg, OmegaComplex,
@@ -90,10 +90,11 @@ def test_criterion_2_q_identity(corpus):
         for i in range(alg.dim):
             for j in range(alg.dim):
                 a, bb = {i: ONE}, {j: ONE}
-                lhs = q_gen(alg.product(a, bb), sp)
-                rhs = F.fedosov_full(iota(a, sp), q_gen(bb, sp)) \
-                    + F.fedosov_full(q_gen(a, sp), iotabar(bb, sp))
-                assert lhs == rhs, (alg.name, i, j)
+                lhs, _ = q_gen(alg.product(a, bb), sp)
+                rhs, _ = F.fedosov_full(sp, iota(a, sp)[0], q_gen(bb, sp)[0])
+                right, _ = F.fedosov_full(sp, q_gen(a, sp)[0],
+                                          iotabar(bb, sp)[0])
+                assert lhs == vec_axpy(rhs, ONE, right), (alg.name, i, j)
     announce("criterion 2 PASS: q(ab) = iota(a)q(b) + q(a)iotabar(b) on all "
              "corpus basis pairs")
 

@@ -3,7 +3,7 @@ import pytest
 from xchern.scalars import (Scalar, ZERO, ONE, bott_constant,
                             parse as parse_scalar)
 from xchern.linalg import vec_axpy
-from xchern.forms import FormSpace, Form
+from xchern.forms import FormSpace
 from xchern import forms as F
 from xchern.xcomplex import (XGenerated, FedosovAlg, ZekriAlg, OmegaComplex,
                              x_of_tensor_algebra, rescale_map, kappa_map,
@@ -49,7 +49,7 @@ def test_ch2_value(dual):
     ch2 = universal_ch_even(dual, 1, xt, xq)
     # ch^2 on eps d eps d eps: (1/2) q(eps)^3 = 4 d eps d eps d eps
     from xchern.tensoralg import from_forms
-    vec, _ = from_forms(Form(FormSpace(dual, 6), {(2, 1, 1): ONE}), 3)
+    vec, _ = from_forms(FormSpace(dual, 6), {(2, 1, 1): ONE}, 3)
     out = {}
     loss = False
     for w, c in vec.items():
@@ -288,7 +288,7 @@ def test_ch_odd_kappa_squared_even_slot(dual):
 def test_ch_odd_even_slot_matches_form_reference(name, request):
     # the even slot at n = 1 multiplies the one-form pieces in the super
     # Fedosov algebra; every column, loss flag included, must match the
-    # Form-level product of the reference
+    # degree-by-degree product of the reference
     algebra = request.getfixturevalue(name)
     xt = x_of_tensor_algebra(algebra, 4)
     xqs = XGenerated(FedosovAlg(FormSpace(algebra, 5), graded=True))

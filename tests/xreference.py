@@ -4,11 +4,12 @@
 generated X-complex with the plain triple loop over r, z and g, every
 triple included (`vector` gives one triple's class): every term goes
 through temporaries and copies, and the classes of z.d(y) have their own
-memo and left-to-right products.  `fedosov_full` is the Fedosov product of
-two forms assembled degree by degree from `graded_mul` and `d`, loss flags
-included.
+memo and their own left-to-right products.  `fedosov_full` is the Fedosov
+product of two forms (coefficient dicts over form words) assembled degree
+by degree from `graded_mul` and `d`, its own bilinear loops over the word
+kernels `_mul_words` and `_d_word`, loss flags included.
 `ch_odd_even_col` is the even slot of the odd universal cocycle with its
-products taken as `Form`s through that `fedosov_full`.  `right_mul_word`,
+products taken through that `fedosov_full`.  `right_mul_word`,
 `b_word` and `B_word` are recursive forms of the closed-form word operators
 of `xchern.forms`: right multiplication by the Leibniz recursion
 d(a)b = d(ab) - a.db, b as the signed commutator (-1)^{|w|}[w, a] built on
@@ -19,24 +20,49 @@ slow and obvious.
 
 from xchern.scalars import ONE
 from xchern.linalg import vec_axpy, Span
-from xchern.forms import Form, graded_mul, d, kappa, _d_word, _left_mul_word
+from xchern.forms import kappa, _d_word, _left_mul_word, _mul_words
 from xchern import tensoralg as T
-from xchern.xcomplex import _seq_product
 from xchern.chern import d_chain_map
 
 
-def fedosov_full(f1, f2):
-    """Free-product algebra product w1*w2 - (-1)^{|w1|} dw1*dw2."""
-    if f1.space is not f2.space:
-        raise ValueError("forms live in different spaces")
-    out = f1.space.zero()
-    for n1 in f1.degrees():
-        c1 = f1.component(n1)
-        term = graded_mul(c1, f2)
-        corr = graded_mul(d(c1), d(f2))
-        out = (out + term - corr) if n1 % 2 == 0 else (out + term + corr)
-    out.lossy = out.lossy or f1.lossy or f2.lossy
-    return out
+def d(space, u):
+    """The differential of the form u, word by word; (dict, loss)."""
+    out = {}
+    loss = False
+    for w, c in u.items():
+        vec, l = _d_word(space, w)
+        loss = loss or l
+        vec_axpy(out, c, vec)
+    return out, loss
+
+
+def graded_mul(space, u, v):
+    """The graded product of the forms u and v, pair by pair of words."""
+    out = {}
+    loss = False
+    for w1, c1 in u.items():
+        for w2, c2 in v.items():
+            vec, l = _mul_words(space, w1, w2)
+            loss = loss or l
+            vec_axpy(out, c1 * c2, vec)
+    return out, loss
+
+
+def fedosov_full(space, u, v):
+    """Free-product algebra product w1*w2 - (-1)^{|w1|} dw1*dw2 of the forms
+    u and v, one degree of u at a time; (dict, loss)."""
+    out = {}
+    loss = False
+    dv, lv = d(space, v)
+    for n1 in sorted({len(w) - 1 for w in u}):
+        c1 = {w: c for w, c in u.items() if len(w) - 1 == n1}
+        term, l1 = graded_mul(space, c1, v)
+        dc1, l2 = d(space, c1)
+        corr, l3 = graded_mul(space, dc1, dv)
+        vec_axpy(out, ONE, term)
+        vec_axpy(out, -ONE if n1 % 2 == 0 else ONE, corr)
+        loss = loss or l1 or l2 or l3 or lv
+    return out, loss
 
 
 def ch_odd_even_col(algebra, n, tgt, conv_space, word):
@@ -45,18 +71,19 @@ def ch_odd_even_col(algebra, n, tgt, conv_space, word):
     sum_i (1~ d a_{2i+1} ... d a_{2n+2}) (.) (a0~ da1 ... da_{2i-1}) d a_{2i}
     over the degree 2n+2 forms of the word; (vec, loss)."""
     qspace = tgt.alg.space
-    forms = T.to_forms({tuple(word): ONE}, conv_space)
-    loss = forms.lossy
+    forms, loss = T.to_forms({tuple(word): ONE}, conv_space)
     dmap = d_chain_map(tgt)
     out = {}
-    for w, c in forms.component(2 * n + 2).coeffs.items():
+    for w, c in forms.items():
+        if len(w) - 1 != 2 * n + 2:
+            continue
         for i in range(1, n + 2):
             left, mid, right = w[:2 * i], w[2 * i], w[2 * i + 1:]
-            prod = Form(qspace, {left: ONE})
+            prod = {left: ONE}
             if right:
-                prod = fedosov_full(Form(qspace, {(0,) + right: ONE}), prod)
-            loss = loss or prod.lossy
-            v, l = tgt.omega1_vec(prod.coeffs, {(mid + 1,): ONE})
+                prod, l = fedosov_full(qspace, {(0,) + right: ONE}, prod)
+                loss = loss or l
+            v, l = tgt.omega1_vec(prod, {(mid + 1,): ONE})
             dv, ld = dmap.apply_odd(v)
             loss = loss or l or ld
             vec_axpy(out, -c, dv)
@@ -138,12 +165,31 @@ class _Reference:
             sign = ONE
             if p_suf and (pz + sum(pars[:i + 1])) % 2:
                 sign = -ONE
-            chunk, l = _seq_product(self.alg, suffix + [z] + prefix)
+            chunk, l = self._product(suffix + [z] + prefix)
             loss = loss or l
             for lab, c in chunk.items():
                 vec_axpy(out, sign * c, {(lab, fac[i]): ONE})
         self._red_memo[key] = (dict(out), loss)
         return out, loss
+
+    def _product(self, seq):
+        """Left-to-right product of a sequence of labels, None the formal
+        unit; (dict, loss)."""
+        acc = {None: ONE}
+        loss = False
+        for lab in seq:
+            if lab is None:
+                continue
+            nxt = {}
+            for k, c in acc.items():
+                if k is None:
+                    prod = {lab: ONE}
+                else:
+                    prod, l = self.alg.product_flag(k, lab)
+                    loss = loss or l
+                vec_axpy(nxt, c, prod)
+            acc = nxt
+        return acc, loss
 
     def _raw_vec(self, zvec, yvec):
         out = {}
@@ -190,12 +236,12 @@ def b_word(space, w):
 
 def B_word(space, w):
     """(1 + kappa + ... + kappa^n) dw on a degree-n word, kappa applied to
-    Forms one power at a time."""
+    the form one power at a time."""
     n = len(w) - 1
     dw, lossy = _d_word(space, w)
-    acc = Form(space, dw)
+    acc = dw
     total = dict(dw)
     for _ in range(n):
-        acc = kappa(acc)
-        vec_axpy(total, ONE, acc.coeffs)
+        acc, _ = kappa(space, acc)
+        vec_axpy(total, ONE, acc)
     return total, lossy
