@@ -180,7 +180,7 @@ def _traced_lift(src_cx, letters, nsize, target, out_len, name,
     An odd source label (z, g) pairs a lift with the lift of the one
     letter g, whose entries are single letters or the unit word, so the
     trace of its class is sum_{r,c} s_r class(lift(z)[r][c].d
-    lift(g)[c][r])."""
+    lift(g)[c][r]); a unit word in lift(g) contributes d(1) = 0."""
     tb = TensorAlg(TableAlg(target), out_len, unital=True)
     xtb = XGenerated(tb)
     lift = lift_words(letters, tb)
@@ -199,9 +199,10 @@ def _traced_lift(src_cx, letters, nsize, target, out_len, name,
         gmat, loss = lift(g)
         out = {}
         if z is None:
+            # the unit word () is no generator: its class d(1) is zero
             for r, s in enumerate(signs):
                 vec_axpy(out, s, {(None, gb): c
-                                  for gb, c in gmat[r][r].items()})
+                                  for gb, c in gmat[r][r].items() if gb})
             return out, loss
         zmat, l = lift(z)
         loss = loss or l

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from xchern.scalars import Scalar, ZERO, ONE
@@ -13,6 +15,10 @@ from xchern.quasihom import (Quasihomomorphism, InvertibleExtension,
                              hom_quasi, ch_even, ch_odd, x_of_t_rho,
                              index_pairing,
                              fredholm_index_oracle, PAIRING_CONSTANTS)
+from xchern.cli import load_spec, load_quasihom, load_extension
+
+SPECS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "specs")
 
 W2 = GammaWindows(src_len=2, mid_len=2, q_inner_deg=1, q_letter_deg=1,
                   out_len=4)
@@ -83,6 +89,39 @@ def test_direct_sum_additivity(dual):
     doubled = ch1.add(ch1)
     rep = maps_equal(ch2, doubled, xt.even_basis(), xt.odd_basis())
     assert rep["ok"]
+
+
+def _labels_off_the_target_basis(ch, src):
+    """(source label, target label) for every column entry of the chain map
+    ch whose label is not in the basis of its target complex."""
+    bases = (set(ch.target.even_basis()), set(ch.target.odd_basis()))
+    out = []
+    for odd, labels in ((0, src.even_basis()), (1, src.odd_basis())):
+        col = ch.odd_col if odd else ch.even_col
+        basis = bases[(odd + ch.parity) % 2]
+        for lab in labels:
+            out.extend((lab, t) for t in col(lab)[0] if t not in basis)
+    return out
+
+
+def test_character_columns_lie_in_the_target_basis(dual):
+    # rho(1) = 1 (x) 1_2 and rho(eps) = e12 (x) 1 lift to unit words on the
+    # diagonal, and the unit word () is no generator: its d is d(1) = 0
+    unit = [[{None: ONE}, {}], [{}, {None: ONE}]]
+    e12 = [[{}, {None: ONE}], [{}, {}]]
+    phi = hom_quasi(dual, dual, 2, [unit, e12], name="unit entries")
+    ch, parts = ch_even(phi, 0, W2, return_parts=True)
+    assert _labels_off_the_target_basis(ch, parts["xt"]) == []
+    # the characters that chern builds from the spec files, at the windows
+    # of its default --src-len 2
+    for name, n in (("idqh", 0), ("idqh", 1), ("extension", 0)):
+        spec = load_spec(os.path.join(SPECS, name + ".json"))
+        W = GammaWindows(2, 2, 2 * n + 2, 1, 2 * 2 + 2 * n + 2)
+        if spec["kind"] == "quasihom":
+            ch, parts = ch_even(load_quasihom(spec), n, W, return_parts=True)
+        else:
+            ch, parts = ch_odd(load_extension(spec), n, W, return_parts=True)
+        assert _labels_off_the_target_basis(ch, parts["xt"]) == [], name
 
 
 def test_quasihom_rejects_bad_rep(dual):
