@@ -72,9 +72,6 @@ class Algebra:
             if self.product(self.unit, e) != e or self.product(e, self.unit) != e:
                 raise ValueError("declared unit is not a two-sided unit")
 
-    def __repr__(self):
-        return "Algebra(%s, dim=%d)" % (self.name, self.dim)
-
 
 def matrix_algebra(base, n, graded=False):
     """M_n(base); basis labels are (row, col, base label).
