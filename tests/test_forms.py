@@ -236,12 +236,14 @@ def test_leibniz_property(corpus_algebras):
             w1 = rng.choice(sp.basis_words(n1))
             w2 = rng.choice(sp.basis_words(n2))
             f1, f2 = {w1: ONE}, {w2: ONE}
+            df1, ld1 = d(sp, f1)
+            df2, ld2 = d(sp, f2)
             prod, l1 = xreference.graded_mul(sp, f1, f2)
             lhs, l2 = d(sp, prod)
             sign = ONE if n1 % 2 == 0 else -ONE
-            left, l3 = xreference.graded_mul(sp, d(sp, f1)[0], f2)
-            right, l4 = xreference.graded_mul(sp, f1, d(sp, f2)[0])
-            if not (l1 or l2 or l3 or l4 or d(sp, f1)[1] or d(sp, f2)[1]):
+            left, l3 = xreference.graded_mul(sp, df1, f2)
+            right, l4 = xreference.graded_mul(sp, f1, df2)
+            if not (l1 or l2 or l3 or l4 or ld1 or ld2):
                 assert lhs == _sum((ONE, left), (sign, right))
 
 
