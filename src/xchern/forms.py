@@ -15,8 +15,11 @@ the flag of a chain of operators themselves.
 All operators act word-wise and sparsely, in closed form on degree-n forms
 as A~ (x) A^(x)n: b is the bar formula, right multiplication by a letter the
 same signed sum of adjacent merges, and B the signed sum of the cyclic
-rotations of dw.  Each space memoizes every operator's value on every word
-it meets, one dict per operator.  The product of the free-product algebra
+rotations of dw.  Each space memoizes an operator's value on a word when it
+is read through _image or _extend, one dict per operator; a caller that
+reads a value only once calls the word operator itself.  The memos share
+one tuple per word: every memo key and image key is the tuple that the
+space's word table holds for it.  The product of the free-product algebra
 (the Fedosov product) is fedosov_words on two words and its bilinear
 extension fedosov_full on two forms.
 """
@@ -37,6 +40,8 @@ class FormSpace:
         self.max_degree = max_degree
         # word operator -> {word: (image dict, lossy)}
         self._op_cache = defaultdict(dict)
+        # word -> the one tuple equal to it that the memos hold
+        self._words = {}
 
     def basis_words(self, n):
         """All degree-n basis words, in lexicographic order."""
@@ -132,23 +137,35 @@ def _mul_words(space, w1, w2):
 
 def _image(space, fn, w):
     """Value (vec, lossy) of the word operator fn on the word w, memoized in
-    the space.  vec is the memo's own dict: read it, never change it."""
+    the space.  vec is the memo's own dict: read it, never change it.  The
+    memo's key and the keys of vec are the space's one tuple per word."""
     memo = space._op_cache[fn]
     hit = memo.get(w)
     if hit is None:
-        hit = memo[w] = fn(space, w)
+        one = space._words.setdefault
+        vec, lossy = fn(space, w)
+        hit = memo[one(w, w)] = {one(v, v): c for v, c in vec.items()}, lossy
     return hit
 
 
 def _extend(space, fn, vec):
     """Linear extension of the word operator fn to the coefficient dict vec,
-    through the memoized values on its words: a new (dict, lossy)."""
+    through the memoized values on its words: a new (dict, lossy).  The sums
+    follow vec_axpy's rules, as in _add_term."""
     out = {}
+    get = out.get
     lossy = False
     for w, c in vec.items():
         img, l = _image(space, fn, w)
         lossy = lossy or l
-        vec_axpy(out, c, img)
+        for v, x in img.items():
+            s = get(v)
+            s = c * x if s is None else s + c * x
+            if s:
+                out[v] = (s.numerator if type(s) is Fraction
+                          and s.denominator == 1 else s)
+            elif v in out:
+                del out[v]
     return out, lossy
 
 

@@ -173,6 +173,52 @@ def _dga_statuses(alg, degree):
     return {c["name"]: c["status"] for c in report.checks}
 
 
+def _dga_run(monkeypatch, alg, degree):
+    """Statuses of one dga_suite run and the FormSpace whose memos it
+    filled."""
+    spaces = []
+
+    class Recorded(FormSpace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spaces.append(self)
+
+    monkeypatch.setattr(F, "FormSpace", Recorded)
+    statuses = _dga_statuses(alg, degree)
+    monkeypatch.undo()
+    (sp,) = spaces
+    return statuses, sp
+
+
+def test_dga_memos_share_one_tuple_per_word(monkeypatch, m2):
+    _, sp = _dga_run(monkeypatch, m2, 4)
+    seen = {}
+    keys = 0
+    for memo in sp._op_cache.values():
+        for w, (img, _) in memo.items():
+            for v in (w, *img):
+                assert seen.setdefault(v, v) is v, v
+                keys += 1
+    assert keys > len(seen) > 0
+
+
+def test_dga_b_memo_leaves_out_images_read_once(monkeypatch, m2):
+    """b.b = 0 reads b on a top-degree word with a nonzero slot zero once;
+    b on a top-degree exact word is read again by later columns."""
+    _, sp = _dga_run(monkeypatch, m2, 4)
+    top = [w for w in sp._op_cache[F._b_word] if len(w) == 5]
+    assert top and all(w[0] == 0 for w in top)
+
+
+def test_dga_suite_passes_on_m2_and_rebased_m2(monkeypatch, m2):
+    from test_generated import rational_rebasing
+    rebased = rational_rebasing(lambda: matrix_units(2), 7)
+    for alg, degree in ((m2, 4), (rebased, 3)):
+        statuses, _ = _dga_run(monkeypatch, alg, degree)
+        assert len(statuses) == 6
+        assert set(statuses.values()) == {"pass"}, (alg.name, statuses)
+
+
 def test_dga_suite_catches_a_flipped_wrap_term(monkeypatch, corpus_algebras):
     """Negative control: b with the sign of its wrap term
     (-1)^n (an.a0).da1...da_{n-1} flipped no longer squares to zero."""

@@ -27,38 +27,63 @@ SMALL = [Fraction(k, d) for k in range(-3, 4) if k for d in (1, 2, 3)]
 
 
 def rebase(alg, P, name):
-    """alg in the basis f_a = sum_i P[a][i] e_i of a 2-dimensional algebra:
-    f_a f_b = sum_ij P_ai P_bj e_i e_j, and e_k = sum_c Q_kc f_c with
-    Q = P^-1."""
-    (a, b), (c, d) = P
-    det_inv = inv(a * d - b * c)
-    Q = [[d * det_inv, -b * det_inv], [-c * det_inv, a * det_inv]]
+    """alg in the basis f_a = sum_i P[a][i] e_i: f_a f_b = sum_ij P_ai P_bj
+    e_i e_j, and e_k = sum_c Q_kc f_c with Q = P^-1."""
+    n = alg.dim
+    Q = inverse(P)
+
+    def in_f(in_e, col):
+        acc = in_e[0] * Q[0][col]
+        for k in range(1, n):
+            acc = acc + in_e[k] * Q[k][col]
+        return acc
     mul = {}
-    for x in range(2):
-        for y in range(2):
-            in_e = [0, 0]
-            for i in range(2):
-                for j in range(2):
+    for x in range(n):
+        for y in range(n):
+            in_e = [0] * n
+            for i in range(n):
+                for j in range(n):
                     for k, v in alg.product_basis(i, j).items():
                         in_e[k] = in_e[k] + P[x][i] * P[y][j] * v
-            mul[(x, y)] = {col: in_e[0] * Q[0][col] + in_e[1] * Q[1][col]
-                           for col in range(2)}
-    unit = {col: sum(u * Q[k][col] for k, u in alg.unit.items())
-            for col in range(2)}
-    return Algebra(["f0", "f1"], mul, unit=unit, name=name)
+            mul[(x, y)] = {col: in_f(in_e, col) for col in range(n)}
+    unit = [alg.unit.get(k, 0) for k in range(n)]
+    return Algebra(["f%d" % a for a in range(n)], mul,
+                   unit={col: in_f(unit, col) for col in range(n)},
+                   name=name)
+
+
+def inverse(P):
+    """P^-1 by Gauss-Jordan elimination, or None when P is singular."""
+    n = len(P)
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(P)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = inv(rows[col][col])
+        rows[col] = [x * scale for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
 
 
 def rational_rebasing(make, seed):
     """A seeded rational change of basis with a non-integer constant."""
     rng = random.Random(seed)
+    alg = make()
     while True:
-        P = [[rng.choice(SMALL) for _ in range(2)] for _ in range(2)]
-        if P[0][0] * P[1][1] == P[0][1] * P[1][0]:
+        P = [[rng.choice(SMALL) for _ in range(alg.dim)]
+             for _ in range(alg.dim)]
+        if inverse(P) is None:
             continue
-        alg = rebase(make(), P, "rebased")
+        rebased = rebase(alg, P, "rebased")
         if any(type(c) is Fraction and c.denominator != 1
-               for vec in alg.mul.values() for c in vec.values()):
-            return alg
+               for vec in rebased.mul.values() for c in vec.values()):
+            return rebased
 
 
 GENERATED = {
