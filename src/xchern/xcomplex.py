@@ -928,14 +928,14 @@ def xt_odd_to_form(vec, space):
     out = {}
     lossy = False
     for (z, g), c in vec.items():
-        a = g[0]
         if z is None:
-            vec_axpy(out, c, {(0, a): ONE})
-            continue
-        zf, l = T.to_forms({z: ONE}, space)
-        lossy = lossy or l
-        vec_axpy(out, c, {w + (a,): cc for w, cc in zf.items()
-                          if len(w) <= space.max_degree})
+            zf, l = {(0,): ONE}, False
+        else:
+            zf, l = T.to_forms({z: ONE}, space)
+        kept = {w + (g[0],): cc for w, cc in zf.items()
+                if len(w) <= space.max_degree}
+        lossy = lossy or l or len(kept) < len(zf)
+        vec_axpy(out, c, kept)
     return out, lossy
 
 

@@ -186,6 +186,19 @@ def test_rescale(dual):
     assert out[(1, 0, 1, 0, 1)] == Scalar.from_int(2)
 
 
+def test_odd_forms_above_the_window_flag_a_loss(dual):
+    """(1 (x) eps) d1 has the degree-3 term -d1 d(eps) d1, above a window
+    of 2; d(a) is a degree-1 form, above a window of 0.  Both are dropped
+    with the loss flag set."""
+    sp = FormSpace(dual, 2)
+    cmap = rescale_map(x_of_tensor_algebra(dual, 2), OmegaComplex(sp))
+    assert cmap.odd_col(((0, 1), (0,))) == ({(2, 0): 1}, True)
+    assert xt_odd_to_form({(None, (0,)): ONE}, FormSpace(dual, 0)) \
+        == ({}, True)
+    assert xt_odd_to_form({(None, (0,)): ONE}, FormSpace(dual, 1)) \
+        == ({(0, 0): ONE}, False)
+
+
 def test_x_of_hom_is_chain_map(dual):
     # the letterwise doubling homomorphism induces a chain map
     xt = x_of_tensor_algebra(dual, 2)
