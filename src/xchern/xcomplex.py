@@ -928,7 +928,7 @@ def xt_odd_to_form(vec, space):
     out = {}
     lossy = False
     for (z, g), c in vec.items():
-        if z is None:
+        if z is None:  # the unit: z.d(a) is the form da
             zf, l = {(0,): ONE}, False
         else:
             zf, l = T.to_forms({z: ONE}, space)

@@ -12,6 +12,7 @@ from xchern.forms import FormSpace, d, b, kappa, connes_B, fedosov_full
 from xchern.cli import Report, dga_suite
 
 import xreference
+from test_generated import rational_rebasing
 
 
 def test_dimensions(dual):
@@ -211,7 +212,6 @@ def test_dga_b_memo_leaves_out_images_read_once(monkeypatch, m2):
 
 
 def test_dga_suite_passes_on_m2_and_rebased_m2(monkeypatch, m2):
-    from test_generated import rational_rebasing
     rebased = rational_rebasing(lambda: matrix_units(2), 7)
     for alg, degree in ((m2, 4), (rebased, 3)):
         statuses, _ = _dga_run(monkeypatch, alg, degree)
