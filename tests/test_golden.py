@@ -32,6 +32,10 @@ EXACT = {
     # the lift at n = 1 and the graded lift of a full invertible extension
     "chern-n1": ["chern", "specs/idqh.json", "--n", "1"],
     "chern-extension": ["chern", "specs/extension.json", "--n", "0"],
+    # the one command that runs gamma_odd at n = 1; at --src-len 2 its odd
+    # character is zero on every column
+    "chern-extension-n1": ["chern", "specs/extension.json", "--n", "1",
+                           "--src-len", "3"],
     "pair": ["pair", "specs/fredholm.json"],
 }
 JLO = ["jlo", "specs/triple2x2.json", "--n", "2", "--T", "8",
