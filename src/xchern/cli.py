@@ -121,14 +121,15 @@ def load_algebra(spec):
 
 
 def _parse_entry(entry, dim):
-    """Entry over the unitalization: "unit" or a basis index below dim."""
+    """Entry over the unitalization: "unit" or a basis index below dim,
+    written in canonical decimal, so that two keys cannot name one index."""
     if not isinstance(entry, dict):
         raise SpecError("matrix entry must be an object, got %r" % (entry,))
     out = {}
     for k, v in entry.items():
         if k == "unit":
             key = None
-        elif k.isascii() and k.isdigit():
+        elif k.isascii() and k.isdigit() and k == str(int(k)):
             key = int(k)
             if key >= dim:
                 raise SpecError("entry key %d outside the basis of size %d"
