@@ -7,9 +7,14 @@ rotation of k letters).  Bimodules of both parities are 2N x 2N block
 matrices.  Even ones use the supertrace of the block grading; odd ones are
 stored in the doubled picture, whose off-diagonal block carries the
 Clifford generator, and the odd trace picks its coefficient with the
-factor sqrt(2i).
+factor sqrt(2i).  Both traces read one list of (row, col, sign) entries.
+
+The universal cocycles read a source label of X(T A) as its form in
+Omega A (tensoralg.to_forms, xcomplex.xt_odd_to_form); the composite
+cocycles multiply words through the product of the target TensorAlg.
 """
 
+import math
 from fractions import Fraction
 
 from .scalars import ONE, HALF, gamma_half, inv, SQRT_2I
@@ -19,20 +24,14 @@ from . import tensoralg as T
 from .qalgebra import eta_even, eta_odd
 from .xcomplex import (ChainMap, XGenerated, FedosovAlg, ZekriAlg,
                        TensorAlg, TableAlg, kappa_map, x_of_hom,
-                       x_of_tensor_algebra, _seq_dict_product)
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+                       x_of_tensor_algebra, xt_odd_to_form,
+                       _seq_dict_product)
 
 
 def retraction_constant(n):
     """Gamma(n/2 + 1) / (n + 1)! * 1/2: the normalization of the degree-n
     retracted cocycle before its sign and the odd factor sqrt(2i)."""
-    return gamma_half(n + 2) * inv(_factorial(n + 1)) * HALF
+    return gamma_half(n + 2) * inv(math.factorial(n + 1)) * HALF
 
 
 def _rot_sign(j, k):
@@ -169,21 +168,20 @@ class FredholmBimodule:
                    for i in range(self.base.dim))
 
 
-def _supertrace(mats, nsize):
-    out = {}
-    for k in range(nsize):
-        vec_axpy(out, ONE, mats[k][k])
-    for k in range(nsize, 2 * nsize):
-        vec_axpy(out, -ONE, mats[k][k])
-    return out
+def _trace_entries(parity, nsize):
+    """The (row, col, sign) entries of a 2N x 2N matrix that its trace
+    reads: the supertrace of the block grading for parity 0; for parity 1
+    the diagonal of the top-right block, the trace of the eps coefficient
+    y of x + y*eps in the doubled picture."""
+    if parity:
+        return [(k, nsize + k, ONE) for k in range(nsize)]
+    return [(k, k, ONE if k < nsize else -ONE) for k in range(2 * nsize)]
 
 
-def _eps_trace(mats, nsize):
-    """Trace of the eps coefficient y of x + y*eps in the doubled picture:
-    the diagonal of the top-right block."""
+def _trace(entries, A):
     out = {}
-    for k in range(nsize):
-        vec_axpy(out, ONE, mats[k][nsize + k])
+    for r, c, sign in entries:
+        vec_axpy(out, sign, A[r][c])
     return out
 
 
@@ -191,24 +189,17 @@ def _drop_unit(vec):
     return {k: c for k, c in vec.items() if k is not None}
 
 
-def _mat_d(A, B, n):
-    """A . d(B) as a matrix of one-forms, entries over (zkey, ykey); d
-    kills unit components of B."""
-    out = mat_zero(n)
-    for r in range(n):
-        for c in range(n):
-            acc = out[r][c]
-            for k in range(n):
-                for zk, c1 in A[r][k].items():
-                    for yk, c2 in B[k][c].items():
-                        if yk is None:
-                            continue
-                        vec_axpy(acc, c1 * c2, {(zk, yk): ONE})
-    return out
-
-
-def _natural_of_pairs(tgt, pairs):
-    """Map a dict over (zkey, ykey) through the target one-form reduction."""
+def _trace_d(tgt, entries, A, B):
+    """(class, loss) of the trace of A . d(B) in the target X-complex; d
+    kills unit components of B.  The (z, y) pairs of the traced entries
+    are summed first, and each pair is then reduced once."""
+    pairs = {}
+    for r, c, sign in entries:
+        for k, row in enumerate(B):
+            for zk, c1 in A[r][k].items():
+                for yk, c2 in row[c].items():
+                    if yk is not None:
+                        vec_axpy(pairs, sign * c1 * c2, {(zk, yk): ONE})
     out = {}
     loss = False
     for (zk, yk), c in pairs.items():
@@ -233,7 +224,7 @@ def retracted_cocycle(M, n, src, tgt, name=None):
         raise ValueError("negative degree")
     alg = M.alg
     nsize = M.nsize
-    trace = _eps_trace if M.parity else _supertrace
+    entries = _trace_entries(M.parity, nsize)
     dsign = -ONE if M.parity else ONE
     coef = retraction_constant(n)
     if n % 2 == 1:
@@ -268,7 +259,7 @@ def retracted_cocycle(M, n, src, tgt, name=None):
             rot = tup[j:] + tup[:j]
             val, l = word_value(rot)
             loss = loss or l
-            vec_axpy(out, _rot_sign(j, n + 1), trace(val, nsize))
+            vec_axpy(out, _rot_sign(j, n + 1), _trace(entries, val))
         return vec_scale(_drop_unit(out), coef), loss
 
     def value_deg_n1(word):
@@ -280,7 +271,7 @@ def retracted_cocycle(M, n, src, tgt, name=None):
         rho_u = M.rho[u - 1] if u else mat_unit(2 * nsize)
         w, l2 = mat_mul(alg, rho_u, tail)
         loss = l1 or l2
-        out, l = tgt.omega1_vec({None: ONE}, _drop_unit(trace(w, nsize)))
+        out, l = tgt.omega1_vec({None: ONE}, _drop_unit(_trace(entries, w)))
         loss = loss or l
         out = vec_scale(out, dsign)
         # groups 2 and 3: cyclic sums with d(rho) and d(F)
@@ -292,14 +283,12 @@ def retracted_cocycle(M, n, src, tgt, name=None):
                 s = _rot_sign(j, k)
                 head, l = word_value(rot[:-1])
                 loss = loss or l
-                tr = trace(_mat_d(head, M.rho[rot[-1]], 2 * nsize), nsize)
-                vec, l = _natural_of_pairs(tgt, tr)
+                vec, l = _trace_d(tgt, entries, head, M.rho[rot[-1]])
                 loss = loss or l
                 vec_axpy(out, s, vec)
                 full, l = word_value(rot)
                 loss = loss or l
-                tr = trace(_mat_d(full, M.fmat, 2 * nsize), nsize)
-                vec, l = _natural_of_pairs(tgt, tr)
+                vec, l = _trace_d(tgt, entries, full, M.fmat)
                 loss = loss or l
                 vec_axpy(out, -s * HALF * dsign, vec)
         return vec_scale(out, coef), loss
@@ -348,24 +337,16 @@ def universal_bimodule_odd(algebra, space):
 # ---------------------------------------------------------------------------
 
 
-def _word_forms(algebra, z, deg, space):
-    """(coefficients, loss) of the degree-deg part of the form image of the
-    tensor word z; z = None is the unit, the form 1 in degree 0."""
-    if z is None:
-        return ({(0,): ONE} if deg == 0 else {}), False
-    form, lossy = T.to_forms({tuple(z): ONE}, space)
-    return {w: c for w, c in form.items() if len(w) - 1 == deg}, lossy
-
-
-def universal_ch_even(algebra, n, src, tgt, conv_space=None):
+def universal_ch_even(algebra, n, src, tgt):
     """Even universal cocycle from the tensor-algebra X-complex to the
     X-complex of the Fedosov algebra window.
 
     Degree-2n chains map to (n!)^2/(2n)! q(a0~) q(a1) ... q(a2n); the odd
     slot keeps the two free-product branches with opposite signs."""
-    coef = Fraction(_factorial(n) ** 2, _factorial(2 * n))
-    if conv_space is None:
-        conv_space = F.FormSpace(algebra, max(2 * n + 2, 2 * (src.alg.max_len)))
+    coef = Fraction(math.factorial(n) ** 2, math.factorial(2 * n))
+    # a tensor word of length L is a form of degree at most 2(L - 1), and
+    # z.da one more: every source label reads its form here without loss
+    space = F.FormSpace(algebra, 2 * src.alg.max_len)
 
     def times_q(acc, letters):
         """acc q(a1) ... q(ak) over the labels of the Fedosov algebra, with
@@ -384,22 +365,23 @@ def universal_ch_even(algebra, n, src, tgt, conv_space=None):
         return times_q({(i + 1,): ONE, (0, i): sign}, word[1:])
 
     def efn(w):
-        comps, loss = _word_forms(algebra, w, 2 * n, conv_space)
+        form, loss = T.to_forms({w: ONE}, space)
         out = {}
-        for word, c in comps.items():
-            if word[0] == 0:
-                continue  # q kills the unit
+        for word, c in form.items():
+            if len(word) != 2 * n + 1 or word[0] == 0:
+                continue  # off degree 2n, or q kills the unit
             qq, l = times_q({(0, word[0] - 1): 2}, word[1:])
             loss = loss or l
             vec_axpy(out, c * coef, qq)
         return out, loss
 
     def ofn(lab):
-        z, g = lab
-        a = g[0]
-        comps, loss = _word_forms(algebra, z, 2 * n, conv_space)
+        form, loss = xt_odd_to_form({lab: ONE}, space)
         out = {}
-        for word, c in comps.items():
+        for full, c in form.items():
+            if len(full) != 2 * n + 2:
+                continue
+            word, a = full[:-1], full[-1]
             up, lp = branch_from_word(word, ONE)
             um, lm = branch_from_word(word, -ONE)
             v1, l1 = tgt.omega1_vec(vec_add(up, vec_scale(um, -ONE)),
@@ -443,35 +425,32 @@ def d_chain_map(xqs):
     return ChainMap(xqs, xqs, 0, efn, ofn, name="d")
 
 
-def universal_ch_odd(algebra, n, src, tgt, conv_space=None):
+def universal_ch_odd(algebra, n, src, tgt):
     """Odd universal cocycle into the super Fedosov window.
 
     The odd slot of a (2n+1)-chain maps to d(a0~ da1 ... da_{2n+1}); the
     even slot of a (2n+2)-chain to -d of the alternating one-form sum."""
     qspace = tgt.alg.space
-    if conv_space is None:
-        conv_space = F.FormSpace(algebra, max(2 * n + 4, 2 * (src.alg.max_len)))
+    space = F.FormSpace(algebra, 2 * src.alg.max_len)
     dmap = d_chain_map(tgt)
 
     def ofn(lab):
-        z, g = lab
-        a = g[0]
-        comps, loss = _word_forms(algebra, z, 2 * n, conv_space)
+        form, loss = xt_odd_to_form({lab: ONE}, space)
         out = {}
-        for word, c in comps.items():
-            if word == (0,):
-                full = (0, a)
-            else:
-                full = word + (a,)
+        for full, c in form.items():
+            if len(full) != 2 * n + 2:
+                continue
             df, l = F.d(qspace, {full: ONE})
             loss = loss or l
             vec_axpy(out, c, df)
         return out, loss
 
     def efn(w):
-        comps, loss = _word_forms(algebra, w, 2 * n + 2, conv_space)
+        form, loss = T.to_forms({w: ONE}, space)
         out = {}
-        for word, c in comps.items():
+        for word, c in form.items():
+            if len(word) != 2 * n + 3:
+                continue
             for i in range(1, n + 2):
                 left = word[:2 * i]           # a0~ da1 ... da_{2i-1}
                 mid = word[2 * i]             # the d-slot letter
@@ -531,25 +510,22 @@ def ideal_power_like(alg, generators, n):
                          product=lambda u, v: _seq_dict_product(alg, u, v)[0])
 
 
-def _branch_word_expansion(word, sign, max_len):
+def _branch_word_expansion(word, sign, talg):
     """Image of a tensor word under the letterwise iota branch: a dict over
-    words whose letters are window form-words."""
+    the words of the TensorAlg talg, whose letters are window form-words."""
     out = {(): ONE}
     loss = False
     for i in word:
-        nxt = {}
-        loss = T._concat_into(nxt, out, {((i + 1,),): ONE, ((0, i),): sign},
-                              max_len) or loss
-        out = nxt
+        out, l = _seq_dict_product(talg, out,
+                                   {((i + 1,),): ONE, ((0, i),): sign})
+        loss = loss or l
     return out, loss
 
 
 def x_of_t_branch(xt, xtq, sign, name):
     """X of the letterwise homomorphism a -> iota(a) (or the bar copy)."""
-    max_len = xtq.alg.max_len
-
     def img(word):
-        return _branch_word_expansion(tuple(word), sign, max_len)
+        return _branch_word_expansion(tuple(word), sign, xtq.alg)
 
     return x_of_hom(xt, xtq, img, name=name)
 
@@ -587,11 +563,10 @@ def gamma_composite(algebra, n, windows, odd=False):
 
     qu_space = F.FormSpace(U, W.q_inner_deg)
     xqu = XGenerated(FedosovAlg(qu_space, graded=odd))
-    conv = F.FormSpace(U, max(2 * W.mid_len, W.q_inner_deg + 2))
     if odd:
-        ch = universal_ch_odd(U, n, xtu, xqu, conv_space=conv)
+        ch = universal_ch_odd(U, n, xtu, xqu)
     else:
-        ch = universal_ch_even(U, n, xtu, xqu, conv_space=conv)
+        ch = universal_ch_even(U, n, xtu, xqu)
 
     qa_space = F.FormSpace(algebra, W.q_letter_deg)
     qcoeff = FedosovAlg(qa_space, graded=odd)
@@ -599,7 +574,7 @@ def gamma_composite(algebra, n, windows, odd=False):
 
     def phi_factor(uword, sign):
         """Word over Q-letters for the branch image of a U basis element."""
-        return _branch_word_expansion(uwords[uword], sign, W.out_len)
+        return _branch_word_expansion(uwords[uword], sign, xtq.alg)
 
     def phi_img(quword):
         """Classifying map on a form word over U."""
@@ -613,17 +588,10 @@ def gamma_composite(algebra, n, windows, odd=False):
         for kind, j in factors:
             plus, l1 = phi_factor(j, ONE)
             minus, l2 = phi_factor(j, -ONE)
-            loss = loss or l1 or l2
-            half = HALF
-            comb = {}
-            for w, c in plus.items():
-                vec_axpy(comb, c * half, {w: ONE})
-            s = half if kind == "elem" else -half
-            for w, c in minus.items():
-                vec_axpy(comb, c * s, {w: ONE})
-            nxt = {}
-            loss = T._concat_into(nxt, out, comb, W.out_len) or loss
-            out = nxt
+            comb = vec_scale(plus, HALF)
+            vec_axpy(comb, HALF if kind == "elem" else -HALF, minus)
+            out, l = _seq_dict_product(xtq.alg, out, comb)
+            loss = loss or l1 or l2 or l
         if () in out:
             raise ValueError("empty classifying image")
         return out, loss

@@ -457,9 +457,8 @@ def universal_suite(algebra, n, parity, q_window, src_len, report,
     if parity == 0:
         xr, u = xq, C.universal_bimodule_even(algebra, qsp)
     else:
-        esp = F.FormSpace(algebra, q_window)
-        xr = X.XGenerated(X.ZekriAlg(esp), exact_quotient=True)
-        u = C.universal_bimodule_odd(algebra, esp)
+        xr = X.XGenerated(X.ZekriAlg(qsp), exact_quotient=True)
+        u = C.universal_bimodule_odd(algebra, qsp)
         scal = bott_constant() * scal
     chi = C.retracted_cocycle(u, deg, omega, xr)
     lhs = X.ChainMap.compose(chi, cmap)

@@ -14,7 +14,7 @@ from .xcomplex import (ChainMap, XGenerated, TensorAlg, TableAlg,
                        x_of_tensor_algebra)
 from .chern import (gamma_even, gamma_odd, is_multiplicative, mat_mul,
                     mat_sub, mat_unit, mat_is_zero, mat_zero, mat_axpy,
-                    _supertrace)
+                    _trace, _trace_entries)
 
 
 class Quasihomomorphism:
@@ -385,7 +385,7 @@ def index_pairing(M, e_matrix, k, n=0):
         for bidx, coeff in body.items():
             comm, _ = M.commutator(bidx)
             word, _ = mat_mul(M.alg, M.fmat, comm)
-            st = _supertrace(word, M.nsize)
+            st = _trace(_trace_entries(0, M.nsize), word)
             tr = st.get(None, ZERO) + st.get(0, ZERO)
             total = total + coeff * HALF * tr
     total = total * PAIRING_CONSTANTS[0]

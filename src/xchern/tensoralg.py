@@ -16,20 +16,6 @@ from .algebra import Algebra
 from . import forms as F
 
 
-def _concat_into(out, u, v, max_len=None):
-    """In place: out += u v, for dicts over words multiplied by
-    concatenation.  Words longer than max_len are dropped; returns whether
-    any was."""
-    lossy = False
-    for w1, c1 in u.items():
-        for w2, c2 in v.items():
-            if max_len is not None and len(w1) + len(w2) > max_len:
-                lossy = True
-                continue
-            vec_axpy(out, c1 * c2, {w1 + w2: ONE})
-    return lossy
-
-
 def tensor_words(dim, max_len):
     """Words of length 1..max_len, by length, each length in lexicographic
     order."""
@@ -77,7 +63,9 @@ def from_forms(space, vec, max_length):
         acc = letters[0]
         for lett in letters[1:]:
             nxt = {}
-            _concat_into(nxt, acc, lett)
+            for w1, c1 in acc.items():
+                for w2, c2 in lett.items():
+                    vec_axpy(nxt, c1 * c2, {w1 + w2: ONE})
             acc = nxt
         vec_axpy(out, c, acc)
     lossy = False

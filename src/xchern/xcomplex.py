@@ -17,6 +17,7 @@ products of each factorization.
 """
 
 import itertools
+import math
 
 from .scalars import ZERO, ONE
 from .linalg import (vec_add, vec_axpy, vec_scale, Span, label_key, solve,
@@ -728,24 +729,23 @@ def homotopy_solve(f, even_labels=None, odd_labels=None, track_witness=False):
 # ---------------------------------------------------------------------------
 
 
-def hodge_filtration(space, m, xtensor=None, cap_degree=None):
+def hodge_filtration(space, m, xtensor=None):
     """Level m of the Hodge filtration b(Omega^{m+1}) + forms of degree
     > m, returned as (even Span, odd Span) in form-word coordinates, or in
     tensor coordinates when an X-complex over the tensor algebra is given.
 
-    cap_degree restricts to the representable part of the level (needed
-    when transporting: degree-d words require tensor length d + 1)."""
+    When transporting, the level is cut to its representable part:
+    degree-d words require tensor length d + 1."""
     even = Span()
     odd = Span()
-    if cap_degree is None:
-        cap_degree = space.max_degree
-        if xtensor is not None:
-            cap_degree = min(cap_degree, xtensor.alg.max_len - 1)
+    top = space.max_degree
+    if xtensor is not None:
+        top = min(top, xtensor.alg.max_len - 1)
     lo = 0 if m < 0 else m + 1
-    for n in range(lo, cap_degree + 1):
+    for n in range(lo, top + 1):
         for w in space.basis_words(n):
             (even if n % 2 == 0 else odd).add({w: ONE})
-    if 0 <= m and m <= cap_degree and m + 1 <= space.max_degree:
+    if 0 <= m and m <= top and m + 1 <= space.max_degree:
         side = even if m % 2 == 0 else odd
         for w in space.basis_words(m + 1):
             img, _ = F.b(space, {w: ONE})
@@ -986,9 +986,7 @@ def rescale_c(vec):
     out = {}
     for w, c in vec.items():
         k = (len(w) - 1) // 2
-        fact = 1
-        for j in range(2, k + 1):
-            fact *= j
+        fact = math.factorial(k)
         val = fact if k % 2 == 0 else -fact
         out[w] = c * val
     return out

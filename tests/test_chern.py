@@ -303,6 +303,29 @@ def test_ch_odd_even_slot_matches_form_reference(name, request):
     assert nonzero
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("n", [0, 1])
+def test_universal_cocycle_does_not_depend_on_the_source_length(dual, n,
+                                                                parity):
+    # the source labels read their forms in a window derived from the
+    # source length; a longer source must leave every column of the
+    # shorter one, loss flag included, as it was
+    xq = XGenerated(FedosovAlg(FormSpace(dual, 2 * n + parity + 2),
+                               graded=bool(parity)))
+    universal_ch = (universal_ch_even, universal_ch_odd)[parity]
+    short, long_ = (x_of_tensor_algebra(dual, L) for L in (n + 2, n + 3))
+    ch_short = universal_ch(dual, n, short, xq)
+    ch_long = universal_ch(dual, n, long_, xq)
+    nonzero = 0
+    for basis, side in ((short.even_basis(), "even_col"),
+                        (short.odd_basis(), "odd_col")):
+        for lab in basis:
+            got = getattr(ch_short, side)(lab)
+            assert got == getattr(ch_long, side)(lab), (side, lab)
+            nonzero += bool(got[0])
+    assert nonzero
+
+
 def test_gamma0_identity(dual, qq):
     for algebra in (dual, qq):
         W = GammaWindows(src_len=3, mid_len=3, q_inner_deg=1,

@@ -56,8 +56,8 @@ def bump_universal_cocycle(mp):
     nonzero boundary in the column of the tensor word (0,)."""
     real = C.universal_ch_even
 
-    def ch(algebra, n, src, tgt, conv_space=None):
-        good = real(algebra, n, src, tgt, conv_space)
+    def ch(algebra, n, src, tgt):
+        good = real(algebra, n, src, tgt)
         t = next(t for t in tgt.even_basis()
                  if tgt.bdry_even({t: ONE})[0]
                  and not tgt.bdry_even({t: ONE})[1])
