@@ -11,9 +11,10 @@ the parities of the algebra's labels (all 0 in an ungraded algebra).
 The honest quotient comes from the span of the classes red([r, z.dg]).
 On a truncated algebra with a filtration degree (FedosovAlg, ZekriAlg,
 TensorAlg) that span is built only from the triples whose degrees leave
-room under the window, since the others are provably empty, and its
-classes come from a per-build evaluator that shares the prefix and suffix
-products of each factorization.
+room under the window, since the others are provably empty.  One class
+evaluator (_Classes) shares the prefix and suffix products of each
+factorization and flags the classes whose products dropped a term; the
+relations, omega1_vec and the boundaries all read it.
 """
 
 import itertools
@@ -227,56 +228,68 @@ class TensorAlg:
 # ---------------------------------------------------------------------------
 
 
-class _ClassValues:
-    """Values of the classes of z.d(y), without loss flags, for one
-    relations() build; the memos die with it.
+class _Classes:
+    """Classes of z.d(y) as (vector, loss flag); the memo hands out its
+    vectors, which callers must not mutate.
 
     Rotation i of the factorization y = f_0 ... f_{m-1} is taken as
     (suffix_i . z) . prefix_i, with suffix_i = f_{i+1} ... f_{m-1} and
-    prefix_i = f_0 ... f_{i-1} multiplied once per y.  Every truncated
-    algebra here is an exactly associative quotient, so the values equal
-    those of _raw_class's left-to-right chains; its loss flags may depend
-    on the association, which is why the boundaries keep that memo."""
+    prefix_i = f_0 ... f_{i-1} multiplied once per y.  The loss flag ORs
+    the flags of every product taken, those of the prefixes and suffixes
+    included (why that is sound: XGenerated.relations).  Only the keys of
+    the lossy classes are kept beside the vectors."""
 
-    def __init__(self, xgen):
-        self.alg = xgen.alg
-        self.parity = xgen._parity
+    def __init__(self, alg):
+        self.alg = alg
         self.memo = {}  # (z, y) -> class vector
-        self._rotations = {}  # y -> [(factor, prefix, suffix, parities)]
+        self.lossy = set()  # the keys of memo whose products dropped terms
+        self._rotations = {}  # y -> (rotations, loss of their products)
 
     def _rotations_of(self, y):
         hit = self._rotations.get(y)
         if hit is None:
             alg = self.alg
             fac = alg.factor(y)
-            pars = [alg.parity(g) for g in fac]
-            # with the parities of suffix_i and of f_0 ... f_i, which give
-            # the Koszul sign; prefix_i is folded on from prefix_{i-1}
-            hit = self._rotations[y] = []
+            pars = [alg.parity(f) for f in fac]
+            loss = False
+            # suffix_i is folded on from suffix_{i+1}, prefix_i from
+            # prefix_{i-1}; p_suf and p_pre, the parities of suffix_i and of
+            # f_0 ... f_i, give the Koszul sign
+            suffixes = [{None: ONE}]
+            for f in fac[:0:-1]:
+                suffix, l = _seq_dict_product(alg, {f: ONE}, suffixes[-1])
+                suffixes.append(suffix)
+                loss = loss or l
+            rotations = []
             prefix = {None: ONE}
-            for i, g in enumerate(fac):
-                suffix = {None: ONE}
-                for f in fac[i + 1:]:
-                    suffix = _seq_dict_product(alg, suffix, {f: ONE})[0]
-                hit.append((g, prefix, suffix, sum(pars[i + 1:]) % 2,
-                            sum(pars[:i + 1]) % 2))
-                prefix = _seq_dict_product(alg, prefix, {g: ONE})[0]
+            for i, f in enumerate(fac):
+                rotations.append((f, prefix, suffixes[-1 - i],
+                                  sum(pars[i + 1:]) % 2,
+                                  sum(pars[:i + 1]) % 2))
+                if i + 1 < len(fac):
+                    prefix, l = _seq_dict_product(alg, prefix, {f: ONE})
+                    loss = loss or l
+            hit = self._rotations[y] = (rotations, loss)
         return hit
 
     def __call__(self, z, y):
         key = (z, y)
-        hit = self.memo.get(key)
-        if hit is None:
-            alg = self.alg
-            pz = self.parity(z)
-            hit = {}
-            for g, prefix, suffix, p_suf, p_pre in self._rotations_of(y):
-                left = _seq_dict_product(alg, suffix, {z: ONE})[0]
-                chunk = _seq_dict_product(alg, left, prefix)[0]
-                sign = -ONE if p_suf and (pz + p_pre) % 2 else ONE
-                vec_axpy(hit, sign, {(lab, g): c for lab, c in chunk.items()})
-            self.memo[key] = hit
-        return hit
+        vec = self.memo.get(key)
+        if vec is not None:
+            return vec, key in self.lossy
+        alg = self.alg
+        pz = 0 if z is None else alg.parity(z)
+        rotations, loss = self._rotations_of(y)
+        vec = self.memo[key] = {}
+        for g, prefix, suffix, p_suf, p_pre in rotations:
+            left, l1 = _seq_dict_product(alg, suffix, {z: ONE})
+            chunk, l2 = _seq_dict_product(alg, left, prefix)
+            loss = loss or l1 or l2
+            sign = -ONE if p_suf and (pz + p_pre) % 2 else ONE
+            vec_axpy(vec, sign, {(lab, g): c for lab, c in chunk.items()})
+        if loss:
+            self.lossy.add(key)
+        return vec, loss
 
 
 class XGenerated:
@@ -292,7 +305,7 @@ class XGenerated:
 
     def __init__(self, alg, exact_quotient=False):
         self.alg = alg
-        self._red_memo = {}
+        self._classes = _Classes(alg)  # for omega1_vec and the boundaries
         self.exact_quotient = exact_quotient
         self._relations = None
         self.name = "X(%s)" % alg.name
@@ -315,9 +328,14 @@ class XGenerated:
         each term is zero and the triple would never reach Span.add: the
         span is exactly that of all triples.
 
-        The classes come from a values-only evaluator that lives for this
-        build only (see _ClassValues); the flagged memo of _raw_class is
-        left to the boundaries and omega1_vec."""
+        The classes come from an evaluator that lives for this build only,
+        so its memos die with it; omega1_vec and the boundaries keep their
+        own.  It takes each rotation in the association (suffix . z) .
+        prefix, not left to right, and its loss flag ORs the flags of
+        every product it takes.  That flag is sound: the truncated algebra
+        is an honest quotient of an associative one, so a class whose
+        products dropped no term has its untruncated value, whatever the
+        association.  The span itself reads values only."""
         if self._relations is None:
             span = Span()
             alg = self.alg
@@ -325,7 +343,7 @@ class XGenerated:
             gens = alg.generators()
             window = alg.window
             fits = {}  # degree budget of r -> the r of basis within it
-            classes = _ClassValues(self)
+            classes = _Classes(alg)
             for z in [None] + basis:
                 pz = self._parity(z)
                 dz = 0 if z is None or window is None else alg.degree(z)
@@ -349,9 +367,9 @@ class XGenerated:
                         # minus (z d g) . r = z d(g r) - (z g) d r
                         sign = -ONE if odd_zg and alg.parity(r) else ONE
                         for y, c in alg.product_flag(g, r)[0].items():
-                            vec_axpy(vec, -sign * c, classes(z, y))
+                            vec_axpy(vec, -sign * c, classes(z, y)[0])
                         for k, c in zg.items():
-                            vec_axpy(vec, sign * c, classes(k, r))
+                            vec_axpy(vec, sign * c, classes(k, r)[0])
                         if vec:
                             span.add(vec)
             self._relations = span
@@ -382,43 +400,13 @@ class XGenerated:
             return 0
         return self.alg.parity(label)
 
-    def _raw_class(self, z, y):
-        """Class of z.d(y) reduced through the factorization; (vec, loss).
-        The pair is the memo entry: callers must not mutate it."""
-        key = (z, y)
-        hit = self._red_memo.get(key)
-        if hit is not None:
-            return hit
-        fac = self.alg.factor(y)
-        if len(fac) == 1 and fac[0] == y:
-            hit = ({(z, y): ONE}, False)
-        else:
-            out = {}
-            loss = False
-            pz = self._parity(z)
-            pars = [self.alg.parity(g) for g in fac]
-            for i, g in enumerate(fac):
-                p_suf = sum(pars[i + 1:]) % 2
-                sign = ONE
-                if p_suf and (pz + sum(pars[:i + 1])) % 2:
-                    sign = -ONE
-                # the left-to-right product of the rotation
-                chunk = {None: ONE}
-                for f in fac[i + 1:] + [z] + fac[:i]:
-                    chunk, l = _seq_dict_product(self.alg, chunk, {f: ONE})
-                    loss = loss or l
-                vec_axpy(out, sign, {(lab, g): c for lab, c in chunk.items()})
-            hit = (out, loss)
-        self._red_memo[key] = hit
-        return hit
-
     def omega1_vec(self, zvec, yvec):
         """Class of (sum zvec).d(sum yvec); zvec may contain the None key."""
         out = {}
         loss = False
         for y, cy in yvec.items():
             for z, cz in zvec.items():
-                vec, l = self._raw_class(z, y)
+                vec, l = self._classes(z, y)
                 loss = loss or l
                 vec_axpy(out, cy * cz, vec)
         return self.canonical_odd(out), loss

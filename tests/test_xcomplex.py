@@ -11,7 +11,7 @@ from xchern.forms import FormSpace, kappa, b as formb, connes_B
 from xchern import forms as F
 from xchern import tensoralg as T
 from xchern.xcomplex import (build_X, XGenerated, FedosovAlg, ZekriAlg,
-                             TensorAlg, TableAlg, _ClassValues,
+                             TensorAlg, TableAlg, _Classes,
                              OmegaComplex, verify_dd, ChainMap,
                              verify_chain_map, verify_homotopy, maps_equal,
                              homotopy_solve,
@@ -24,7 +24,7 @@ from xchern.chern import d_chain_map, identity_map, ideal_power_like
 from xchern.cli import Report, universal_suite
 
 import xreference
-from test_generated import rational_rebasing
+from test_generated import GENERATED, rational_rebasing
 
 
 def test_x_of_scalars():
@@ -568,30 +568,34 @@ def test_triples_beyond_the_degree_bound_are_empty(name):
         assert not ref.vector(r, z, g), (r, z, g)
 
 
-@pytest.mark.parametrize("name", list(QUOTIENTS))
-def test_class_values_agree_with_the_flagged_memo(name, monkeypatch):
-    # relations() reads classes from a values-only evaluator that shares
-    # prefix and suffix products; the boundaries read _raw_class, which
-    # multiplies each rotation left to right
-    made = []
+# the class evaluator takes each rotation as (suffix . z) . prefix and ORs
+# the loss flags of every product it takes, prefixes and suffixes included;
+# the reference multiplies each rotation left to right
+AGREEMENT = dict(QUOTIENTS, **{
+    "Q(z2-sqrt-pi) w3": lambda: FedosovAlg(FormSpace(
+        GENERATED["z2-sqrt-pi"][1](), 3))})
 
-    def recording(self, *args, _init=_ClassValues.__init__):
-        _init(self, *args)
-        made.append(self)
-    monkeypatch.setattr(_ClassValues, "__init__", recording)
-    x = XGenerated(QUOTIENTS[name](), exact_quotient=True)
-    x.relations()
-    [classes] = made
-    assert classes.memo
-    for (z, y), vec in classes.memo.items():
-        assert vec == x._raw_class(z, y)[0], (z, y)
+
+@pytest.mark.parametrize("name", list(AGREEMENT))
+def test_class_values_agree_with_the_flagged_memo(name):
+    alg = AGREEMENT[name]()
+    classes = _Classes(alg)
+    ref = xreference._Reference(alg)
+    basis = alg.basis()
+    lossy = 0
+    for z in [None] + basis:
+        for y in basis:
+            vec, loss = classes(z, y)
+            assert (vec, loss) == ref._raw_class(z, y), (z, y)
+            lossy += loss
+    assert lossy
 
 
 def test_memos_stay_intact_through_universal_suites(dual, monkeypatch):
-    # product_flag and _raw_class hand out their memo entries; a reader
-    # that mutated one would leave it unequal to a fresh recomputation
+    # product_flag and the class evaluator hand out their memo entries; a
+    # reader that mutated one would leave it unequal to a fresh evaluation
     made = []
-    for cls in (FedosovAlg, ZekriAlg, XGenerated):
+    for cls in (FedosovAlg, ZekriAlg, _Classes):
         def recording(self, *args, _init=cls.__init__, **kwargs):
             _init(self, *args, **kwargs)
             made.append(self)
@@ -608,16 +612,48 @@ def test_memos_stay_intact_through_universal_suites(dual, monkeypatch):
             out._memo = {}
         return out
 
-    algs = [a for a in made if not isinstance(a, XGenerated)]
+    algs = [a for a in made if not isinstance(a, _Classes)]
     assert {type(a) for a in algs} == {FedosovAlg, ZekriAlg}
     for alg in algs:
         assert alg._memo
         again = fresh(alg)
         for (l1, l2), hit in alg._memo.items():
             assert hit == again.product_flag(l1, l2), (alg.name, l1, l2)
-    xs = [x for x in made if isinstance(x, XGenerated)]
-    assert any(x._red_memo for x in xs)
-    for x in xs:
-        again = XGenerated(fresh(x.alg))
-        for (z, y), hit in x._red_memo.items():
-            assert hit == again._raw_class(z, y), (x.name, z, y)
+    # the evaluators of relations() builds, and those of omega1_vec and the
+    # boundaries
+    evaluators = [c for c in made if isinstance(c, _Classes)]
+    assert sum(1 for c in evaluators if c.memo) > 2
+    for classes in evaluators:
+        again = _Classes(fresh(classes.alg))
+        for (z, y), vec in classes.memo.items():
+            assert (vec, (z, y) in classes.lossy) == again(z, y), \
+                (classes.alg.name, z, y)
+
+
+# every relation vector is homogeneous: the Fedosov product ab - da.db
+# keeps the parity of the form degree, the crossed product adds flags, and
+# a Koszul sign changes no label; the grade of (z, g) adds those of z and
+# g, with None and the unit part () of degree 0
+def _grade(alg, label):
+    z, g = label
+    degree = alg.degree(g) + (0 if z is None else alg.degree(z))
+    if isinstance(alg, ZekriAlg):
+        return (g[0] + (0 if z is None else z[0])) % 2, degree % 2
+    return degree % 2
+
+
+@pytest.mark.parametrize("name", ["Q(dual) w4", "Qs(dual) w3", "E(dual) w3",
+                                  "Q(m2) w2"])
+def test_no_relation_mixes_grades(name, monkeypatch):
+    added = []
+
+    class Recording(Span):
+        def add(self, vec):
+            added.append(dict(vec))
+            return super().add(vec)
+    monkeypatch.setattr("xchern.xcomplex.Span", Recording)
+    alg = QUOTIENTS[name]()
+    XGenerated(alg, exact_quotient=True).relations()
+    grades = [{_grade(alg, lab) for lab in vec} for vec in added]
+    assert grades and all(len(g) == 1 for g in grades)
+    assert len(set.union(*grades)) == (4 if isinstance(alg, ZekriAlg) else 2)
