@@ -91,6 +91,8 @@ def load_algebra(spec):
         raise SpecError("an algebra is a builtin name or a table")
     if "builtin" in spec:
         name = spec["builtin"]
+        if not isinstance(name, str):
+            raise SpecError("builtin must be a string, got %r" % (name,))
         if name not in BUILTINS:
             raise SpecError("unknown builtin algebra %r" % name)
         return BUILTINS[name]()
