@@ -1,12 +1,31 @@
-"""Finite-dimensional associative algebras given by structure constants.
+"""Finite-dimensional associative algebras given by structure constants,
+and the labelled-algebra protocol every exact complex is built over.
 
 The structure table is sparse: mul[(i, j)] is a dict {k: coefficient} with
-e_i * e_j = sum_k c * e_k.  Elements are coefficient dicts {basis index:
-coefficient}, multiplied by Algebra.product; elements of a unitalization
-are label dicts over xcomplex.TableAlg.  Algebras are not assumed unital;
-a unit, when present, is stored as a coefficient vector and checked.  An
-optional grading assigns parity 0/1 to each basis element (used by super
+e_i * e_j = sum_k c * e_k.  Algebras are not assumed unital; a unit, when
+present, is stored as a coefficient vector and checked.  An optional
+grading assigns parity 0/1 to each basis element (used by super
 X-complexes).
+
+A labelled algebra has hashable labels for a basis and provides:
+  window             top filtration degree kept, or None when there is none
+  basis()            the labels
+  product_flag(l1, l2)
+                     (dict over labels, loss flag): the product of two
+                     basis labels, flagged when the truncation dropped a
+                     term; the dict may be a shared table or memo entry,
+                     which callers must not mutate
+  parity(label)      0 or 1 (the Koszul grading; 0 when ungraded)
+  generators()       labels that generate the algebra
+  factor(label)      an ordered list of generators whose product is the
+                     label ([] for a unit label)
+  unit_dict()        the unit as a dict over labels, or None
+  degree(label)      filtration degree (only where window is not None)
+Elements of the unitalization are dicts over labels in which the key None
+stands for the adjoined unit; dict_product multiplies them.  An Algebra
+speaks the protocol itself: its labels are basis indices, each one its own
+generator, and it has no window.  xcomplex.FedosovAlg, ZekriAlg and
+TensorAlg are the truncated ones.
 """
 
 from .scalars import ONE
@@ -40,15 +59,23 @@ class Algebra:
     def parity(self, i):
         return self.grading[i] if self.grading is not None else 0
 
-    def product(self, u, v):
-        """Product of two coefficient dicts."""
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                tab = self.mul.get((i, j))
-                if tab:
-                    vec_axpy(out, a * b, tab)
-        return out
+    # the labelled-algebra protocol of the module docstring
+    window = None
+
+    def basis(self):
+        return list(range(self.dim))
+
+    def product_flag(self, i, j):
+        return self.mul.get((i, j), {}), False
+
+    def generators(self):
+        return self.basis()
+
+    def factor(self, label):
+        return [label]
+
+    def unit_dict(self):
+        return dict(self.unit) if self.unit else None
 
     def check_associative(self):
         for i in range(self.dim):
@@ -69,8 +96,27 @@ class Algebra:
     def check_unit(self):
         for i in range(self.dim):
             e = {i: ONE}
-            if self.product(self.unit, e) != e or self.product(e, self.unit) != e:
+            if (dict_product(self, self.unit, e)[0] != e
+                    or dict_product(self, e, self.unit)[0] != e):
                 raise ValueError("declared unit is not a two-sided unit")
+
+
+def dict_product(alg, u, v):
+    """Product of two dicts over the labels of the labelled algebra alg, as
+    (dict, loss flag); the key None is the adjoined unit."""
+    out = {}
+    loss = False
+    for k1, c1 in u.items():
+        for k2, c2 in v.items():
+            if k1 is None:
+                prod = {k2: ONE}
+            elif k2 is None:
+                prod = {k1: ONE}
+            else:
+                prod, l = alg.product_flag(k1, k2)
+                loss = loss or l
+            vec_axpy(out, c1 * c2, prod)
+    return out, loss
 
 
 def matrix_algebra(base, n, graded=False):
@@ -110,10 +156,8 @@ def matrix_algebra(base, n, graded=False):
     if graded:
         grading = [((r + c + base.parity(b)) % 2)
                    for r in range(n) for c in range(n) for b in range(base.dim)]
-    alg = Algebra(names, mul, unit=unit, grading=grading, check=False,
-                  name="M%d(%s)" % (n, base.name))
-    alg.matrix_info = (base, n, index)
-    return alg
+    return Algebra(names, mul, unit=unit, grading=grading, check=False,
+                   name="M%d(%s)" % (n, base.name))
 
 
 # ---------------------------------------------------------------------------

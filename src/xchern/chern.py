@@ -22,10 +22,10 @@ from .linalg import vec_add, vec_axpy, vec_scale
 from . import forms as F
 from . import tensoralg as T
 from .qalgebra import eta_even, eta_odd
+from .algebra import dict_product
 from .xcomplex import (ChainMap, XGenerated, FedosovAlg, ZekriAlg,
-                       TensorAlg, TableAlg, kappa_map, x_of_hom,
-                       x_of_tensor_algebra, xt_odd_to_form,
-                       _seq_dict_product)
+                       TensorAlg, kappa_map, x_of_hom,
+                       x_of_tensor_algebra, xt_odd_to_form)
 
 
 def retraction_constant(n):
@@ -66,7 +66,7 @@ def mat_mul(alg, A, B):
             acc = out[r][c]
             for k in range(n):
                 if A[r][k] and B[k][c]:
-                    prod, l = _seq_dict_product(alg, A[r][k], B[k][c])
+                    prod, l = dict_product(alg, A[r][k], B[k][c])
                     loss = loss or l
                     vec_axpy(acc, ONE, prod)
     return out, loss
@@ -353,7 +353,7 @@ def universal_ch_even(algebra, n, src, tgt):
         q(a) = 2 da; the key None of acc is the adjoined unit."""
         loss = False
         for i in letters:
-            acc, l = _seq_dict_product(tgt.alg, acc, {(0, i): 2})
+            acc, l = dict_product(tgt.alg, acc, {(0, i): 2})
             loss = loss or l
         return acc, loss
 
@@ -504,20 +504,13 @@ def eta_chain_map(xe, xqs):
 # ---------------------------------------------------------------------------
 
 
-def ideal_power_like(alg, generators, n):
-    """Ideal power spans for a labelled algebra object."""
-    return T.ideal_power(alg, generators, n, basis=alg.basis(),
-                         product=lambda u, v: _seq_dict_product(alg, u, v)[0])
-
-
 def _branch_word_expansion(word, sign, talg):
     """Image of a tensor word under the letterwise iota branch: a dict over
     the words of the TensorAlg talg, whose letters are window form-words."""
     out = {(): ONE}
     loss = False
     for i in word:
-        out, l = _seq_dict_product(talg, out,
-                                   {((i + 1,),): ONE, ((0, i),): sign})
+        out, l = dict_product(talg, out, {((i + 1,),): ONE, ((0, i),): sign})
         loss = loss or l
     return out, loss
 
@@ -552,7 +545,7 @@ def gamma_composite(algebra, n, windows, odd=False):
     U = T.truncated_tensor_algebra(algebra, W.src_len)
     _, _, uindex, uwords = U.tensor_info
     xt = x_of_tensor_algebra(algebra, W.src_len)
-    xtu = XGenerated(TensorAlg(TableAlg(U), W.mid_len))
+    xtu = XGenerated(TensorAlg(U, W.mid_len))
 
     def v_img(word):
         if len(word) > W.mid_len:
@@ -590,7 +583,7 @@ def gamma_composite(algebra, n, windows, odd=False):
             minus, l2 = phi_factor(j, -ONE)
             comb = vec_scale(plus, HALF)
             vec_axpy(comb, HALF if kind == "elem" else -HALF, minus)
-            out, l = _seq_dict_product(xtq.alg, out, comb)
+            out, l = dict_product(xtq.alg, out, comb)
             loss = loss or l1 or l2 or l
         if () in out:
             raise ValueError("empty classifying image")

@@ -207,7 +207,7 @@ def load_extension(spec):
 
 
 def load_fredholm(spec):
-    from . import xcomplex as X, chern as C
+    from . import chern as C
     base = load_algebra(_field(spec, "base"))
     parity = _int(spec.get("parity", 0), "parity")
     if parity not in (0, 1):
@@ -217,9 +217,8 @@ def load_fredholm(spec):
     size = 2 * n if parity == 0 else n
     rho = _matrices(spec, "rho", base.dim, size, target_alg.dim)
     fmat = load_matrix(_field(spec, "F"), size, target_alg.dim)
-    target = X.TableAlg(target_alg)
     try:
-        return C.FredholmBimodule(base, target, parity, rho, fmat, n,
+        return C.FredholmBimodule(base, target_alg, parity, rho, fmat, n,
                                   name=_name(spec, "module"))
     except ValueError as exc:
         raise SpecError("bimodule rejected: %s" % exc)
@@ -660,6 +659,8 @@ def cmd_pair(args):
         # fredholm_index_oracle reads basis 0 of the target as its unit
         raise SpecError("pair needs the target q, got %r" % (spec["target"],))
     M = load_fredholm(spec)
+    if M.parity:
+        raise SpecError("pair needs an even bimodule (parity 0)")
     idems = spec.get("idempotents", [])
     if not isinstance(idems, list):
         raise SpecError("idempotents must be a list")

@@ -10,8 +10,7 @@ supertrace and the Bott normalization.
 
 from .scalars import ZERO, ONE, HALF, bott_constant, is_rational
 from .linalg import Span, vec_axpy
-from .xcomplex import (ChainMap, XGenerated, TensorAlg, TableAlg,
-                       x_of_tensor_algebra)
+from .xcomplex import ChainMap, XGenerated, TensorAlg, x_of_tensor_algebra
 from .chern import (gamma_even, gamma_odd, is_multiplicative, mat_mul,
                     mat_sub, mat_unit, mat_is_zero, mat_zero, mat_axpy,
                     _trace, _trace_entries)
@@ -38,9 +37,8 @@ class Quasihomomorphism:
         for rho in (self.rho_plus, self.rho_minus):
             if len(rho) != self.base.dim:
                 raise ValueError("one matrix per basis element required")
-        talg = TableAlg(self.target)
         for rho in (self.rho_plus, self.rho_minus):
-            if not is_multiplicative(self.base, talg, rho):
+            if not is_multiplicative(self.base, self.target, rho):
                 raise ValueError("representation is not multiplicative")
 
     def is_degenerate(self):
@@ -96,8 +94,7 @@ class InvertibleExtension:
             self._check()
 
     def _check(self):
-        if not is_multiplicative(self.base, TableAlg(self.target),
-                                 self.alpha):
+        if not is_multiplicative(self.base, self.target, self.alpha):
             raise ValueError("alpha is not multiplicative")
 
     def conjugate_by_x(self, mat):
@@ -181,7 +178,7 @@ def _traced_lift(src_cx, letters, nsize, target, out_len, name,
     letter g, whose entries are single letters or the unit word, so the
     trace of its class is sum_{r,c} s_r class(lift(z)[r][c].d
     lift(g)[c][r]); a unit word in lift(g) contributes d(1) = 0."""
-    tb = TensorAlg(TableAlg(target), out_len, unital=True)
+    tb = TensorAlg(target, out_len, unital=True)
     xtb = XGenerated(tb)
     lift = lift_words(letters, tb)
     signs = [-ONE if graded and (r // half) % 2 else ONE
@@ -219,11 +216,10 @@ def ch_even(quasi, n, windows, return_parts=False):
     """Bivariant even character: trace . X(lift) . gamma^{2n}."""
     W = windows
     gamma, parts = gamma_even(quasi.base, n, W)
-    talg = TableAlg(quasi.target)
 
     def rep(word):
         return _rep_on_window_word(quasi.rho_plus, quasi.rho_minus, word,
-                                   talg, quasi.nsize)
+                                   quasi.target, quasi.nsize)
 
     trlift, xtb = _traced_lift(parts["xtq"], rep, quasi.nsize, quasi.target,
                                W.out_len, "tr.X(lift)")
@@ -251,13 +247,12 @@ def ch_odd(ext, n, windows, return_parts=False):
     gamma^{2n+1}."""
     W = windows
     gamma, parts = gamma_odd(ext.base, n, W)
-    talg = TableAlg(ext.target)
     two = 2 * ext.nsize
     xax = [ext.conjugate_by_x(al) for al in ext.alpha]
 
     def rep(word):
         """phi^s on a window form word: iota -> alpha, bar -> X alpha X."""
-        return _rep_on_window_word(ext.alpha, xax, word, talg, two)
+        return _rep_on_window_word(ext.alpha, xax, word, ext.target, two)
 
     trlift, xtb = _traced_lift(parts["xtq"], rep, two, ext.target, W.out_len,
                                "trs.X(lift_s)", graded=True, half=ext.nsize)
@@ -363,7 +358,7 @@ def is_idempotent(base, e_matrix):
     base indices) pairs over the unitalized base, squares to itself."""
     E = [[{key: c for key, c in [(None, s), *body.items()] if c}
           for s, body in row] for row in e_matrix]
-    EE, _ = mat_mul(TableAlg(base), E, E)
+    EE, _ = mat_mul(base, E, E)
     return mat_is_zero(mat_sub(EE, E))
 
 

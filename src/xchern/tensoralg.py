@@ -12,7 +12,7 @@ import itertools
 
 from .scalars import ONE
 from .linalg import vec_axpy, Span
-from .algebra import Algebra
+from .algebra import Algebra, dict_product
 from . import forms as F
 
 
@@ -94,21 +94,19 @@ def truncated_tensor_algebra(base, max_len):
     return alg
 
 
-def ideal_power(ambient, generators, n, product=None, basis=None):
-    """Span of the n-th power of the two-sided ideal generated in ambient,
-    as a linalg.Span.
+def ideal_power(ambient, generators, n):
+    """Span of the n-th power of the two-sided ideal generated in the
+    labelled algebra ambient, as a linalg.Span.
 
-    ambient must have an enumerable basis; the closure runs span growth to a
-    fixed point.  product(u, v) and basis may be supplied for labelled
-    algebra objects that are not materialized Algebras.
-    """
+    The closure runs span growth over the basis of ambient to a fixed
+    point."""
     if n < 1:
         raise ValueError("ideal powers start at 1")
-    if product is None:
-        product = ambient.product
-    if basis is None:
-        basis = list(range(ambient.dim))
-    basis_elems = [{i: ONE} for i in basis]
+
+    def product(u, v):
+        return dict_product(ambient, u, v)[0]
+
+    basis_elems = [{l: ONE} for l in ambient.basis()]
     ideal = Span()
     frontier = []
     for g in generators:

@@ -1,4 +1,4 @@
-"""Z2-graded X-complexes of truncated algebras.
+"""Z2-graded X-complexes of labelled algebras (see the algebra module).
 
 The even part of X(R) is R itself; the odd part is the quotient of
 one-forms by (super)commutators.  For algebras presented by generators the
@@ -23,45 +23,14 @@ import math
 from .scalars import ZERO, ONE
 from .linalg import (vec_add, vec_axpy, vec_scale, Span, label_key, solve,
                      check_columns)
+from .algebra import dict_product
 from . import forms as F
 from . import tensoralg as T
 
 
 # ---------------------------------------------------------------------------
-# algebra protocol: labelled basis, sparse product with loss flag, parity,
-# generators with exact ordered factorizations
+# truncated labelled algebras (the protocol: the algebra module docstring)
 # ---------------------------------------------------------------------------
-
-
-class TableAlg:
-    """Adapter for a materialized Algebra; labels are basis indices.
-
-    product_flag hands out the algebra's own table entry: callers must not
-    mutate it.  It carries no filtration degree (window None)."""
-
-    window = None
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        self.name = algebra.name
-
-    def basis(self):
-        return list(range(self.algebra.dim))
-
-    def product_flag(self, l1, l2):
-        return self.algebra.product_basis(l1, l2), False
-
-    def parity(self, label):
-        return self.algebra.parity(label)
-
-    def generators(self):
-        return self.basis()
-
-    def factor(self, label):
-        return [label]
-
-    def unit_dict(self):
-        return dict(self.algebra.unit) if self.algebra.unit else None
 
 
 class FedosovAlg:
@@ -71,8 +40,7 @@ class FedosovAlg:
     product is exactly associative; a loss flag reports when a product fell
     out of the window (where values differ from the untruncated algebra).
     The filtration degree of a word is its form degree, and the window is
-    the top degree kept.  product_flag hands out its memo entry: callers
-    must not mutate it.
+    the top degree kept.
     """
 
     def __init__(self, space, graded=False):
@@ -118,8 +86,7 @@ class FedosovAlg:
 class ZekriAlg:
     """Crossed product of the unitalized Fedosov algebra by the parity
     involution; labels are (flag, word) with word = () the unit part and
-    flag = 1 carrying the symmetry, which has degree 0 like the unit part.
-    product_flag hands out its memo entry: callers must not mutate it."""
+    flag = 1 carrying the symmetry, which has degree 0 like the unit part."""
 
     def __init__(self, space):
         self.space = space
@@ -257,7 +224,7 @@ class _Classes:
             # f_0 ... f_i, give the Koszul sign
             suffixes = [{None: ONE}]
             for f in fac[:0:-1]:
-                suffix, l = _seq_dict_product(alg, {f: ONE}, suffixes[-1])
+                suffix, l = dict_product(alg, {f: ONE}, suffixes[-1])
                 suffixes.append(suffix)
                 loss = loss or l
             rotations = []
@@ -267,7 +234,7 @@ class _Classes:
                                   sum(pars[i + 1:]) % 2,
                                   sum(pars[:i + 1]) % 2))
                 if i + 1 < len(fac):
-                    prefix, l = _seq_dict_product(alg, prefix, {f: ONE})
+                    prefix, l = dict_product(alg, prefix, {f: ONE})
                     loss = loss or l
             hit = self._rotations[y] = (rotations, loss)
         return hit
@@ -282,8 +249,8 @@ class _Classes:
         rotations, loss = self._rotations_of(y)
         vec = self.memo[key] = {}
         for g, prefix, suffix, p_suf, p_pre in rotations:
-            left, l1 = _seq_dict_product(alg, suffix, {z: ONE})
-            chunk, l2 = _seq_dict_product(alg, left, prefix)
+            left, l1 = dict_product(alg, suffix, {z: ONE})
+            chunk, l2 = dict_product(alg, left, prefix)
             loss = loss or l1 or l2
             sign = -ONE if p_suf and (pz + p_pre) % 2 else ONE
             vec_axpy(vec, sign, {(lab, g): c for lab, c in chunk.items()})
@@ -314,7 +281,7 @@ class XGenerated:
         """Span of the reduced commutator classes red([r, z.dg]).
 
         Only triples (z, g, r) with deg z + deg g + deg r - 1 <= window
-        are built (deg None = 0); on an algebra without a window (TableAlg)
+        are built (deg None = 0); on an algebra without a window (Algebra)
         every triple is.  A skipped triple's vector is structurally
         empty.  Let D = deg z + deg g + deg r.  Each term of
         the vector is either (rz, g) or a rotation label paired with one
@@ -459,11 +426,6 @@ class OmegaComplex:
 
     def canonical_odd(self, vec):
         return vec
-
-
-def build_X(algebra):
-    """X-complex of a materialized algebra via the honest quotient."""
-    return XGenerated(TableAlg(algebra), exact_quotient=True)
 
 
 def _sides(cx, even_labels=None, odd_labels=None):
@@ -777,8 +739,8 @@ def adic_filtration(xgen, ideal_powers, m):
             even.add(row)
         for row in power_rows(n):
             for l in basis:
-                a, _ = _seq_dict_product(alg, row, {l: ONE})
-                bvec, _ = _seq_dict_product(alg, {l: ONE}, row)
+                a, _ = dict_product(alg, row, {l: ONE})
+                bvec, _ = dict_product(alg, {l: ONE}, row)
                 diff = dict(a)
                 vec_axpy(diff, -ONE, bvec)
                 if diff:
@@ -801,24 +763,6 @@ def adic_filtration(xgen, ideal_powers, m):
                 if vec:
                     odd.add(vec)
     return even, odd
-
-
-def _seq_dict_product(alg, u, v):
-    """Product of two dicts over the labels of alg; the key None is the
-    adjoined unit."""
-    out = {}
-    loss = False
-    for k1, c1 in u.items():
-        for k2, c2 in v.items():
-            if k1 is None:
-                prod = {k2: ONE}
-            elif k2 is None:
-                prod = {k1: ONE}
-            else:
-                prod, l = alg.product_flag(k1, k2)
-                loss = loss or l
-            vec_axpy(out, c1 * c2, prod)
-    return out, loss
 
 
 class TensorIdealFiltration:
@@ -907,7 +851,7 @@ def order_certificate(f, src_basis_fn, tgt_filt, shift, levels):
 def x_of_tensor_algebra(algebra, max_len):
     """X-complex of the truncated tensor algebra of a materialized algebra,
     in the tensor picture."""
-    return XGenerated(TensorAlg(TableAlg(algebra), max_len))
+    return XGenerated(TensorAlg(algebra, max_len))
 
 
 def xt_odd_to_form(vec, space):

@@ -12,7 +12,7 @@ import pytest
 from xchern.scalars import Scalar, ZERO, ONE, bott_constant
 from xchern.linalg import vec_axpy
 from xchern.algebra import (dual_numbers, matrix_units, group_algebra_z2,
-                            split_pair, rationals)
+                            split_pair, rationals, dict_product)
 from xchern.forms import FormSpace
 from xchern import forms as F
 from xchern.qalgebra import iota, iotabar, q_gen
@@ -21,12 +21,13 @@ from xchern.xcomplex import (XGenerated, FedosovAlg, ZekriAlg, OmegaComplex,
                              verify_chain_map, maps_equal, ChainMap,
                              homotopy_solve, hodge_filtration,
                              adic_filtration, TensorIdealFiltration,
-                             order_certificate, TableAlg)
+                             order_certificate)
 from xchern.chern import (universal_ch_even, universal_ch_odd,
                           universal_bimodule_even, universal_bimodule_odd,
                           retracted_cocycle, kappa_power_sum, eta_chain_map,
                           gamma_even, GammaWindows, x_of_t_branch,
-                          ideal_power_like, FredholmBimodule)
+                          FredholmBimodule)
+from xchern.tensoralg import ideal_power
 from xchern.quasihom import (hom_quasi, Quasihomomorphism, ch_even,
                              x_of_t_rho, index_pairing,
                              fredholm_index_oracle)
@@ -90,7 +91,7 @@ def test_criterion_2_q_identity(corpus):
         for i in range(alg.dim):
             for j in range(alg.dim):
                 a, bb = {i: ONE}, {j: ONE}
-                lhs, _ = q_gen(alg.product(a, bb), sp)
+                lhs, _ = q_gen(dict_product(alg, a, bb)[0], sp)
                 rhs, _ = F.fedosov_full(sp, iota(a, sp)[0], q_gen(bb, sp)[0])
                 right, _ = F.fedosov_full(sp, q_gen(a, sp)[0],
                                           iotabar(bb, sp)[0])
@@ -122,7 +123,7 @@ def test_criterion_3_universal_even(even_settings):
         # range inside the target level 4n against computed ideal powers
         gens = [{(0, i): ONE} for i in range(S["alg"].dim)]
         kmax = max(2 * n + 1, 1)
-        powers = {k: ideal_power_like(xq.alg, gens, k)
+        powers = {k: ideal_power(xq.alg, gens, k)
                   for k in range(1, kmax + 2)}
         ev4, od4 = adic_filtration(xq, powers, 4 * n)
         for lab in xt.even_basis():
@@ -314,7 +315,7 @@ def test_criterion_10_index_pairing():
         [[{}, {}], [{}, {0: ONE}]],
     ]
     fm = [[{}, {None: ONE}], [{None: ONE}, {}]]
-    M = FredholmBimodule(qq, TableAlg(rationals()), 0, rho, fm, 1)
+    M = FredholmBimodule(qq, rationals(), 0, rho, fm, 1)
     e1 = [[(ZERO, {0: ONE})]]
     e2 = [[(ZERO, {1: ONE})]]
     zero = [[(ZERO, {})]]
@@ -323,7 +324,7 @@ def test_criterion_10_index_pairing():
         orc = fredholm_index_oracle(M, mat, 1)
         assert val == Scalar.from_int(expect) and orc == expect
     same = [[{0: ONE}, {}], [{}, {0: ONE}]]
-    Md = FredholmBimodule(qq, TableAlg(rationals()), 0,
+    Md = FredholmBimodule(qq, rationals(), 0,
                           [same, [[{}, {}], [{}, {}]]], fm, 1)
     assert Md.is_degenerate()
     assert index_pairing(Md, e1, 1) == ZERO

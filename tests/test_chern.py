@@ -14,8 +14,9 @@ from xchern.chern import (universal_ch_even, universal_ch_odd,
                           universal_bimodule_even, universal_bimodule_odd,
                           retracted_cocycle, kappa_power_sum, d_chain_map,
                           eta_chain_map, gamma_even, gamma_odd,
-                          GammaWindows, x_of_t_branch, ideal_power_like,
-                          FredholmBimodule, mat_unit)
+                          GammaWindows, x_of_t_branch, FredholmBimodule,
+                          mat_unit)
+from xchern.tensoralg import ideal_power
 
 import xreference
 
@@ -91,7 +92,7 @@ def test_universal_even_filtration_ranges(dual):
         assert not loss and not img
     # range inside the target level 4n of the free-product ideal
     gens = [{(0, i): ONE} for i in range(dual.dim)]
-    powers = {k: ideal_power_like(xq.alg, gens, k) for k in (1, 2, 3)}
+    powers = {k: ideal_power(xq.alg, gens, k) for k in (1, 2, 3)}
     ev4, od4 = adic_filtration(xq, powers, 4 * n)
     for lab in xt.even_basis():
         img, loss = ch.even_col(lab)
@@ -115,15 +116,14 @@ def test_u0_commutator(dual):
 
 def test_retracted_cocycle_values(dual, qq):
     # difference of the two representations on the degree-0 slot
-    from xchern.xcomplex import build_X, TableAlg
     from xchern.algebra import rationals
-    xb = build_X(rationals())
+    xb = XGenerated(rationals(), exact_quotient=True)
     rho = [
         [[{0: ONE}, {}], [{}, {}]],
         [[{}, {}], [{}, {0: ONE}]],
     ]
     fm = [[{}, {None: ONE}], [{None: ONE}, {}]]
-    M = FredholmBimodule(qq, TableAlg(rationals()), 0, rho, fm, 1)
+    M = FredholmBimodule(qq, rationals(), 0, rho, fm, 1)
     omega = OmegaComplex(FormSpace(qq, 2))
     chi0 = retracted_cocycle(M, 0, omega, xb)
     v, _ = chi0.even_col((1,))
@@ -133,13 +133,12 @@ def test_retracted_cocycle_values(dual, qq):
 
 
 def test_degenerate_bimodule_vanishes(dual):
-    from xchern.xcomplex import build_X, TableAlg
     from xchern.algebra import rationals
-    xb = build_X(rationals())
+    xb = XGenerated(rationals(), exact_quotient=True)
     same = [[{None: ONE}, {}], [{}, {None: ONE}]]
     rho = [same, [[{}, {}], [{}, {}]]]
     fm = [[{}, {None: ONE}], [{None: ONE}, {}]]
-    M = FredholmBimodule(dual, TableAlg(rationals()), 0, rho, fm, 1)
+    M = FredholmBimodule(dual, rationals(), 0, rho, fm, 1)
     assert M.is_degenerate()
     omega = OmegaComplex(FormSpace(dual, 2))
     chi0 = retracted_cocycle(M, 0, omega, xb)
@@ -150,39 +149,36 @@ def test_degenerate_bimodule_vanishes(dual):
 
 
 def test_parity_mismatch_rejected(dual):
-    from xchern.xcomplex import build_X, TableAlg
     from xchern.algebra import rationals
-    xb = build_X(rationals())
+    xb = XGenerated(rationals(), exact_quotient=True)
     rho = [[[{None: ONE}, {}], [{}, {None: ONE}]],
            [[{}, {}], [{}, {}]]]
     fm = [[{}, {None: ONE}], [{None: ONE}, {}]]
-    M = FredholmBimodule(dual, TableAlg(rationals()), 0, rho, fm, 1)
+    M = FredholmBimodule(dual, rationals(), 0, rho, fm, 1)
     omega = OmegaComplex(FormSpace(dual, 2))
     with pytest.raises(ValueError):
         retracted_cocycle(M, 1, omega, xb)
 
 
 def test_bad_symmetry_rejected(dual):
-    from xchern.xcomplex import TableAlg
     from xchern.algebra import rationals
     rho = [[[{None: ONE}, {}], [{}, {None: ONE}]],
            [[{}, {}], [{}, {}]]]
     bad_f = [[{}, {None: Scalar.from_int(2)}], [{None: ONE}, {}]]
     with pytest.raises(ValueError):
-        FredholmBimodule(dual, TableAlg(rationals()), 0, rho, bad_f, 1)
+        FredholmBimodule(dual, rationals(), 0, rho, bad_f, 1)
 
 
 def test_non_multiplicative_rho_rejected(qq):
-    from xchern.xcomplex import TableAlg
     from xchern.algebra import rationals
     # rho(e1) = diag(0, 2) squares to diag(0, 4), not to rho(e1)
     rho = [[[{}, {}], [{}, {None: Scalar.from_int(2)}]],
            [[{}, {}], [{}, {}]]]
     fm = [[{}, {None: ONE}], [{None: ONE}, {}]]
     with pytest.raises(ValueError, match="rho is not multiplicative"):
-        FredholmBimodule(qq, TableAlg(rationals()), 0, rho, fm, 1)
+        FredholmBimodule(qq, rationals(), 0, rho, fm, 1)
     rho[0][1][1] = {None: ONE}
-    FredholmBimodule(qq, TableAlg(rationals()), 0, rho, fm, 1)
+    FredholmBimodule(qq, rationals(), 0, rho, fm, 1)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -246,11 +242,10 @@ def test_odd_retracted_unit_slot_values(dual):
 
 
 def test_odd_bimodule_stored_doubled(dual):
-    from xchern.xcomplex import TableAlg
     from xchern.algebra import rationals
     alpha = [[[{0: ONE}]], [[{}]]]
     f = [[{0: ONE}]]
-    M = FredholmBimodule(dual, TableAlg(rationals()), 1, alpha, f, 1)
+    M = FredholmBimodule(dual, rationals(), 1, alpha, f, 1)
     assert M.rho[0] == [[{0: ONE}, {}], [{}, {0: ONE}]]
     assert M.fmat == [[{}, {0: ONE}], [{0: ONE}, {}]]
 

@@ -252,10 +252,11 @@ def test_pair_command(tmp_path, capsys):
 
 def test_pair_rejects_odd_bimodule(tmp_path, capsys):
     path = _write(tmp_path, "odd.json", ODD_FRED_SPEC)
-    assert main(["pair", path, "--emit", "json"]) == 2
-    body = json.loads(capsys.readouterr().out)
-    assert [(c["status"], c["detail"]) for c in body["checks"]] == \
-        [("fail", "index pairing needs an even bimodule")]
+    assert main(["pair", path, "--emit", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "input error: pair needs an even bimodule (parity 0)\n"
+    assert captured.out == ""
 
 
 # malformed/<command>__<case>.json: each spec must be turned away by that

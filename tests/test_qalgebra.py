@@ -2,7 +2,8 @@ from xchern.scalars import Scalar, ONE
 from xchern.linalg import vec_add
 from xchern.forms import FormSpace, fedosov_full
 from xchern.qalgebra import iota, iotabar, q_gen, eta_even, eta_odd
-from xchern.xcomplex import ZekriAlg, _seq_dict_product
+from xchern.algebra import dict_product
+from xchern.xcomplex import ZekriAlg
 
 
 def _fold(form):
@@ -44,7 +45,7 @@ def test_fold_is_multiplicative(corpus_algebras):
             for w2 in words[:8]:
                 f1, f2 = ({w1: ONE}, False), ({w2: ONE}, False)
                 lhs = _fold(_product(sp, f1, f2))
-                rhs = alg.product(_fold(f1), _fold(f2))
+                rhs = dict_product(alg, _fold(f1), _fold(f2))[0]
                 assert lhs == rhs
 
 
@@ -56,7 +57,7 @@ def test_q_identity(corpus_algebras):
             for j in range(alg.dim):
                 a = {i: ONE}
                 bb = {j: ONE}
-                ab = alg.product(a, bb)
+                ab = dict_product(alg, a, bb)[0]
                 lhs = q_gen(ab, sp)[0]
                 rhs1 = vec_add(_product(sp, iota(a, sp), q_gen(bb, sp))[0],
                                _product(sp, q_gen(a, sp), iotabar(bb, sp))[0])
@@ -71,7 +72,7 @@ def _zekri_product(E, *factors):
     the loss flags of every step."""
     acc, loss = factors[0], False
     for f in factors[1:]:
-        acc, l = _seq_dict_product(E, acc, f)
+        acc, l = dict_product(E, acc, f)
         loss = loss or l
     return acc, loss
 

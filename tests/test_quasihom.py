@@ -9,7 +9,7 @@ from xchern.forms import FormSpace
 from xchern.xcomplex import (x_of_tensor_algebra, verify_chain_map,
                              maps_equal, homotopy_solve, ChainMap,
                              TensorIdealFiltration, hodge_filtration,
-                             order_certificate, TableAlg)
+                             order_certificate)
 from xchern.chern import GammaWindows, FredholmBimodule
 from xchern.quasihom import (Quasihomomorphism, InvertibleExtension,
                              hom_quasi, ch_even, ch_odd, x_of_t_rho,
@@ -192,7 +192,7 @@ def _toy_bimodule(qq):
         [[{}, {}], [{}, {0: ONE}]],
     ]
     fm = [[{}, {None: ONE}], [{None: ONE}, {}]]
-    return FredholmBimodule(qq, TableAlg(rationals()), 0, rho, fm, 1,
+    return FredholmBimodule(qq, rationals(), 0, rho, fm, 1,
                             name="toy")
 
 
@@ -212,7 +212,7 @@ def test_index_pairing_degenerate(qq):
     same = [[{0: ONE}, {}], [{}, {0: ONE}]]
     rho = [same, [[{}, {}], [{}, {}]]]
     fm = [[{}, {None: ONE}], [{None: ONE}, {}]]
-    M = FredholmBimodule(qq, TableAlg(rationals()), 0, rho, fm, 1)
+    M = FredholmBimodule(qq, rationals(), 0, rho, fm, 1)
     assert M.is_degenerate()
     e1 = [[(ZERO, {0: ONE})]]
     assert index_pairing(M, e1, 1) == ZERO

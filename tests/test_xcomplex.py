@@ -6,12 +6,13 @@ import pytest
 from xchern.scalars import Scalar, ZERO, ONE
 from xchern.linalg import vec_axpy, Span
 from xchern.algebra import (rationals, dual_numbers, matrix_units,
-                            group_algebra_z2, split_pair, matrix_algebra)
+                            group_algebra_z2, split_pair, matrix_algebra,
+                            dict_product)
 from xchern.forms import FormSpace, kappa, b as formb, connes_B
 from xchern import forms as F
 from xchern import tensoralg as T
-from xchern.xcomplex import (build_X, XGenerated, FedosovAlg, ZekriAlg,
-                             TensorAlg, TableAlg, _Classes,
+from xchern.xcomplex import (XGenerated, FedosovAlg, ZekriAlg,
+                             TensorAlg, _Classes,
                              OmegaComplex, verify_dd, ChainMap,
                              verify_chain_map, verify_homotopy, maps_equal,
                              homotopy_solve,
@@ -20,7 +21,7 @@ from xchern.xcomplex import (build_X, XGenerated, FedosovAlg, ZekriAlg,
                              x_of_tensor_algebra,
                              xt_odd_to_form, form_to_xt_even, form_to_xt_odd,
                              kappa_map, rescale_map, rescale_c, x_of_hom)
-from xchern.chern import d_chain_map, identity_map, ideal_power_like
+from xchern.chern import d_chain_map, identity_map
 from xchern.cli import Report, universal_suite
 
 import xreference
@@ -28,12 +29,12 @@ from test_generated import GENERATED, rational_rebasing
 
 
 def test_x_of_scalars():
-    xq = build_X(rationals())
+    xq = XGenerated(rationals(), exact_quotient=True)
     assert xq.odd_basis() == []
 
 
 def test_x_small_commutator(dual):
-    xa = build_X(dual)
+    xa = XGenerated(dual, exact_quotient=True)
     v, _ = xa.bdry_odd(xa.canonical_odd({(1, 1): ONE}))
     assert v == {}
 
@@ -41,7 +42,7 @@ def test_x_small_commutator(dual):
 def test_dd_zero_small(corpus_algebras, dual):
     graded_m2 = matrix_algebra(dual, 2, graded=True)
     for alg in list(corpus_algebras) + [graded_m2]:
-        rep = verify_dd(build_X(alg))
+        rep = verify_dd(XGenerated(alg, exact_quotient=True))
         assert rep["ok"] and rep["checked"] > 0, alg.name
 
 
@@ -74,7 +75,7 @@ def test_tensor_boundaries(dual):
 
 
 def test_free_tensor_has_no_interior_relations(dual):
-    xt = XGenerated(TensorAlg(TableAlg(dual), 3), exact_quotient=True)
+    xt = XGenerated(TensorAlg(dual, 3), exact_quotient=True)
     for piv, row in xt.relations().rows.items():
         sizes = {(0 if z is None else len(z)) + 1 for (z, g) in row}
         assert max(sizes) > 3  # only truncation-edge classes
@@ -115,7 +116,8 @@ def test_hodge_quotient_is_x_of_algebra(name):
     dim_odd_quot = sum(sp.dim_degree(n)
                        for n in range(1, window + 1, 2)) - od.dim
     assert dim_even_quot == alg.dim
-    assert dim_odd_quot == len(build_X(alg).odd_basis())
+    x_alg = XGenerated(alg, exact_quotient=True)
+    assert dim_odd_quot == len(x_alg.odd_basis())
 
 
 def test_hodge_nesting(dual):
@@ -136,7 +138,7 @@ def test_adic_filtration_q(dual):
     alg = FedosovAlg(sp)
     xq = XGenerated(alg, exact_quotient=True)
     gens = [{(0, i): ONE} for i in range(dual.dim)]
-    powers = {k: ideal_power_like(alg, gens, k) for k in (1, 2, 3)}
+    powers = {k: T.ideal_power(alg, gens, k) for k in (1, 2, 3)}
     levels = {m: adic_filtration(xq, powers, m) for m in range(0, 4)}
     # decreasing subcomplexes
     for m in range(1, 4):
@@ -165,7 +167,7 @@ def test_ideal_power_degree_observation(dual):
     sp = FormSpace(dual, 3)
     alg = FedosovAlg(sp)
     gens = [{(0, i): ONE} for i in range(dual.dim)]
-    p2 = ideal_power_like(alg, gens, 2)
+    p2 = T.ideal_power(alg, gens, 2)
     degree_span = Span()
     for n in range(2, 4):
         for w in sp.basis_words(n):
@@ -291,7 +293,7 @@ def test_verify_homotopy_rejects_a_changed_coefficient(dual):
 
 def test_homotopy_solve_obstruction():
     # the identity on X(Q): Q <-> 0 has homology Q, no primitive exists
-    xq = build_X(rationals())
+    xq = XGenerated(rationals(), exact_quotient=True)
     f = identity_map(xq)
     h, witness = homotopy_solve(f, track_witness=True)
     assert h is None
@@ -429,7 +431,7 @@ def test_maps_equal_reports_a_bumped_column(dual, side):
 def test_verify_dd_reports_odd_failures():
     # without the exact quotient the generated odd labels of X(M_2) are
     # not independent, and d.d fails on ten of them
-    fails = verify_dd(XGenerated(TableAlg(matrix_units(2))))["failures"]
+    fails = verify_dd(XGenerated(matrix_units(2)))["failures"]
     assert len(fails) == 10
     assert {side for side, _, _ in fails} == {"odd"}
 
@@ -544,8 +546,7 @@ def test_relations_match_reference_loop(name):
 # and generators of degree <= 1, and its conclusion is that every skipped
 # triple is empty in the reference loop, which builds them all
 DEGREE_BOUND = dict(QUOTIENTS, **{
-    "T3(dual) unital": lambda: TensorAlg(TableAlg(dual_numbers()), 3,
-                                         unital=True)})
+    "T3(dual) unital": lambda: TensorAlg(dual_numbers(), 3, unital=True)})
 
 
 @pytest.mark.parametrize("name", list(DEGREE_BOUND))
@@ -566,6 +567,59 @@ def test_triples_beyond_the_degree_bound_are_empty(name):
     assert beyond
     for r, z, g in beyond:
         assert not ref.vector(r, z, g), (r, z, g)
+
+
+# the labelled-algebra protocol the class evaluator and relations() rely
+# on, over materialized and truncated algebras: a label factors into
+# generators whose left-to-right product is the label itself, or into
+# nothing when it is a unit, and products and the unit stay in the basis
+PROTOCOL = {
+    "dual": dual_numbers,
+    "m2": lambda: matrix_units(2),
+    "z2": group_algebra_z2,
+    "qq": split_pair,
+    "Q(dual) w3": QUOTIENTS["Q(dual) w3"],
+    "Qs(dual) w3": QUOTIENTS["Qs(dual) w3"],
+    "E(dual) w3": QUOTIENTS["E(dual) w3"],
+    "T3(qq)": lambda: TensorAlg(split_pair(), 3),
+    "T3(qq) unital": lambda: TensorAlg(split_pair(), 3, unital=True),
+}
+
+
+@pytest.mark.parametrize("name", list(PROTOCOL))
+def test_labelled_algebra_protocol(name):
+    alg = PROTOCOL[name]()
+    basis = alg.basis()
+    labels = set(basis)
+    gens = set(alg.generators())
+    assert gens <= labels
+    units = []
+    for y in basis:
+        fac = alg.factor(y)
+        if not fac:
+            units.append(y)
+            continue
+        assert all(f in gens for f in fac), y
+        acc, loss = {None: ONE}, False
+        for f in fac:
+            acc, l = dict_product(alg, acc, {f: ONE})
+            loss = loss or l
+        assert (acc, loss) == ({y: ONE}, False), y
+    assert len(units) <= 1
+    for l1 in basis:
+        for l2 in basis:
+            assert set(alg.product_flag(l1, l2)[0]) <= labels, (l1, l2)
+    unit = alg.unit_dict()
+    if unit is not None:
+        assert set(unit) <= labels
+        if len(unit) == 1 and not set(unit) & gens:
+            assert list(unit) == units
+    for u in [unit] + [{y: ONE} for y in units]:
+        if u is None:
+            continue
+        for y in basis:
+            assert dict_product(alg, u, {y: ONE}) == ({y: ONE}, False), y
+            assert dict_product(alg, {y: ONE}, u) == ({y: ONE}, False), y
 
 
 # the class evaluator takes each rotation as (suffix . z) . prefix and ORs
@@ -642,8 +696,14 @@ def _grade(alg, label):
     return degree % 2
 
 
+GRADED = dict(QUOTIENTS, **{
+    "E(z2-rebased) w2": lambda: ZekriAlg(FormSpace(
+        GENERATED["z2-rebased"][1](), 2))})
+
+
 @pytest.mark.parametrize("name", ["Q(dual) w4", "Qs(dual) w3", "E(dual) w3",
-                                  "Q(m2) w2"])
+                                  "Q(m2) w2", "Q(dual-rebased) w2",
+                                  "E(z2-rebased) w2"])
 def test_no_relation_mixes_grades(name, monkeypatch):
     added = []
 
@@ -652,7 +712,7 @@ def test_no_relation_mixes_grades(name, monkeypatch):
             added.append(dict(vec))
             return super().add(vec)
     monkeypatch.setattr("xchern.xcomplex.Span", Recording)
-    alg = QUOTIENTS[name]()
+    alg = GRADED[name]()
     XGenerated(alg, exact_quotient=True).relations()
     grades = [{_grade(alg, lab) for lab in vec} for vec in added]
     assert grades and all(len(g) == 1 for g in grades)
