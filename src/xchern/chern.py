@@ -209,7 +209,7 @@ def _trace_d(tgt, entries, A, B):
     return out, loss
 
 
-def retracted_cocycle(M, n, src, tgt, name=None):
+def retracted_cocycle(M, n, src, tgt):
     """The degree-n retracted cocycle of a Fredholm bimodule as a chain map
     from the (b + B)-complex window to the X-complex of the target.
 
@@ -301,8 +301,7 @@ def retracted_cocycle(M, n, src, tgt, name=None):
             return value_deg_n1(word)
         return {}, False
 
-    return ChainMap(src, tgt, M.parity, col, col,
-                    name=name or ("chi%d(%s)" % (n, M.name)))
+    return ChainMap(src, tgt, M.parity, col, col)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +319,7 @@ def universal_bimodule_even(algebra, space):
         iob = {(i + 1,): ONE, (0, i): -ONE}
         rho.append([[io, {}], [{}, iob]])
     fmat = [[{}, {None: ONE}], [{None: ONE}, {}]]
-    return FredholmBimodule(algebra, qalg, 0, rho, fmat, 1, name="u0")
+    return FredholmBimodule(algebra, qalg, 0, rho, fmat, 1)
 
 
 def universal_bimodule_odd(algebra, space):
@@ -329,7 +328,7 @@ def universal_bimodule_odd(algebra, space):
     rho = [[[{(0, (i + 1,)): ONE, (0, (0, i)): ONE}]]
            for i in range(algebra.dim)]
     fmat = [[{(1, ()): ONE}]]
-    return FredholmBimodule(algebra, ealg, 1, rho, fmat, 1, name="u1")
+    return FredholmBimodule(algebra, ealg, 1, rho, fmat, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +391,7 @@ def universal_ch_even(algebra, n, src, tgt):
             vec_axpy(out, c * coef, v2)
         return out, loss
 
-    return ChainMap(src, tgt, 0, efn, ofn, name="ch%d" % (2 * n))
+    return ChainMap(src, tgt, 0, efn, ofn)
 
 
 def d_chain_map(xqs):
@@ -422,7 +421,7 @@ def d_chain_map(xqs):
             vec_axpy(out, ONE if pz == 0 else -ONE, v)
         return out, loss
 
-    return ChainMap(xqs, xqs, 0, efn, ofn, name="d")
+    return ChainMap(xqs, xqs, 0, efn, ofn)
 
 
 def universal_ch_odd(algebra, n, src, tgt):
@@ -467,7 +466,7 @@ def universal_ch_odd(algebra, n, src, tgt):
                 vec_axpy(out, -c, dv)
         return out, loss
 
-    return ChainMap(src, tgt, 1, efn, ofn, name="ch%d" % (2 * n + 1))
+    return ChainMap(src, tgt, 1, efn, ofn)
 
 
 def kappa_power_sum(xt, space, top):
@@ -484,7 +483,7 @@ def kappa_power_sum(xt, space, top):
 def identity_map(cx):
     return ChainMap(cx, cx, 0,
                     lambda lab: ({lab: ONE}, False),
-                    lambda lab: ({lab: ONE}, False), name="id")
+                    lambda lab: ({lab: ONE}, False))
 
 
 def eta_chain_map(xe, xqs):
@@ -496,7 +495,7 @@ def eta_chain_map(xe, xqs):
     def ofn(lab):
         return xqs.canonical_odd(eta_odd({lab: ONE})), False
 
-    return ChainMap(xe, xqs, 0, efn, ofn, name="eta")
+    return ChainMap(xe, xqs, 0, efn, ofn)
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +514,12 @@ def _branch_word_expansion(word, sign, talg):
     return out, loss
 
 
-def x_of_t_branch(xt, xtq, sign, name):
+def x_of_t_branch(xt, xtq, sign):
     """X of the letterwise homomorphism a -> iota(a) (or the bar copy)."""
     def img(word):
         return _branch_word_expansion(tuple(word), sign, xtq.alg)
 
-    return x_of_hom(xt, xtq, img, name=name)
+    return x_of_hom(xt, xtq, img)
 
 
 class GammaWindows:
@@ -552,7 +551,7 @@ def gamma_composite(algebra, n, windows, odd=False):
             return {}, True
         return {tuple(uindex[(i,)] for i in word): ONE}, False
 
-    Xv = x_of_hom(xt, xtu, v_img, name="X(v)")
+    Xv = x_of_hom(xt, xtu, v_img)
 
     qu_space = F.FormSpace(U, W.q_inner_deg)
     xqu = XGenerated(FedosovAlg(qu_space, graded=odd))
@@ -589,9 +588,8 @@ def gamma_composite(algebra, n, windows, odd=False):
             raise ValueError("empty classifying image")
         return out, loss
 
-    Xphi = x_of_hom(xqu, xtq, phi_img, name="X(phi)")
-    gamma = ChainMap.compose(Xphi, ChainMap.compose(ch, Xv),
-                             name="gamma%d" % (2 * n + (1 if odd else 0)))
+    Xphi = x_of_hom(xqu, xtq, phi_img)
+    gamma = ChainMap.compose(Xphi, ChainMap.compose(ch, Xv))
     return gamma, {"xt": xt, "xtu": xtu, "xqu": xqu, "xtq": xtq,
                    "U": U, "qcoeff": qcoeff}
 

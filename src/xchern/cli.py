@@ -242,13 +242,19 @@ def load_idempotent(idem, base):
 
 
 def load_complex_matrix(rows, n, what):
-    """n x n matrix of [re, im] pairs with finite entries."""
+    """n x n matrix of [re, im] pairs of JSON numbers with finite
+    entries."""
     import numpy as np
     _check_square(rows, n, what)
+    # type(), not isinstance: JSON true and false are ints in Python
+    if not all(isinstance(e, list) and len(e) == 2
+               and all(type(x) in (int, float) for x in e)
+               for row in rows for e in row):
+        raise SpecError("%s entries must be [re, im] pairs of numbers"
+                        % what)
     try:
         mat = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
-    except (TypeError, ValueError, IndexError, KeyError,
-            OverflowError) as exc:
+    except OverflowError as exc:
         raise SpecError("bad complex matrix: %s" % exc)
     if not np.isfinite(mat).all():
         raise SpecError("%s has a non-finite entry" % what)
@@ -270,7 +276,7 @@ def load_spectral_triple(spec):
         raise SpecError("rho must list %d matrices" % base.dim)
     rho = [load_complex_matrix(m, size, "rho matrix") for m in rho]
     try:
-        return base, J.SpectralTriple(base.dim, rho, D)
+        return base, J.SpectralTriple(rho, D)
     except ValueError as exc:
         raise SpecError("spectral triple rejected: %s" % exc)
 
@@ -602,31 +608,32 @@ def cmd_jlo(args):
         return 3
     tol = args.tolerance
 
+    def tuple_of(n):
+        return ((0.0, 0),) + tuple(i % algebra.dim for i in range(n))
+
+    def b_plus_B(cochain, tup, t):
+        """(b + B) of a cochain family at t on a tuple of n letters: the
+        degree n - 1 member reads the b terms, n + 1 the B terms."""
+        n = len(tup) - 1
+        out = 0.0
+        for c, tt in J.tuple_b(algebra, tup):
+            out += c * cochain(triple, n - 1, t, tt)
+        for c, tt in J.tuple_B(tup):
+            out += c * cochain(triple, n + 1, t, tt)
+        return out
+
     def cocycle_check():
-        residuals = []
-        for n in range(0, args.n + 1):
-            tup = ((0.0, 0),) + tuple(i % algebra.dim for i in range(n))
-            lhs = 0.0
-            for c, tt in J.tuple_b(algebra, tup):
-                lhs += c * J.jlo_component(triple, n - 1, 0.9, tt)
-            for c, tt in J.tuple_B(tup):
-                lhs += c * J.jlo_component(triple, n + 1, 0.9, tt)
-            residuals.append(abs(lhs))
-        return _within(residuals, tol)
+        return _within([abs(b_plus_B(J.jlo_component, tuple_of(n), 0.9))
+                        for n in range(0, args.n + 1)], tol)
 
     def transgression_check():
         h = 1e-5
         residuals = []
         for n in range(0, min(args.n, 2) + 1):
-            tup = ((0.0, 0),) + tuple(i % algebra.dim for i in range(n))
+            tup = tuple_of(n)
             dchi = (J.jlo_component(triple, n, 0.8 + h, tup)
                     - J.jlo_component(triple, n, 0.8 - h, tup)) / (2 * h)
-            rhs = 0.0
-            for c, tt in J.tuple_b(algebra, tup):
-                rhs += c * J.cs_component(triple, n - 1, 0.8, tt)
-            for c, tt in J.tuple_B(tup):
-                rhs += c * J.cs_component(triple, n + 1, 0.8, tt)
-            residuals.append(abs(dchi - rhs))
+            residuals.append(abs(dchi - b_plus_B(J.cs_component, tup, 0.8)))
         return _within(residuals, max(tol, 1e-6))
 
     def retraction_check():
@@ -634,7 +641,7 @@ def cmd_jlo(args):
             return True, "skipped: D^2 not invertible"
         Fop = J.interpolate_Du(triple, 1.0)
         n = args.n if args.n % 2 == 0 else args.n - 1
-        tup = ((0.0, 0),) + tuple(i % algebra.dim for i in range(n))
+        tup = tuple_of(n)
         vT = J.chi_hat_T(triple, algebra, n, args.T, tup, t_order=20)
         vI = J.chi_hat_infty_exact(Fop, n, tup)
         return _within([abs(vT - vI)], max(tol, 1e-6))

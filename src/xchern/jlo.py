@@ -6,13 +6,15 @@ chi^n(t) integrates supertraced words rho(a0~) e^{-s0 t^2 D^2} [D, rho(a1)]
 pinned by the transgression identity and by matching the exact retraction
 formulas in the t -> infinity limit; both are enforced in the test suite.
 
-The simplex integrals are exact up to rounding: in the eigenbasis of D a
-word is a finite sum of its matrix entries times divided differences of
-exp at the eigenvalues of t^2 D^2 (Hermite-Genocchi), computed from the
-bidiagonal Opitz matrix exponential.  jlo_component and cs_component
-accept an `order` keyword (the CLI's --quad-order) that has no effect;
-only the t-integral of the finite-time retraction is a Gauss-Legendre
-quadrature, of order t_order.
+cochain_values is the one evaluator: it returns chi^n or cs^n on a tuple
+for every t of a grid.  jlo_component and cs_component are its readings
+at one t, and chi_hat_T reads cs on the Gauss-Legendre t-grid (of order
+t_order) of the finite-time retraction.  The simplex integrals are exact
+up to rounding: in the eigenbasis of D a word is a finite sum of its
+matrix entries times divided differences of exp at the eigenvalues of
+t^2 D^2 (Hermite-Genocchi), computed from the bidiagonal Opitz matrix
+exponential.  jlo_component and cs_component accept an `order` keyword
+(the CLI's --quad-order) that has no effect.
 
 Each SpectralTriple memoizes its heat tables (one per node count and t^2
 grid) and its multiset folds (one per word length) in its own dict, so a
@@ -28,25 +30,18 @@ import numpy as np
 from .scalars import to_complex
 
 
-def gauss_nodes(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 class SpectralTriple:
     """Graded 2m-dimensional space, even representation matrices, odd
     self-adjoint D."""
 
-    def __init__(self, base_dim, rho, D, tol=1e-12):
+    def __init__(self, rho, D, tol=1e-12):
         self.rho = [np.asarray(m, dtype=complex) for m in rho]
         self.D = np.asarray(D, dtype=complex)
         n = self.D.shape[0]
         if n % 2:
             raise ValueError("graded dimension must be even")
-        self.half = n // 2
         self.dim = n
-        self.base_dim = base_dim
-        g = np.diag([1.0] * self.half + [-1.0] * self.half)
+        g = np.diag([1.0] * (n // 2) + [-1.0] * (n // 2))
         self.gamma = g
         if np.linalg.norm(self.D - self.D.conj().T) > tol:
             raise ValueError("D is not self-adjoint")
@@ -155,37 +150,49 @@ def _heat_table(triple, combos, t2):
     return triple._memo[key]
 
 
-def simplex_integral(triple, lead, insertions, t2):
-    """Integral over the n-simplex of Str(lead e^{-s0 A} M1 e^{-s1 A} ...),
-    A = t^2 D^2, in closed form.
+def cochain_values(triple, tup, ts, transgression=False):
+    """chi^n(t), or cs^n(t) with transgression, on a tuple (slot0, i1, ...,
+    in) for every t in ts; slot0 is (scalar, index or None).
 
-    An odd number of odd insertions makes the word odd and the supertrace
-    vanishes identically, so those integrals are skipped."""
-    if len(insertions) % 2 == 1:
-        return 0.0 + 0.0j
-    combos, folded = _folded_word(triple, lead, insertions)
-    return complex(_heat_table(triple, combos, t2) @ folded)
+    chi^n has one word, the n brackets; cs^n has n + 1, one insertion of D
+    at each position j with the sign (-1)^j of moving the odd dt past j odd
+    brackets.  All words of a cochain carry the same number of insertions,
+    so their eigenbasis folds share one multiset table: the folds are summed
+    and one heat table, with a row per t, is applied.  An odd number of odd
+    insertions makes the supertraced word odd, and the cochain vanishes."""
+    lead = triple.rho_tilde(tup[0])
+    brackets = [triple.bracket(i) for i in tup[1:]]
+    n = len(brackets)
+    ts = np.asarray(ts, dtype=float)
+    if transgression:
+        words = [((-1) ** j, brackets[:j] + [triple.D] + brackets[j:])
+                 for j in range(n + 1)]
+    else:
+        words = [(1, brackets)]
+    if len(words[0][1]) % 2:
+        return np.zeros(len(ts), dtype=complex)
+    total = 0.0
+    for sign, insertions in words:
+        combos, folded = _folded_word(triple, lead, insertions)
+        total = total + sign * folded
+    return ((-1) ** n) * ts ** n * (_heat_table(triple, combos, ts * ts)
+                                    @ total)
 
 
 def jlo_component(triple, n, t, tup, order=24):
-    """Degree-n heat cochain at parameter t on a tuple (slot0, i1, ..., in);
-    slot0 is (scalar, index or None).  order is accepted and ignored."""
+    """chi^n(t) on a tuple of n letters; order is accepted and ignored."""
     if t <= 0:
         raise ValueError("t must be positive")
-    lead = triple.rho_tilde(tup[0])
-    ins = [triple.bracket(i) for i in tup[1:]]
-    assert len(ins) == n
-    val = simplex_integral(triple, lead, ins, t * t)
-    return ((-1) ** n) * (t ** n) * val
+    assert len(tup) == n + 1
+    return complex(cochain_values(triple, tup, [t])[0])
 
 
 def cs_component(triple, n, t, tup, order=24):
-    """Transgression cochain: one insertion of D among the brackets, with
-    the alternating sign of moving the odd dt past each odd bracket.  order
-    is accepted and ignored."""
+    """cs^n(t) on a tuple of n letters; order is accepted and ignored."""
     if t <= 0:
         raise ValueError("t must be positive")
-    return complex(cs_values_over_ts(triple, n, tup, [t])[0])
+    assert len(tup) == n + 1
+    return complex(cochain_values(triple, tup, [t], transgression=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -244,28 +251,6 @@ def tuple_B(tup):
 # ---------------------------------------------------------------------------
 
 
-def cs_values_over_ts(triple, m, tup, ts):
-    """cs^m(t)(tup) for every t in ts.
-
-    The m + 1 insertion positions of D all carry m + 1 insertions, so their
-    signed eigenbasis words share one multiset table: the words are summed
-    once and only the heat table is evaluated per t."""
-    lead = triple.rho_tilde(tup[0])
-    brackets = [triple.bracket(i) for i in tup[1:]]
-    assert len(brackets) == m
-    ts = np.asarray(ts, dtype=float)
-    if m % 2 == 0:
-        # m + 1 odd insertions: the supertraced word is odd and vanishes
-        return np.zeros(len(ts), dtype=complex)
-    total = 0.0
-    for j in range(m + 1):
-        combos, folded = _folded_word(triple, lead,
-                                      brackets[:j] + [triple.D] + brackets[j:])
-        total = total + ((-1) ** j) * folded
-    return ((-1) ** m) * ts ** m * (_heat_table(triple, combos, ts * ts)
-                                     @ total)
-
-
 def chi_hat_T(triple, algebra, n, t_big, tup, t_order=40):
     """The degree-n retraction at finite time on a tuple of degree <= n+1."""
     k = len(tup) - 1
@@ -275,15 +260,16 @@ def chi_hat_T(triple, algebra, n, t_big, tup, t_order=40):
     if k in (n, n + 1):
         terms = tuple_B(tup)
         if terms:
-            m = k + 1
-            nodes, weights = gauss_nodes(t_order)
+            x, w = np.polynomial.legendre.leggauss(t_order)
+            nodes, weights = 0.5 * (x + 1.0), 0.5 * w
             # Gauss-Legendre on [0, min(1, T)] and on [min(1, T), T]
             cut = min(1.0, t_big)
             ts = np.concatenate([cut * nodes, cut + (t_big - cut) * nodes])
             ws = np.concatenate([cut * weights, (t_big - cut) * weights])
             acc = np.zeros(len(ts), dtype=complex)
             for c, tt in terms:
-                acc += c * cs_values_over_ts(triple, m, tt, ts)
+                acc += c * cochain_values(triple, tt, ts,
+                                          transgression=True)
             # even bimodule: the retraction subtracts the transgressed tail
             val = val - ws @ acc
     return val
@@ -325,4 +311,4 @@ def interpolate_Du(triple, u):
     d = triple.evals
     scaled = np.sign(d) * np.abs(d) ** (1.0 - u)
     Du = triple.vecs @ np.diag(scaled) @ triple.vecs.conj().T
-    return SpectralTriple(triple.base_dim, triple.rho, Du)
+    return SpectralTriple(triple.rho, Du)

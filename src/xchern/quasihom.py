@@ -49,8 +49,7 @@ class Quasihomomorphism:
 
     def swap(self):
         return Quasihomomorphism(self.base, self.target, self.nsize,
-                                 self.rho_minus, self.rho_plus,
-                                 name=self.name + ".swap", check=False)
+                                 self.rho_minus, self.rho_plus, check=False)
 
     def direct_sum(self, other):
         assert self.base is other.base and self.target is other.target
@@ -69,7 +68,6 @@ class Quasihomomorphism:
         rm = [block(self.rho_minus[i], other.rho_minus[i])
               for i in range(self.base.dim)]
         return Quasihomomorphism(self.base, self.target, n1 + n2, rp, rm,
-                                 name=self.name + "+" + other.name,
                                  check=False)
 
 
@@ -168,8 +166,8 @@ def lift_words(letters, tb):
     return lift
 
 
-def _traced_lift(src_cx, letters, nsize, target, out_len, name,
-                 graded=False, half=1):
+def _traced_lift(src_cx, letters, nsize, target, out_len, graded=False,
+                 half=1):
     """trace . X(lift) of matrix letters, as one chain map from src_cx to
     X(T B~), with the supertrace of blocks of size half when graded;
     returns (map, X(T B~)).
@@ -209,7 +207,7 @@ def _traced_lift(src_cx, letters, nsize, target, out_len, name,
                 loss = loss or l
                 vec_axpy(out, s, vec)
         return out, loss
-    return ChainMap(src_cx, xtb, 0, efn, ofn, name=name), xtb
+    return ChainMap(src_cx, xtb, 0, efn, ofn), xtb
 
 
 def ch_even(quasi, n, windows, return_parts=False):
@@ -222,9 +220,8 @@ def ch_even(quasi, n, windows, return_parts=False):
                                    quasi.target, quasi.nsize)
 
     trlift, xtb = _traced_lift(parts["xtq"], rep, quasi.nsize, quasi.target,
-                               W.out_len, "tr.X(lift)")
-    ch = ChainMap.compose(trlift, gamma,
-                          name="ch%d(%s)" % (2 * n, quasi.name))
+                               W.out_len)
+    ch = ChainMap.compose(trlift, gamma)
     if return_parts:
         parts["xtb"] = xtb
         return ch, parts
@@ -238,7 +235,7 @@ def x_of_t_rho(quasi, windows, branch="plus"):
     xt = x_of_tensor_algebra(quasi.base, W.src_len)
     rho = quasi.rho_plus if branch == "plus" else quasi.rho_minus
     trx, xtb = _traced_lift(xt, rho.__getitem__, quasi.nsize, quasi.target,
-                            W.out_len, "trX(T%s)" % branch)
+                            W.out_len)
     return trx, xt, xtb
 
 
@@ -255,9 +252,8 @@ def ch_odd(ext, n, windows, return_parts=False):
         return _rep_on_window_word(ext.alpha, xax, word, ext.target, two)
 
     trlift, xtb = _traced_lift(parts["xtq"], rep, two, ext.target, W.out_len,
-                               "trs.X(lift_s)", graded=True, half=ext.nsize)
-    ch = ChainMap.compose(trlift, gamma) \
-        .scale(bott_constant(), name="ch%d(%s)" % (2 * n + 1, ext.name))
+                               graded=True, half=ext.nsize)
+    ch = ChainMap.compose(trlift, gamma).scale(bott_constant())
     if return_parts:
         parts["xtb"] = xtb
         return ch, parts

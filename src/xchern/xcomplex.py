@@ -47,7 +47,6 @@ class FedosovAlg:
         self.space = space
         self.window = space.max_degree
         self.graded = graded
-        self.name = "Q%s(%s)" % ("s" if graded else "", space.algebra.name)
         self._memo = {}
 
     def basis(self):
@@ -91,7 +90,6 @@ class ZekriAlg:
     def __init__(self, space):
         self.space = space
         self.window = space.max_degree
-        self.name = "E(%s)" % space.algebra.name
         self._memo = {}
 
     def basis(self):
@@ -160,7 +158,6 @@ class TensorAlg:
         self.max_len = max_len
         self.window = max_len
         self.unital = unital
-        self.name = "T%d(%s)" % (max_len, coeff.name)
 
     def basis(self):
         base = self.coeff.basis()
@@ -275,7 +272,6 @@ class XGenerated:
         self._classes = _Classes(alg)  # for omega1_vec and the boundaries
         self.exact_quotient = exact_quotient
         self._relations = None
-        self.name = "X(%s)" % alg.name
 
     def relations(self):
         """Span of the reduced commutator classes red([r, z.dg]).
@@ -403,7 +399,6 @@ class OmegaComplex:
 
     def __init__(self, space):
         self.space = space
-        self.name = "Omega(%s)" % space.algebra.name
 
     def even_basis(self):
         return [w for n in range(0, self.space.max_degree + 1, 2)
@@ -460,13 +455,12 @@ class ChainMap:
     functions with memoization.  even_fn/odd_fn take a source label and
     return (vector, loss flag)."""
 
-    def __init__(self, source, target, parity, even_fn, odd_fn, name="map"):
+    def __init__(self, source, target, parity, even_fn, odd_fn):
         self.source = source
         self.target = target
         self.parity = parity
         self._fns = (even_fn, odd_fn)
         self._memos = ({}, {})
-        self.name = name
 
     def _cached(self, odd, label):
         memo = self._memos[odd]
@@ -505,14 +499,14 @@ class ChainMap:
         return self._apply_cols(1, vec)
 
     @staticmethod
-    def from_columns(source, target, parity, even_cols, odd_cols, name="map"):
+    def from_columns(source, target, parity, even_cols, odd_cols):
         def side(cols):
             return lambda lab: (dict(cols.get(lab, {})), False)
         return ChainMap(source, target, parity, side(even_cols),
-                        side(odd_cols), name=name)
+                        side(odd_cols))
 
     @staticmethod
-    def compose(g, f, name=None):
+    def compose(g, f):
         """g after f."""
         def side(odd):
             fcol, gapply = f._col(odd), g._apply((odd + f.parity) % 2)
@@ -522,10 +516,9 @@ class ChainMap:
                 return w, l1 or l2
             return col
         return ChainMap(f.source, g.target, (f.parity + g.parity) % 2,
-                        side(0), side(1),
-                        name=name or ("%s.%s" % (g.name, f.name)))
+                        side(0), side(1))
 
-    def add(self, other, name=None):
+    def add(self, other):
         assert self.parity == other.parity
         def side(odd):
             mine, theirs = self._col(odd), other._col(odd)
@@ -535,10 +528,9 @@ class ChainMap:
                 return vec_add(v1, v2), l1 or l2
             return col
         return ChainMap(self.source, self.target, self.parity, side(0),
-                        side(1),
-                        name=name or ("%s+%s" % (self.name, other.name)))
+                        side(1))
 
-    def scale(self, c, name=None):
+    def scale(self, c):
         def side(odd):
             mine = self._col(odd)
             def col(lab):
@@ -546,10 +538,10 @@ class ChainMap:
                 return vec_scale(v, c), l
             return col
         return ChainMap(self.source, self.target, self.parity, side(0),
-                        side(1), name=name or ("c*%s" % self.name))
+                        side(1))
 
-    def sub(self, other, name=None):
-        return self.add(other.scale(-ONE), name=name)
+    def sub(self, other):
+        return self.add(other.scale(-ONE))
 
 
 def verify_chain_map(f, even_labels=None, odd_labels=None):
@@ -669,8 +661,7 @@ def homotopy_solve(f, even_labels=None, odd_labels=None, track_witness=False):
     cols = ({}, {})
     for (kind, slab, tlab), c in sol.items():
         cols[kinds.index(kind)].setdefault(slab, {})[tlab] = c
-    h = ChainMap.from_columns(src, tgt, hpar, cols[0], cols[1],
-                              name="homotopy(%s)" % f.name)
+    h = ChainMap.from_columns(src, tgt, hpar, cols[0], cols[1])
     return h, None
 
 
@@ -909,7 +900,7 @@ def kappa_map(xtensor, space):
         f, lf = xt_odd_to_form({lab: ONE}, space)
         k, lk = F.kappa(space, f)
         return form_to_xt_odd(space, k, xtensor), lk or lf
-    return ChainMap(xtensor, xtensor, 0, efn, ofn, name="kappa")
+    return ChainMap(xtensor, xtensor, 0, efn, ofn)
 
 
 def rescale_c(vec):
@@ -933,10 +924,10 @@ def rescale_map(xtensor, omega):
     def ofn(lab):
         f, lossy = xt_odd_to_form({lab: ONE}, space)
         return rescale_c(f), lossy
-    return ChainMap(xtensor, omega, 0, efn, ofn, name="c")
+    return ChainMap(xtensor, omega, 0, efn, ofn)
 
 
-def x_of_hom(src_cx, tgt_cx, image_of_label, name="X(hom)"):
+def x_of_hom(src_cx, tgt_cx, image_of_label):
     """Functorial chain map X(rho) for an algebra map given on source basis
     labels by image_of_label(label) -> (coefficient dict, loss).
 
@@ -960,4 +951,4 @@ def x_of_hom(src_cx, tgt_cx, image_of_label, name="X(hom)"):
             zvec, l2 = efn(z)
         out, l3 = tgt_cx.omega1_vec(zvec, gvec)
         return out, l1 or l2 or l3
-    return ChainMap(src_cx, tgt_cx, 0, efn, ofn, name=name)
+    return ChainMap(src_cx, tgt_cx, 0, efn, ofn)

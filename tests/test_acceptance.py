@@ -69,7 +69,7 @@ def even_settings():
 def corpus_triple():
     rho = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     D = np.array([[0.0, 2.0], [2.0, 0.0]])
-    return split_pair(), J.SpectralTriple(2, rho, D)
+    return split_pair(), J.SpectralTriple(rho, D)
 
 
 def test_criterion_1_dga_suite(corpus):
@@ -205,8 +205,8 @@ def test_criterion_7_gamma():
                      out_len=4)
     g0, parts = gamma_even(alg, 0, W)
     xt, xtq = parts["xt"], parts["xtq"]
-    ti = x_of_t_branch(xt, xtq, ONE, "X(Ti)")
-    tib = x_of_t_branch(xt, xtq, -ONE, "X(Tib)")
+    ti = x_of_t_branch(xt, xtq, ONE)
+    tib = x_of_t_branch(xt, xtq, -ONE)
     rep = maps_equal(g0, ti.sub(tib), xt.even_basis(), xt.odd_basis())
     assert rep["ok"] and rep["skipped"] == 0
     W2 = GammaWindows(src_len=6, mid_len=6, q_inner_deg=3, q_letter_deg=1,

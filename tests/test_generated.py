@@ -135,7 +135,7 @@ def test_identities_on_generated_algebras(name):
     x_fedosov = XGenerated(FedosovAlg(FormSpace(alg, 2)), exact_quotient=True)
     for cx in (x_alg, x_fedosov):
         rep = verify_dd(cx)
-        assert rep["checked"] and rep["ok"], cx.name
+        assert rep["checked"] and rep["ok"], type(cx.alg).__name__
     assert quotient_dims(alg, 3) == quotient_dims(original(), 3)
     # the commutator quotient is an invariant of the algebra too
     x_original = XGenerated(original(), exact_quotient=True)

@@ -53,7 +53,7 @@ def test_dd_zero_generated(dual):
                XGenerated(ZekriAlg(FormSpace(dual, 2)), exact_quotient=True),
                x_of_tensor_algebra(dual, 3)):
         rep = verify_dd(cx)
-        assert rep["ok"] and rep["checked"] > 0, cx.name
+        assert rep["ok"] and rep["checked"] > 0, type(cx.alg).__name__
 
 
 def test_super_anticommutator(dual):
@@ -207,7 +207,7 @@ def test_x_of_hom_is_chain_map(dual):
     from xchern.chern import x_of_t_branch
     from xchern.xcomplex import FedosovAlg
     xtq = XGenerated(TensorAlg(FedosovAlg(FormSpace(dual, 1)), 3))
-    ti = x_of_t_branch(xt, xtq, ONE, "X(Ti)")
+    ti = x_of_t_branch(xt, xtq, ONE)
     rep = verify_chain_map(ti)
     assert rep["ok"] and rep["checked"] > 0
 
@@ -672,7 +672,8 @@ def test_memos_stay_intact_through_universal_suites(dual, monkeypatch):
         assert alg._memo
         again = fresh(alg)
         for (l1, l2), hit in alg._memo.items():
-            assert hit == again.product_flag(l1, l2), (alg.name, l1, l2)
+            assert hit == again.product_flag(l1, l2), \
+                (type(alg).__name__, l1, l2)
     # the evaluators of relations() builds, and those of omega1_vec and the
     # boundaries
     evaluators = [c for c in made if isinstance(c, _Classes)]
@@ -681,7 +682,7 @@ def test_memos_stay_intact_through_universal_suites(dual, monkeypatch):
         again = _Classes(fresh(classes.alg))
         for (z, y), vec in classes.memo.items():
             assert (vec, (z, y) in classes.lossy) == again(z, y), \
-                (classes.alg.name, z, y)
+                (type(classes.alg).__name__, z, y)
 
 
 # every relation vector is homogeneous: the Fedosov product ab - da.db
