@@ -156,8 +156,7 @@ def matrix_algebra(base, n, graded=False):
     if graded:
         grading = [((r + c + base.parity(b)) % 2)
                    for r in range(n) for c in range(n) for b in range(base.dim)]
-    return Algebra(names, mul, unit=unit, grading=grading, check=False,
-                   name="M%d(%s)" % (n, base.name))
+    return Algebra(names, mul, unit=unit, grading=grading, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,10 @@ class Quasihomomorphism:
                                  check=False)
 
 
-def hom_quasi(base, target, nsize, rho, name="rho*0"):
+def hom_quasi(base, target, nsize, rho):
     """The quasihomomorphism rho * 0 of a plain representation."""
     zero = [mat_zero(nsize) for _ in range(base.dim)]
-    return Quasihomomorphism(base, target, nsize, rho, zero, name=name)
+    return Quasihomomorphism(base, target, nsize, rho, zero)
 
 
 class InvertibleExtension:

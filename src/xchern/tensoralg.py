@@ -88,8 +88,7 @@ def truncated_tensor_algebra(base, max_len):
             if len(w1) + len(w2) <= max_len:
                 mul[(i, j)] = {index[w1 + w2]: ONE}
     names = ["x".join(base.basis_names[k] for k in w) for w in words]
-    alg = Algebra(names, mul, check=False,
-                  name="T%d(%s)" % (max_len, base.name))
+    alg = Algebra(names, mul, check=False)
     alg.tensor_info = (base, max_len, index, words)
     return alg
 

@@ -14,11 +14,16 @@ TensorAlg) that span is built only from the triples whose degrees leave
 room under the window, since the others are provably empty.  One class
 evaluator (_Classes) shares the prefix and suffix products of each
 factorization and flags the classes whose products dropped a term; the
-relations, omega1_vec and the boundaries all read it.
+relations, omega1_vec and the boundaries all read it.  It keys its vectors
+through a key table: for omega1_vec and the boundaries the label table,
+whose key of (z, g) is that label; inside a relations build the id table,
+which numbers the labels (z, g) by label_key so that the relation vectors
+and their span run on ints until the rows are decoded once at the end.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 from .scalars import ZERO, ONE
 from .linalg import (vec_add, vec_axpy, vec_scale, Span, label_key, solve,
@@ -87,6 +92,8 @@ class ZekriAlg:
     involution; labels are (flag, word) with word = () the unit part and
     flag = 1 carrying the symmetry, which has degree 0 like the unit part."""
 
+    SYMMETRY = (1, ())
+
     def __init__(self, space):
         self.space = space
         self.window = space.max_degree
@@ -129,7 +136,7 @@ class ZekriAlg:
         dim = self.space.algebra.dim
         gens = [(0, (u,)) for u in range(1, dim + 1)]
         gens += [(0, (0, i)) for i in range(dim)]
-        gens.append((1, ()))
+        gens.append(self.SYMMETRY)
         return gens
 
     def factor(self, label):
@@ -141,7 +148,7 @@ class ZekriAlg:
             for i in word[1:]:
                 out.append((0, (0, i)))
         if flag:
-            out.append((1, ()))
+            out.append(self.SYMMETRY)
         return out
 
     def unit_dict(self):
@@ -196,15 +203,24 @@ class _Classes:
     """Classes of z.d(y) as (vector, loss flag); the memo hands out its
     vectors, which callers must not mutate.
 
+    The vectors are keyed through the key table keys, which maps each
+    generator g to {z: key of (z, g)} over z in None and the basis: the
+    label table (the key of (z, g) is the label itself) for omega1_vec and
+    the boundaries, the id table of XGenerated.relations inside a build.
+
     Rotation i of the factorization y = f_0 ... f_{m-1} is taken as
     (suffix_i . z) . prefix_i, with suffix_i = f_{i+1} ... f_{m-1} and
-    prefix_i = f_0 ... f_{i-1} multiplied once per y.  The loss flag ORs
-    the flags of every product taken, those of the prefixes and suffixes
-    included (why that is sound: XGenerated.relations).  Only the keys of
-    the lossy classes are kept beside the vectors."""
+    prefix_i = f_0 ... f_{i-1} multiplied once per y.  suffix_i . z is
+    summed first, so that only its surviving terms meet prefix_i, and
+    their products with prefix_i go into the vector in place.  The loss
+    flag ORs the flags of every product taken,
+    those of the prefixes and suffixes included (why that is sound:
+    XGenerated.relations).  Only the keys of the lossy classes are kept
+    beside the vectors."""
 
-    def __init__(self, alg):
+    def __init__(self, alg, keys):
         self.alg = alg
+        self.keys = keys
         self.memo = {}  # (z, y) -> class vector
         self.lossy = set()  # the keys of memo whose products dropped terms
         self._rotations = {}  # y -> (rotations, loss of their products)
@@ -227,7 +243,7 @@ class _Classes:
             rotations = []
             prefix = {None: ONE}
             for i, f in enumerate(fac):
-                rotations.append((f, prefix, suffixes[-1 - i],
+                rotations.append((self.keys[f], prefix, suffixes[-1 - i],
                                   sum(pars[i + 1:]) % 2,
                                   sum(pars[:i + 1]) % 2))
                 if i + 1 < len(fac):
@@ -242,18 +258,63 @@ class _Classes:
         if vec is not None:
             return vec, key in self.lossy
         alg = self.alg
+        product_flag = alg.product_flag
         pz = 0 if z is None else alg.parity(z)
         rotations, loss = self._rotations_of(y)
         vec = self.memo[key] = {}
-        for g, prefix, suffix, p_suf, p_pre in rotations:
-            left, l1 = dict_product(alg, suffix, {z: ONE})
-            chunk, l2 = dict_product(alg, left, prefix)
-            loss = loss or l1 or l2
+        for keys, prefix, suffix, p_suf, p_pre in rotations:
+            left = {}  # suffix . z
+            for k1, c1 in suffix.items():
+                if k1 is None or z is None:
+                    prod = {z if k1 is None else k1: ONE}
+                else:
+                    prod, l = product_flag(k1, z)
+                    loss = loss or l
+                vec_axpy(left, c1, prod)
             sign = -ONE if p_suf and (pz + p_pre) % 2 else ONE
-            vec_axpy(vec, sign, {(lab, g): c for lab, c in chunk.items()})
+            for k1, c1 in left.items():
+                for k2, c2 in prefix.items():
+                    if k1 is None:
+                        prod = {k2: ONE}
+                    elif k2 is None:
+                        prod = {k1: ONE}
+                    else:
+                        prod, l = product_flag(k1, k2)
+                        loss = loss or l
+                    coeff = sign * c1 * c2
+                    for lab, c in prod.items():
+                        k = keys[lab]
+                        s = vec.get(k)
+                        s = coeff * c if s is None else s + coeff * c
+                        if s:
+                            vec[k] = (s.numerator if type(s) is Fraction
+                                      and s.denominator == 1 else s)
+                        elif k in vec:
+                            del vec[k]
         if loss:
             self.lossy.add(key)
         return vec, loss
+
+
+class _Paired(dict):
+    """{z: (z, g)} for one generator g, filled in as it is read."""
+
+    def __init__(self, g):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, z):
+        key = self[z] = (z, self.g)
+        return key
+
+
+class _LabelTable(dict):
+    """The label table of _Classes, filled in as it is read: the basis of a
+    truncated tensor algebra can be far too large to list."""
+
+    def __missing__(self, g):
+        row = self[g] = _Paired(g)
+        return row
 
 
 class XGenerated:
@@ -269,27 +330,60 @@ class XGenerated:
 
     def __init__(self, alg, exact_quotient=False):
         self.alg = alg
-        self._classes = _Classes(alg)  # for omega1_vec and the boundaries
+        # omega1_vec and the boundaries read the classes on the label table
+        self._classes = _Classes(alg, _LabelTable())
         self.exact_quotient = exact_quotient
         self._relations = None
+
+    def _ranked_odd_labels(self):
+        zs = [None] + self.alg.basis()
+        gens = self.alg.generators()
+        return sorted(((z, g) for z in zs for g in gens), key=label_key)
 
     def relations(self):
         """Span of the reduced commutator classes red([r, z.dg]).
 
-        Only triples (z, g, r) with deg z + deg g + deg r - 1 <= window
-        are built (deg None = 0); on an algebra without a window (Algebra)
-        every triple is.  A skipped triple's vector is structurally
-        empty.  Let D = deg z + deg g + deg r.  Each term of
-        the vector is either (rz, g) or a rotation label paired with one
-        factor g' of the factorization of gr (classes of z.d(y)) or of r
-        (classes of k.dr, k in zg), and its algebra part is the product of
-        all the other factors with z, resp. k.  Factor degrees add up to
-        the degree of the factored label, every generator has degree <= 1,
-        and products never lower degree, so that algebra part has degree
-        >= D - 1; rz has degree >= D - deg g >= D - 1 too.  The truncated
-        product drops every term above the window, so for D - 1 > window
-        each term is zero and the triple would never reach Span.add: the
-        span is exactly that of all triples.
+        Only triples (z, g, r) with deg z + deg r <= window are built
+        (deg None = 0), or <= window + 1 when g is the symmetry X of
+        ZekriAlg; on an algebra without a window (Algebra) every triple
+        is.  A skipped triple's vector is structurally empty.
+
+        Every generator has degree <= 1, factor degrees add up to the
+        degree of the factored label, and products never lower degree.
+        Each term of the vector is either (rz, g) or a rotation label
+        paired with one factor of the factorization of gr (classes of
+        z.d(y)) or of r (classes of k.dr, k in zg), and its algebra part is
+        the product of all the other factors with z, resp. k.  Let D =
+        deg z + deg g + deg r.  That algebra part has degree >= D - 1, and
+        rz has degree >= D - deg g >= D - 1 too; the truncated product
+        drops every term above the window, so for D - 1 > window every
+        term is zero.  That is the whole bound for a generator of degree
+        1.  Take g of degree 0 that is a word (a letter a of FedosovAlg,
+        (0, (a,)) of ZekriAlg) and deg z + deg r > window:
+          - (rz, g) leaves the window;
+          - a rotation on a degree-0 factor of gr or of r has an algebra
+            part of degree >= deg z + deg r, since the other factors carry
+            the whole degree of r, so it drops;
+          - gr = (g r_0) dr_1 ... - dg dr_0 dr_1 ..., and the classes of
+            the second part have algebra parts of degree >= deg z + deg r
+            + 1 >= window + 2, so they drop;
+          - on each d-factor f of r, -class(z, gr) gives suffix . z .
+            (g . prefix) and +class(zg, r) gives suffix . (z . g) .
+            prefix; they are equal by the associativity of the truncated
+            algebra, an honest quotient, and g is even, so the Koszul
+            signs agree and the two cancel.
+        The symmetry X keeps the weaker bound: X . r = tau(r) . X puts X
+        last in the factorization, so the two terms of a d-factor differ
+        by the sign (-1)^(deg z + deg r) of tau and cancel only when that
+        is odd.  With every skipped triple empty, the span is exactly that
+        of all triples.
+
+        Inside the build the odd labels (z, g) are numbered once, ranked
+        by label_key; the relation vectors, the class memo and the span
+        run on those ids, and the rows are decoded to labels at the end.
+        A pivot is the least label of its row by label_key and the ids
+        keep that order, so the pivots and rows are those the span would
+        have on the labels themselves.
 
         The classes come from an evaluator that lives for this build only,
         so its memos die with it; omega1_vec and the boundaries keep their
@@ -305,17 +399,24 @@ class XGenerated:
             basis = alg.basis()
             gens = alg.generators()
             window = alg.window
+            labels = self._ranked_odd_labels()
+            ids = {g: {} for g in gens}
+            for i, (z, g) in enumerate(labels):
+                ids[g][z] = i
             fits = {}  # degree budget of r -> the r of basis within it
-            classes = _Classes(alg)
+            classes = _Classes(alg, ids)
             for z in [None] + basis:
                 pz = self._parity(z)
                 dz = 0 if z is None or window is None else alg.degree(z)
                 for g in gens:
                     zg = {g: ONE} if z is None else alg.product_flag(z, g)[0]
                     odd_zg = (pz + alg.parity(g)) % 2
+                    gid = ids[g]
                     rs = basis
                     if window is not None:
-                        budget = window + 1 - dz - alg.degree(g)
+                        budget = window - dz
+                        if isinstance(alg, ZekriAlg) and g == alg.SYMMETRY:
+                            budget += 1
                         rs = fits.get(budget)
                         if rs is None:
                             rs = fits[budget] = [r for r in basis
@@ -323,9 +424,9 @@ class XGenerated:
                     for r in rs:
                         # r . (z d g)
                         if z is None:
-                            vec = {(r, g): ONE}
+                            vec = {gid[r]: ONE}
                         else:
-                            vec = {(k, g): c for k, c
+                            vec = {gid[k]: c for k, c
                                    in alg.product_flag(r, z)[0].items()}
                         # minus (z d g) . r = z d(g r) - (z g) d r
                         sign = -ONE if odd_zg and alg.parity(r) else ONE
@@ -335,6 +436,8 @@ class XGenerated:
                             vec_axpy(vec, sign * c, classes(k, r)[0])
                         if vec:
                             span.add(vec)
+            span.rows = {labels[p]: {labels[i]: c for i, c in row.items()}
+                         for p, row in span.rows.items()}
             self._relations = span
         return self._relations
 
@@ -347,15 +450,13 @@ class XGenerated:
         return self.alg.basis()
 
     def odd_basis(self):
-        zs = [None] + self.alg.basis()
-        gens = self.alg.generators()
-        labels = [(z, g) for z in zs for g in gens]
         if not self.exact_quotient:
-            return labels
+            zs = [None] + self.alg.basis()
+            return [(z, g) for z in zs for g in self.alg.generators()]
         # unit vectors on non-pivot labels are their own residuals and form
         # a basis of the commutator quotient
         pivots = set(self.relations().rows)
-        return [lab for lab in sorted(labels, key=label_key)
+        return [lab for lab in self._ranked_odd_labels()
                 if lab not in pivots]
 
     def _parity(self, label):

@@ -26,7 +26,7 @@ W2 = GammaWindows(src_len=2, mid_len=2, q_inner_deg=1, q_letter_deg=1,
 
 def _identity_quasihom(algebra):
     rho = [[[{i: ONE}]] for i in range(algebra.dim)]
-    return hom_quasi(algebra, algebra, 1, rho, name="id*0")
+    return hom_quasi(algebra, algebra, 1, rho)
 
 
 def test_ch0_of_hom_is_x_of_lift(dual):
@@ -109,7 +109,7 @@ def test_character_columns_lie_in_the_target_basis(dual):
     # diagonal, and the unit word () is no generator: its d is d(1) = 0
     unit = [[{None: ONE}, {}], [{}, {None: ONE}]]
     e12 = [[{}, {None: ONE}], [{}, {}]]
-    phi = hom_quasi(dual, dual, 2, [unit, e12], name="unit entries")
+    phi = hom_quasi(dual, dual, 2, [unit, e12])
     ch, parts = ch_even(phi, 0, W2, return_parts=True)
     assert _labels_off_the_target_basis(ch, parts["xt"]) == []
     # the characters that chern builds from the spec files, at the windows

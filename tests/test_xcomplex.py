@@ -12,7 +12,7 @@ from xchern.forms import FormSpace, kappa, b as formb, connes_B
 from xchern import forms as F
 from xchern import tensoralg as T
 from xchern.xcomplex import (XGenerated, FedosovAlg, ZekriAlg,
-                             TensorAlg, _Classes,
+                             TensorAlg, _Classes, _LabelTable,
                              OmegaComplex, verify_dd, ChainMap,
                              verify_chain_map, verify_homotopy, maps_equal,
                              homotopy_solve,
@@ -541,12 +541,22 @@ def test_relations_match_reference_loop(name):
     assert x.relations().rows == xreference.relations(x).rows
 
 
-# relations() skips the triples (z, g, r) with deg z + deg g + deg r - 1
-# above the window; the lemma behind it needs factor degrees that add up
-# and generators of degree <= 1, and its conclusion is that every skipped
-# triple is empty in the reference loop, which builds them all
+# relations() skips the triples (z, g, r) with deg z + deg r above the
+# window, or above window + 1 when g is the symmetry X of ZekriAlg; the
+# lemma behind it needs factor degrees that add up and generators of
+# degree <= 1, and its conclusion is that every skipped triple is empty in
+# the reference loop, which builds them all
 DEGREE_BOUND = dict(QUOTIENTS, **{
-    "T3(dual) unital": lambda: TensorAlg(dual_numbers(), 3, unital=True)})
+    "T3(dual) unital": lambda: TensorAlg(dual_numbers(), 3, unital=True),
+    "E(dual) w2": lambda: ZekriAlg(FormSpace(dual_numbers(), 2)),
+    "E(z2) w2": lambda: ZekriAlg(FormSpace(group_algebra_z2(), 2))})
+
+
+def _top(alg, g):
+    """The largest deg z + deg r of a triple (z, g, r) that is built."""
+    if isinstance(alg, ZekriAlg) and g == ZekriAlg.SYMMETRY:
+        return alg.window + 1
+    return alg.window
 
 
 @pytest.mark.parametrize("name", list(DEGREE_BOUND))
@@ -563,10 +573,52 @@ def test_triples_beyond_the_degree_bound_are_empty(name):
 
     ref = xreference._Reference(alg)
     beyond = [(r, z, g) for z in [None] + basis for g in gens for r in basis
-              if deg(z) + deg(g) + deg(r) - 1 > alg.window]
+              if deg(z) + deg(r) > _top(alg, g)]
     assert beyond
+    # the degree-0 generators, when there are any, have skipped triples
+    # at deg z + deg r = window + 1, inside the bound deg z + deg g +
+    # deg r - 1 <= window that holds for every generator
+    assert (any(alg.degree(g) == 0 for _, _, g in beyond)
+            == any(alg.degree(g) == 0 for g in gens))
     for r, z, g in beyond:
         assert not ref.vector(r, z, g), (r, z, g)
+
+
+def test_the_symmetry_keeps_the_weaker_bound():
+    # X . r = tau(r) . X puts X last in the factorization, so at an even
+    # window a triple (z, X, r) with deg z + deg r = window + 1 survives
+    alg = QUOTIENTS["E(qq) w2"]()
+    basis = alg.basis()
+    ref = xreference._Reference(alg)
+    assert any(ref.vector(r, z, ZekriAlg.SYMMETRY)
+               for z in basis for r in basis
+               if alg.degree(z) + alg.degree(r) == alg.window + 1)
+
+
+# the commutator quotient from its definition, R~ (x) R modulo the
+# relations of xreference.cuntz_quillen: its dimension, and (z, g) -> z (x)
+# g sends the generated basis odd_basis() to a basis of it
+CUNTZ_QUILLEN = {
+    "Q(dual) w1": (lambda: FedosovAlg(FormSpace(dual_numbers(), 1)), 11),
+    "Q(dual) w2": (QUOTIENTS["Q(dual) w2"], 24),
+    "Q(dual) w3": (QUOTIENTS["Q(dual) w3"], 56),
+    "Q(z2) w2": (lambda: FedosovAlg(FormSpace(group_algebra_z2(), 2)), 22),
+    "E(dual) w1": (lambda: ZekriAlg(FormSpace(dual_numbers(), 1)), 20),
+    "E(dual) w2": (DEGREE_BOUND["E(dual) w2"], 38),
+}
+
+
+@pytest.mark.parametrize("name", list(CUNTZ_QUILLEN))
+def test_odd_basis_is_a_basis_of_the_cuntz_quillen_quotient(name):
+    make, dim = CUNTZ_QUILLEN[name]
+    alg = make()
+    span = xreference.cuntz_quillen(alg)
+    n = len(alg.basis())
+    assert (n + 1) * n - span.dim == dim
+    odd = XGenerated(alg, exact_quotient=True).odd_basis()
+    assert len(odd) == dim
+    # each z (x) g is independent of the relations and of the ones before
+    assert all(span.add({lab: ONE}) for lab in odd)
 
 
 # the labelled-algebra protocol the class evaluator and relations() rely
@@ -633,7 +685,7 @@ AGREEMENT = dict(QUOTIENTS, **{
 @pytest.mark.parametrize("name", list(AGREEMENT))
 def test_class_values_agree_with_the_flagged_memo(name):
     alg = AGREEMENT[name]()
-    classes = _Classes(alg)
+    classes = _Classes(alg, _LabelTable())
     ref = xreference._Reference(alg)
     basis = alg.basis()
     lossy = 0
@@ -679,7 +731,7 @@ def test_memos_stay_intact_through_universal_suites(dual, monkeypatch):
     evaluators = [c for c in made if isinstance(c, _Classes)]
     assert sum(1 for c in evaluators if c.memo) > 2
     for classes in evaluators:
-        again = _Classes(fresh(classes.alg))
+        again = _Classes(fresh(classes.alg), classes.keys)
         for (z, y), vec in classes.memo.items():
             assert (vec, (z, y) in classes.lossy) == again(z, y), \
                 (type(classes.alg).__name__, z, y)
@@ -707,14 +759,23 @@ GRADED = dict(QUOTIENTS, **{
                                   "E(z2-rebased) w2"])
 def test_no_relation_mixes_grades(name, monkeypatch):
     added = []
+    tables = []
 
     class Recording(Span):
         def add(self, vec):
             added.append(dict(vec))
             return super().add(vec)
+
+    def recording(self, alg, keys, _init=_Classes.__init__):
+        _init(self, alg, keys)
+        tables.append(keys)
     monkeypatch.setattr("xchern.xcomplex.Span", Recording)
+    monkeypatch.setattr(_Classes, "__init__", recording)
     alg = GRADED[name]()
     XGenerated(alg, exact_quotient=True).relations()
-    grades = [{_grade(alg, lab) for lab in vec} for vec in added]
+    # the build's vectors run on ids: decode them through its id table
+    ids, = [t for t in tables if not isinstance(t, _LabelTable)]
+    labels = {i: (z, g) for g, row in ids.items() for z, i in row.items()}
+    grades = [{_grade(alg, labels[i]) for i in vec} for vec in added]
     assert grades and all(len(g) == 1 for g in grades)
     assert len(set.union(*grades)) == (4 if isinstance(alg, ZekriAlg) else 2)

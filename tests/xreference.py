@@ -4,7 +4,8 @@
 generated X-complex with the plain triple loop over r, z and g, every
 triple included (`vector` gives one triple's class): every term goes
 through temporaries and copies, and the classes of z.d(y) have their own
-memo and their own left-to-right products.  `fedosov_full` is the Fedosov
+memo and their own left-to-right products.  `cuntz_quillen` spans
+the same quotient from its definition, over all of R~ (x) R.  `fedosov_full` is the Fedosov
 product of two forms (coefficient dicts over form words) assembled degree
 by degree from `graded_mul` and `d`, its own bilinear loops over the word
 kernels `_mul_words` and `_d_word`, loss flags included.
@@ -200,6 +201,34 @@ class _Reference:
                 loss = loss or l
                 vec_axpy(out, cy * cz, vec)
         return out, loss
+
+
+def cuntz_quillen(alg):
+    """The relations of the commutator quotient of an ungraded truncated
+    algebra R from its definition (Cuntz and Quillen, J. Amer. Math. Soc.
+    8, 1995): Omega^1 R natural = (R~ (x) R) / span{(rz) (x) y - z (x)
+    (yr) + (zy) (x) r}, with z in None (the adjoined unit) and the basis,
+    y and r in the basis.  z (x) y stands for z.dy, keyed (z, y), and the
+    relation is r.(z dy) - (z dy).r with (z dy).r = z d(yr) - zy dr; it
+    holds because the truncation makes R an honest quotient, so exactly
+    associative."""
+    span = Span()
+    basis = alg.basis()
+    for z in [None] + basis:
+        for y in basis:
+            zy = {y: ONE} if z is None else alg.product_flag(z, y)[0]
+            for r in basis:
+                rz = {r: ONE} if z is None else alg.product_flag(r, z)[0]
+                vec = {}
+                for k, c in rz.items():
+                    vec_axpy(vec, c, {(k, y): ONE})
+                for k, c in alg.product_flag(y, r)[0].items():
+                    vec_axpy(vec, -c, {(z, k): ONE})
+                for k, c in zy.items():
+                    vec_axpy(vec, c, {(k, r): ONE})
+                if vec:
+                    span.add(vec)
+    return span
 
 
 def right_mul_word(space, w, j):
