@@ -282,6 +282,7 @@ class _Classes:
                         prod, l = product_flag(k1, k2)
                         loss = loss or l
                     coeff = sign * c1 * c2
+                    # vec_axpy's update, inlined in the build's hottest loop
                     for lab, c in prod.items():
                         k = keys[lab]
                         s = vec.get(k)
