@@ -4,11 +4,12 @@
 generated X-complex with the plain triple loop over r, z and g, every
 triple included (`vector` gives one triple's class): every term goes
 through temporaries and copies, and the classes of z.d(y) have their own
-memo and their own left-to-right products.  `cuntz_quillen` spans
-the same quotient from its definition, over all of R~ (x) R.  `fedosov_full` is the Fedosov
-product of two forms (coefficient dicts over form words) assembled degree
-by degree from `graded_mul` and `d`, its own bilinear loops over the word
-kernels `_mul_words` and `_d_word`, loss flags included.
+memo and their own left-to-right products.  `cuntz_quillen` spans the
+relations of the same quotient from its definition, over all of R~ (x) R.
+`fedosov_full` is the Fedosov product of two forms (coefficient dicts over
+form words) assembled degree by degree from `graded_mul` and `d`, its own
+bilinear loops over the word kernels `_mul_words` and `_d_word`, loss
+flags included.
 `ch_odd_even_col` is the even slot of the odd universal cocycle with its
 products taken through that `fedosov_full`.  `right_mul_word`,
 `b_word` and `B_word` are recursive forms of the closed-form word operators
