@@ -213,10 +213,9 @@ class _Classes:
     prefix_i = f_0 ... f_{i-1} multiplied once per y.  suffix_i . z is
     summed first, so that only its surviving terms meet prefix_i, and
     their products with prefix_i go into the vector in place.  The loss
-    flag ORs the flags of every product taken,
-    those of the prefixes and suffixes included (why that is sound:
-    XGenerated.relations).  Only the keys of the lossy classes are kept
-    beside the vectors."""
+    flag ORs the flags of every product taken, those of the prefixes and
+    suffixes included (why that is sound: XGenerated.relations).  Only the
+    keys of the lossy classes are kept beside the vectors."""
 
     def __init__(self, alg, keys):
         self.alg = alg
@@ -375,9 +374,9 @@ class XGenerated:
             signs agree and the two cancel.
         The symmetry X keeps the weaker bound: X . r = tau(r) . X puts X
         last in the factorization, so the two terms of a d-factor differ
-        by the sign (-1)^(deg z + deg r) of tau and cancel only when that
-        is odd.  With every skipped triple empty, the span is exactly that
-        of all triples.
+        by the sign (-1)^(deg z + deg r) of tau; at deg z + deg r = window
+        + 1 they cancel only when the window is odd.  With every skipped
+        triple empty, the span is exactly that of all triples.
 
         Inside the build the odd labels (z, g) are numbered once, ranked
         by label_key; the relation vectors, the class memo and the span
