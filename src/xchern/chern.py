@@ -539,7 +539,7 @@ class GammaWindows:
 def gamma_composite(algebra, n, windows, odd=False):
     """X(T A) -> X(T Q A) through the lifted universal cocycle.
 
-    Returns (chain map, dict of the complexes involved)."""
+    Returns (chain map, {"xt": its source, "xtq": its target})."""
     W = windows
     U = T.truncated_tensor_algebra(algebra, W.src_len)
     _, _, uindex, uwords = U.tensor_info
@@ -561,8 +561,7 @@ def gamma_composite(algebra, n, windows, odd=False):
         ch = universal_ch_even(U, n, xtu, xqu)
 
     qa_space = F.FormSpace(algebra, W.q_letter_deg)
-    qcoeff = FedosovAlg(qa_space, graded=odd)
-    xtq = XGenerated(TensorAlg(qcoeff, W.out_len))
+    xtq = XGenerated(TensorAlg(FedosovAlg(qa_space, graded=odd), W.out_len))
 
     def phi_factor(uword, sign):
         """Word over Q-letters for the branch image of a U basis element."""
@@ -590,8 +589,7 @@ def gamma_composite(algebra, n, windows, odd=False):
 
     Xphi = x_of_hom(xqu, xtq, phi_img)
     gamma = ChainMap.compose(Xphi, ChainMap.compose(ch, Xv))
-    return gamma, {"xt": xt, "xtu": xtu, "xqu": xqu, "xtq": xtq,
-                   "U": U, "qcoeff": qcoeff}
+    return gamma, {"xt": xt, "xtq": xtq}
 
 
 def gamma_even(algebra, n, windows):

@@ -335,9 +335,9 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def dga_suite(algebra, max_degree, report, samples=200, seed=11):
+def dga_suite(algebra, max_degree, report):
     import random
-    rng = random.Random(seed)
+    rng = random.Random(11)
     sp = F.FormSpace(algebra, max_degree)
 
     def words_upto(n):
@@ -399,7 +399,7 @@ def dga_suite(algebra, max_degree, report, samples=200, seed=11):
     def triples():
         low = words_upto(2)
         return [tuple(rng.choice(low) for _ in range(3))
-                for _ in range(samples)]
+                for _ in range(200)]
 
     for name, anchor, column, labels in (
             ("b.b = 0", "hochschild boundary squares to zero", b_b,
@@ -543,19 +543,15 @@ def cmd_chern(args):
     spec = load_spec(args.spec)
     kind = spec["kind"]
     if kind == "quasihom":
-        phi = load_quasihom(spec)
+        phi, character = load_quasihom(spec), QH.ch_even
     elif kind == "extension":
-        phi = load_extension(spec)
+        phi, character = load_extension(spec), QH.ch_odd
     else:
         raise SpecError("chern expects a quasihom or extension spec")
     W = C.GammaWindows(args.src_len, args.src_len, 2 * args.n + 2, 1,
                        2 * args.src_len + 2 * args.n + 2)
-    if kind == "quasihom":
-        ch, parts = QH.ch_even(phi, args.n, W, return_parts=True)
-    else:
-        ch, parts = QH.ch_odd(phi, args.n, W, return_parts=True)
-    xt = parts["xt"]
-    even, odd = xt.even_basis(), xt.odd_basis()
+    ch = character(phi, args.n, W)
+    even, odd = ch.source.even_basis(), ch.source.odd_basis()
     sides = (("even", even), ("odd", odd))
     report.run("chain map: bivariant character",
                "boundaries intertwine through the lift and trace",
@@ -603,6 +599,13 @@ def cmd_jlo(args):
     if not 0 <= args.tolerance < math.inf:
         raise SpecError("--tolerance must be finite and at least 0")
     algebra, triple = load_spectral_triple(load_spec(args.spec))
+    # the retraction folds cs on the n + 1 letters of its B terms (n is --n
+    # rounded down to even): n + 2 insertions, the largest word any check
+    # folds
+    if not J.fold_fits(triple.dim, args.n - args.n % 2 + 3):
+        raise SpecError("--n %d would fold arrays over %d MiB on a triple of "
+                        "dimension %d" % (args.n, J.FOLD_CAP_BYTES >> 20,
+                                          triple.dim))
     if args.require_invertible and not triple.invertible_square:
         print("window error: D^2 is not invertible", file=sys.stderr)
         return 3

@@ -34,7 +34,8 @@ class SpectralTriple:
     """Graded 2m-dimensional space, even representation matrices, odd
     self-adjoint D."""
 
-    def __init__(self, rho, D, tol=1e-12):
+    def __init__(self, rho, D):
+        tol = 1e-12
         self.rho = [np.asarray(m, dtype=complex) for m in rho]
         self.D = np.asarray(D, dtype=complex)
         n = self.D.shape[0]
@@ -85,6 +86,20 @@ def _multisets(dim, size):
     tuples = np.indices((dim,) * size).reshape(size, -1).T
     return combos, np.searchsorted(combos @ place,
                                    np.sort(tuples, axis=1) @ place)
+
+
+# the most bytes one fold may allocate; see fold_fits
+FOLD_CAP_BYTES = 2 ** 27
+
+
+def fold_fits(dim, size):
+    """Whether folding a word of size - 1 insertions on a triple of
+    dimension dim stays under FOLD_CAP_BYTES: _folded_word multiplies out
+    dim^(size + 1) complex entries, and _multisets holds two int tables of
+    size x dim^size (the index tuples and their sorted copy).  dim >= 2,
+    so no size past 24 fits; those are refused before the power is taken."""
+    return size <= 24 and (16 * dim ** (size + 1)
+                           + 16 * size * dim ** size) <= FOLD_CAP_BYTES
 
 
 def _simplex_exp(x):

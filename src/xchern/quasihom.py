@@ -82,17 +82,13 @@ class InvertibleExtension:
     X = diag(1, -1); stored as 2N x 2N matrices.  At finite size the
     off-diagonal blocks are summable to every order."""
 
-    def __init__(self, base, target, nsize, alpha, name="ext", check=True):
+    def __init__(self, base, target, nsize, alpha, name="ext"):
         self.base = base
         self.target = target
         self.nsize = nsize       # block size N; matrices are 2N x 2N
         self.alpha = alpha
         self.name = name
-        if check:
-            self._check()
-
-    def _check(self):
-        if not is_multiplicative(self.base, self.target, self.alpha):
+        if not is_multiplicative(base, target, alpha):
             raise ValueError("alpha is not multiplicative")
 
     def conjugate_by_x(self, mat):
@@ -166,11 +162,9 @@ def lift_words(letters, tb):
     return lift
 
 
-def _traced_lift(src_cx, letters, nsize, target, out_len, graded=False,
-                 half=1):
+def _traced_lift(src_cx, letters, nsize, target, out_len, half=None):
     """trace . X(lift) of matrix letters, as one chain map from src_cx to
-    X(T B~), with the supertrace of blocks of size half when graded;
-    returns (map, X(T B~)).
+    X(T B~), with the supertrace of blocks of size half when half is given.
 
     An odd source label (z, g) pairs a lift with the lift of the one
     letter g, whose entries are single letters or the unit word, so the
@@ -179,7 +173,7 @@ def _traced_lift(src_cx, letters, nsize, target, out_len, graded=False,
     tb = TensorAlg(target, out_len, unital=True)
     xtb = XGenerated(tb)
     lift = lift_words(letters, tb)
-    signs = [-ONE if graded and (r // half) % 2 else ONE
+    signs = [-ONE if half and (r // half) % 2 else ONE
              for r in range(nsize)]
 
     def efn(word):
@@ -207,43 +201,37 @@ def _traced_lift(src_cx, letters, nsize, target, out_len, graded=False,
                 loss = loss or l
                 vec_axpy(out, s, vec)
         return out, loss
-    return ChainMap(src_cx, xtb, 0, efn, ofn), xtb
+    return ChainMap(src_cx, xtb, 0, efn, ofn)
 
 
-def ch_even(quasi, n, windows, return_parts=False):
+def ch_even(quasi, n, windows):
     """Bivariant even character: trace . X(lift) . gamma^{2n}."""
     W = windows
-    gamma, parts = gamma_even(quasi.base, n, W)
+    gamma, _ = gamma_even(quasi.base, n, W)
 
     def rep(word):
         return _rep_on_window_word(quasi.rho_plus, quasi.rho_minus, word,
                                    quasi.target, quasi.nsize)
 
-    trlift, xtb = _traced_lift(parts["xtq"], rep, quasi.nsize, quasi.target,
-                               W.out_len)
-    ch = ChainMap.compose(trlift, gamma)
-    if return_parts:
-        parts["xtb"] = xtb
-        return ch, parts
-    return ch
+    trlift = _traced_lift(gamma.target, rep, quasi.nsize, quasi.target,
+                          W.out_len)
+    return ChainMap.compose(trlift, gamma)
 
 
-def x_of_t_rho(quasi, windows, branch="plus"):
-    """X(T rho) for one branch of the pair, in the same target complex
-    conventions as ch_even (unit letters merge)."""
+def x_of_t_rho(quasi, windows):
+    """X(T rho_plus), in the same target complex conventions as ch_even
+    (unit letters merge)."""
     W = windows
-    xt = x_of_tensor_algebra(quasi.base, W.src_len)
-    rho = quasi.rho_plus if branch == "plus" else quasi.rho_minus
-    trx, xtb = _traced_lift(xt, rho.__getitem__, quasi.nsize, quasi.target,
-                            W.out_len)
-    return trx, xt, xtb
+    return _traced_lift(x_of_tensor_algebra(quasi.base, W.src_len),
+                        quasi.rho_plus.__getitem__, quasi.nsize, quasi.target,
+                        W.out_len)
 
 
-def ch_odd(ext, n, windows, return_parts=False):
+def ch_odd(ext, n, windows):
     """Bivariant odd character: sqrt(2 pi i) supertrace . X(lift) .
     gamma^{2n+1}."""
     W = windows
-    gamma, parts = gamma_odd(ext.base, n, W)
+    gamma, _ = gamma_odd(ext.base, n, W)
     two = 2 * ext.nsize
     xax = [ext.conjugate_by_x(al) for al in ext.alpha]
 
@@ -251,30 +239,14 @@ def ch_odd(ext, n, windows, return_parts=False):
         """phi^s on a window form word: iota -> alpha, bar -> X alpha X."""
         return _rep_on_window_word(ext.alpha, xax, word, ext.target, two)
 
-    trlift, xtb = _traced_lift(parts["xtq"], rep, two, ext.target, W.out_len,
-                               graded=True, half=ext.nsize)
-    ch = ChainMap.compose(trlift, gamma).scale(bott_constant())
-    if return_parts:
-        parts["xtb"] = xtb
-        return ch, parts
-    return ch
+    trlift = _traced_lift(gamma.target, rep, two, ext.target, W.out_len,
+                          half=ext.nsize)
+    return ChainMap.compose(trlift, gamma).scale(bott_constant())
 
 
 # ---------------------------------------------------------------------------
 # index pairing against the brute-force kernel/cokernel oracle
 # ---------------------------------------------------------------------------
-
-# calibration constants for the pairing, fixed once against the oracle on
-# rank-one reference modules (tests recompute and assert them)
-PAIRING_CONSTANTS = {0: ONE}
-
-
-def _rank(vectors):
-    s = Span()
-    for v in vectors:
-        s.add(v)
-    return s.dim
-
 
 def fredholm_index_oracle(M, e_matrix, k):
     """dim ker - dim coker of the compression of F to the range of the
@@ -340,10 +312,7 @@ def fredholm_index_oracle(M, e_matrix, k):
     dim_plus = plus_span.dim
     dim_minus = minus_span.dim
     # W: e H+ -> e H-, v -> P F v
-    images = []
-    for row in plus_span.basis():
-        images.append(apply_P(apply_F(row)))
-    rank = _rank(images)
+    rank = Span([apply_P(apply_F(row)) for row in plus_span.basis()]).dim
     ker = dim_plus - rank
     coker = dim_minus - rank
     return ker - coker
@@ -358,7 +327,7 @@ def is_idempotent(base, e_matrix):
     return mat_is_zero(mat_sub(EE, E))
 
 
-def index_pairing(M, e_matrix, k, n=0):
+def index_pairing(M, e_matrix, k):
     """Pairing of the retracted character with an idempotent over the
     unitalized base; exact, integer-valued, cross-checked by the oracle.
 
@@ -367,8 +336,6 @@ def index_pairing(M, e_matrix, k, n=0):
         raise ValueError("matrix is not idempotent")
     if M.parity != 0:
         raise ValueError("index pairing needs an even bimodule")
-    if n != 0:
-        raise ValueError("only the base constant is calibrated")
     # degree-0 pairing: the supertraced commutator formula on tr(e)
     total = ZERO
     for i in range(k):
@@ -379,7 +346,6 @@ def index_pairing(M, e_matrix, k, n=0):
             st = _trace(_trace_entries(0, M.nsize), word)
             tr = st.get(None, ZERO) + st.get(0, ZERO)
             total = total + coeff * HALF * tr
-    total = total * PAIRING_CONSTANTS[0]
     if not is_rational(total):
         raise ValueError("pairing value is not rational")
     return total

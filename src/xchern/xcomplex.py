@@ -520,9 +520,6 @@ class OmegaComplex:
     def bdry_odd(self, vec):
         return self._bB(vec)
 
-    def canonical_odd(self, vec):
-        return vec
-
 
 def _sides(cx, even_labels=None, odd_labels=None):
     """(tag, labels) for the even side, then the odd side; the labels
@@ -535,7 +532,7 @@ def _bdry(cx, odd):
     return cx.bdry_odd if odd else cx.bdry_even
 
 
-def verify_dd(cx, even_labels=None, odd_labels=None):
+def verify_dd(cx):
     """Check that both composites of the boundaries vanish where no
     truncation loss occurs; returns the report of linalg.check_columns."""
     def column(tag, lab):
@@ -543,7 +540,7 @@ def verify_dd(cx, even_labels=None, odd_labels=None):
         v1, l1 = _bdry(cx, odd)({lab: ONE})
         v2, l2 = _bdry(cx, not odd)(v1)
         return v2, l1 or l2
-    return check_columns(_sides(cx, even_labels, odd_labels), column)
+    return check_columns(_sides(cx), column)
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ def test_criterion_8_quasihom_characters():
     rho = [[[{i: ONE}]] for i in range(alg.dim)]
     phi = hom_quasi(alg, alg, 1, rho)
     ch = ch_even(phi, 0, W)
-    xr, _, _ = x_of_t_rho(phi, W, "plus")
+    xr = x_of_t_rho(phi, W)
     xt = x_of_tensor_algebra(alg, W.src_len)
     rep = maps_equal(ch, xr, xt.even_basis(), xt.odd_basis())
     assert rep["ok"] and rep["skipped"] == 0

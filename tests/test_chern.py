@@ -426,15 +426,14 @@ def _unit_matrix(nsize, r, c, key):
     return mat
 
 
-def _traced(target, letters, graded=False):
+def _traced(target, letters, half=None):
     """The (super)trace of X of the word-level lift of 2 x 2 matrix letters
-    over target, from X(T A) with A = M_2(Q) as the alphabet, at window 2."""
+    over target, from X(T A) with A = M_2(Q) as the alphabet, at window 2;
+    the supertrace of 1 x 1 blocks when half = 1."""
     from xchern.algebra import matrix_units
     from xchern.quasihom import _traced_lift
     xt = x_of_tensor_algebra(matrix_units(2), 2)
-    tr, _ = _traced_lift(xt, letters.__getitem__, 2, target, 3,
-                         graded=graded)
-    return tr
+    return _traced_lift(xt, letters.__getitem__, 2, target, 3, half=half)
 
 
 def test_trace_map_examples(dual):
@@ -462,7 +461,7 @@ def test_trace_map_graded(dual):
     # block-diagonal letters: e11 (x) 1, e22 (x) eps, e11 (x) eps, e22 (x) 1
     tr = _traced(dual, [_unit_matrix(2, 0, 0, 0), _unit_matrix(2, 1, 1, 1),
                         _unit_matrix(2, 0, 0, 1), _unit_matrix(2, 1, 1, 0)],
-                 graded=True)
+                 half=1)
     # row 1 is the odd block: the supertrace gives it the sign -1
     v, _ = tr.even_col((1,))
     assert v == {(1,): -ONE}

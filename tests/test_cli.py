@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from xchern.cli import main, load_algebra, load_spec, SpecError
+from xchern.cli import main, load_algebra, load_spec, SpecError, BUILTINS
 
 DUAL_SPEC = {
     "kind": "algebra",
@@ -91,7 +91,10 @@ def _write(tmp_path, name, payload):
 
 
 def test_load_algebra_builtin():
-    assert load_algebra("dual").dim == 2
+    dims = {"dual": 2, "m2": 4, "z2": 2, "qq": 2, "q": 1}
+    assert set(dims) == set(BUILTINS)
+    for name, dim in dims.items():
+        assert load_algebra(name).dim == dim, name
     with pytest.raises(SpecError):
         load_algebra("nope")
 
@@ -209,7 +212,8 @@ def test_jlo_checks_fail_on_nan_residual(tmp_path, capsys, monkeypatch):
                                    ["--T", "nan"], ["--T", "inf"],
                                    ["--tolerance", "nan"],
                                    ["--tolerance", "-1"],
-                                   ["--tolerance", "inf"]])
+                                   ["--tolerance", "inf"],
+                                   ["--n", "16"]])
 def test_jlo_rejects_bad_window(flags, tmp_path, capsys):
     path = _write(tmp_path, "triple.json", TRIPLE_SPEC)
     assert main(["jlo", path] + flags) == 3

@@ -3,8 +3,10 @@ specs/, of the odd universal command and of the even universal command at
 window 4, against committed copies.
 
 The exact commands must reproduce both reports byte for byte.  The jlo
-report is compared without its detail strings, whose float digits depend
-on the BLAS build; each residual must still sit within its tolerance.
+JSON report is compared without its detail strings, whose float digits
+depend on the BLAS build; each residual must still sit within its
+tolerance.  Its text report prints no detail for a passing check, so it is
+compared byte for byte.
 """
 
 import json
@@ -74,3 +76,4 @@ def test_jlo_report_matches_up_to_residual_digits(monkeypatch, capsys):
     for check in want["checks"]:
         del check["detail"]
     assert got == want
+    assert _report(JLO, monkeypatch, capsys, "text") == _golden("jlo", "txt")

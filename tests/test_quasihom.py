@@ -13,8 +13,7 @@ from xchern.xcomplex import (x_of_tensor_algebra, verify_chain_map,
 from xchern.chern import GammaWindows, FredholmBimodule
 from xchern.quasihom import (Quasihomomorphism, InvertibleExtension,
                              hom_quasi, ch_even, ch_odd, x_of_t_rho,
-                             index_pairing,
-                             fredholm_index_oracle, PAIRING_CONSTANTS)
+                             index_pairing, fredholm_index_oracle)
 from xchern.cli import load_spec, load_quasihom, load_extension
 
 SPECS = os.path.join(os.path.dirname(os.path.dirname(
@@ -31,23 +30,23 @@ def _identity_quasihom(algebra):
 
 def test_ch0_of_hom_is_x_of_lift(dual):
     phi = _identity_quasihom(dual)
-    ch, parts = ch_even(phi, 0, W2, return_parts=True)
-    xr, xt2, xtb2 = x_of_t_rho(phi, W2, "plus")
-    xt = parts["xt"]
+    ch = ch_even(phi, 0, W2)
+    xr = x_of_t_rho(phi, W2)
+    xt = ch.source
     rep = maps_equal(ch, xr, xt.even_basis(), xt.odd_basis())
     assert rep["ok"] and rep["skipped"] == 0
 
 
 def test_ch0_chain_map_and_order(dual):
     phi = _identity_quasihom(dual)
-    ch, parts = ch_even(phi, 0, W2, return_parts=True)
-    xt = parts["xt"]
+    ch = ch_even(phi, 0, W2)
+    xt = ch.source
     rep = verify_chain_map(ch, even_labels=xt.even_basis(),
                            odd_labels=xt.odd_basis())
     assert rep["ok"]
     # order <= 0 for a plain homomorphism: the character preserves levels
     osp = FormSpace(dual, 2 * W2.src_len)
-    filt = TensorIdealFiltration(parts["xtb"], lambda lett: False)
+    filt = TensorIdealFiltration(ch.target, lambda lett: False)
 
     def src_basis(m):
         ev, od = hodge_filtration(osp, m, xtensor=xt)
@@ -62,8 +61,8 @@ def test_degenerate_quasihom_vanishes(dual):
     rho = [[[{i: ONE}]] for i in range(dual.dim)]
     phi = Quasihomomorphism(dual, dual, 1, rho, rho, check=False)
     assert phi.is_degenerate()
-    ch, parts = ch_even(phi, 0, W2, return_parts=True)
-    xt = parts["xt"]
+    ch = ch_even(phi, 0, W2)
+    xt = ch.source
     for lab in xt.even_basis():
         assert ch.even_col(lab)[0] == {}
     for lab in xt.odd_basis():
@@ -110,18 +109,18 @@ def test_character_columns_lie_in_the_target_basis(dual):
     unit = [[{None: ONE}, {}], [{}, {None: ONE}]]
     e12 = [[{}, {None: ONE}], [{}, {}]]
     phi = hom_quasi(dual, dual, 2, [unit, e12])
-    ch, parts = ch_even(phi, 0, W2, return_parts=True)
-    assert _labels_off_the_target_basis(ch, parts["xt"]) == []
+    ch = ch_even(phi, 0, W2)
+    assert _labels_off_the_target_basis(ch, ch.source) == []
     # the characters that chern builds from the spec files, at the windows
     # of its default --src-len 2
     for name, n in (("idqh", 0), ("idqh", 1), ("extension", 0)):
         spec = load_spec(os.path.join(SPECS, name + ".json"))
         W = GammaWindows(2, 2, 2 * n + 2, 1, 2 * 2 + 2 * n + 2)
         if spec["kind"] == "quasihom":
-            ch, parts = ch_even(load_quasihom(spec), n, W, return_parts=True)
+            ch = ch_even(load_quasihom(spec), n, W)
         else:
-            ch, parts = ch_odd(load_extension(spec), n, W, return_parts=True)
-        assert _labels_off_the_target_basis(ch, parts["xt"]) == [], name
+            ch = ch_odd(load_extension(spec), n, W)
+        assert _labels_off_the_target_basis(ch, ch.source) == [], name
 
 
 def test_quasihom_rejects_bad_rep(dual):
@@ -142,8 +141,8 @@ def test_ch_odd_extension(qq):
     assert not ext.is_degenerate()
     W = GammaWindows(src_len=2, mid_len=2, q_inner_deg=2, q_letter_deg=1,
                      out_len=4)
-    ch1, parts = ch_odd(ext, 0, W, return_parts=True)
-    xt = parts["xt"]
+    ch1 = ch_odd(ext, 0, W)
+    xt = ch1.source
     rep = verify_chain_map(ch1, even_labels=xt.even_basis(),
                            odd_labels=xt.odd_basis())
     assert rep["ok"], rep["failures"][:2]
@@ -160,8 +159,8 @@ def test_ch_odd_degenerate_vanishes(qq):
     assert degen.is_degenerate()
     W = GammaWindows(src_len=2, mid_len=2, q_inner_deg=2, q_letter_deg=1,
                      out_len=4)
-    ch1, parts = ch_odd(degen, 0, W, return_parts=True)
-    xt = parts["xt"]
+    ch1 = ch_odd(degen, 0, W)
+    xt = ch1.source
     for lab in xt.even_basis():
         assert ch1.even_col(lab)[0] == {}
     for lab in xt.odd_basis():
@@ -241,8 +240,9 @@ def test_index_pairing_2x2_idempotent(qq):
 
 
 def test_pairing_constant_matches_oracle(qq):
-    # the calibration constant at level zero is pinned by the oracle
+    # the level-zero pairing needs no calibration constant: it is the
+    # oracle's index
     M = _toy_bimodule(qq)
     e1 = [[(ZERO, {0: ONE})]]
-    raw = index_pairing(M, e1, 1) / PAIRING_CONSTANTS[0]
+    raw = index_pairing(M, e1, 1)
     assert raw == Scalar.from_int(fredholm_index_oracle(M, e1, 1))

@@ -517,6 +517,20 @@ def test_order_certificate_reports_a_bumped_column(dual, side):
     assert ok
 
 
+def test_filtration_reduces_commutators_at_even_levels(dual):
+    # level 2 of X(T dual) for the ideal spanned by the letter 1: a vector
+    # of words with one ideal letter is a member when it sums to zero on
+    # each rotation class, so [1, 0] and [1, 0 0] are members and the word
+    # (1, 0) alone is not; (0, 0) has too few ideal letters
+    filt = TensorIdealFiltration(x_of_tensor_algebra(dual, 3),
+                                 lambda lett: lett == 1)
+    for vec in ({(1, 0): ONE, (0, 1): -ONE},
+                {(1, 0, 0): ONE, (0, 1, 0): -ONE}):
+        assert filt.member_even(2, vec), vec
+    for vec in ({(1, 0): ONE}, {(0, 0): ONE}):
+        assert not filt.member_even(2, vec), vec
+
+
 # the generated X-complexes whose commutator quotients the universal
 # checks build, one over a rebased algebra with Fraction constants, and
 # the matrix and split-pair ones at window 2
