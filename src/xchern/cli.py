@@ -343,26 +343,29 @@ def dga_suite(algebra, max_degree, report):
     def words_upto(n):
         return [w for k in range(n + 1) for w in sp.basis_words(k)]
 
-    # the checks compose the memoized word images as coefficient dicts
+    # the checks compose the memoized word images, flat (word, coefficient)
+    # tuples, and turn one into a dict only to compare or change it
     d, b, kappa, B = F._d_word, F._b_word, F._kappa_word, F._B_word
     image, extend = partial(F._image, sp), partial(F._extend, sp)
+    pairs = F._pairs
 
     def b_b(_, w):
         # no later column reads b on a top-degree word with a nonzero slot
         # zero, so that image is not memoized
-        once = len(w) > max_degree and w[0]
-        return extend(b, (b(sp, w) if once else image(b, w))[0])
+        if len(w) > max_degree and w[0]:
+            return extend(b, b(sp, w)[0].items())
+        return extend(b, pairs(image(b, w)[0]))
 
     def B_B(_, w):
         one, lossy = image(B, w)
-        return (None, True) if lossy else extend(B, one)
+        return (None, True) if lossy else extend(B, pairs(one))
 
     def bB(_, w):
         Bf, l1 = image(B, w)
-        Bbf, l2 = extend(B, image(b, w)[0])
+        Bbf, l2 = extend(B, pairs(image(b, w)[0]))
         if l1 or l2:
             return None, True
-        return vec_axpy(extend(b, Bf)[0], ONE, Bbf), False
+        return vec_axpy(extend(b, pairs(Bf))[0], ONE, Bbf), False
 
     def kappa_identity(_, w):
         df, lossy = image(d, w)
@@ -370,20 +373,21 @@ def dga_suite(algebra, max_degree, report):
             return None, True
         # f - kappa(f) - d(b(f)) - b(df)
         out = {w: ONE}
-        vec_axpy(out, -ONE, image(kappa, w)[0])
-        vec_axpy(out, -ONE, extend(d, image(b, w)[0])[0])
-        vec_axpy(out, -ONE, extend(b, df)[0])
+        vec_axpy(out, -ONE, dict(pairs(image(kappa, w)[0])))
+        vec_axpy(out, -ONE, extend(d, pairs(image(b, w)[0]))[0])
+        vec_axpy(out, -ONE, extend(b, pairs(df))[0])
         return out, False
 
     def B_kappa(_, w):
         # the first nonzero of B(kappa f) - B f and kappa(B f) - B f; the
         # sides are compared first, so a passing word subtracts nothing
-        Bf, lossy = image(B, w)
+        flat, lossy = image(B, w)
         if lossy:
             return None, True
-        other = extend(B, image(kappa, w)[0])[0]
+        Bf = dict(pairs(flat))
+        other = extend(B, pairs(image(kappa, w)[0]))[0]
         if other == Bf:
-            other = extend(kappa, Bf)[0]
+            other = extend(kappa, pairs(flat))[0]
         return ({} if other == Bf else vec_axpy(other, -ONE, Bf)), False
 
     def fedosov_assoc(_, triple):

@@ -15,13 +15,18 @@ the flag of a chain of operators themselves.
 All operators act word-wise and sparsely, in closed form on degree-n forms
 as A~ (x) A^(x)n: b is the bar formula, right multiplication by a letter the
 same signed sum of adjacent merges, and B the signed sum of the cyclic
-rotations of dw.  Each space memoizes an operator's value on a word when it
-is read through _image or _extend, one dict per operator; a caller that
-reads a value only once calls the word operator itself.  The memos share
-one tuple per word: every memo key and image key is the tuple that the
-space's word table holds for it.  The product of the free-product algebra
-(the Fedosov product) is fedosov_words on two words and its bilinear
-extension fedosov_full on two forms.
+rotations of dw; each reads the products of basis letters from the
+space's table mul, built once.  Each space memoizes an operator's value on
+a word when it is read through _image or _extend: one dict per operator
+maps the word to the flat tuple (v1, c1, v2, c2, ...) of its image's words
+and coefficients, () when the image is zero, and one set per operator
+holds the words whose image is lossy (only d and B lose terms, on
+top-degree words).  A caller that reads a value only once calls the word
+operator itself.  The memos share one tuple per word: every memo key,
+lossy word and image word is the tuple that the space's word table holds
+for it.  The product of the free-product algebra (the Fedosov product) is
+fedosov_words on two words and its bilinear extension fedosov_full on two
+forms.
 """
 
 import itertools
@@ -38,8 +43,15 @@ class FormSpace:
             raise ValueError("max_degree must be nonnegative")
         self.algebra = algebra
         self.max_degree = max_degree
-        # word operator -> {word: (image dict, lossy)}
+        # mul[i][j]: the (k, c) pairs of e_i * e_j, read from the sparse
+        # structure table
+        self.mul = [[()] * algebra.dim for _ in range(algebra.dim)]
+        for (i, j), vec in algebra.mul.items():
+            self.mul[i][j] = tuple(vec.items())
+        # word operator -> {word: flat image (v1, c1, v2, c2, ...)}
         self._op_cache = defaultdict(dict)
+        # word operator -> the memoized words whose image is lossy
+        self._lossy = defaultdict(set)
         # word -> the one tuple equal to it that the memos hold
         self._words = {}
 
@@ -82,18 +94,29 @@ def _add_merges(space, out, x, sign):
     """In place: out += sign * sum_i (-1)^i x_i, where x = (u, a1, ..., am)
     and x_i merges its letters i and i+1 into their product, i < m.  Slot
     zero is merged through the unitalization: a unit slot u = 0 contributes
-    the letter a1 itself."""
-    prod = space.algebra.product_basis
+    the letter a1 itself.  The sums follow _add_term's rules."""
+    mul = space.mul
+    get = out.get
     for i in range(len(x) - 2, 0, -1):
+        prod = mul[x[i]][x[i + 1]]
+        if not prod:
+            continue
         s = sign if i % 2 == 0 else -sign
         head, tail = x[:i], x[i + 2:]
-        for k, c in prod(x[i], x[i + 1]).items():
-            _add_term(out, head + (k,) + tail, s * c)
+        for k, c in prod:
+            w = head + (k,) + tail
+            t = get(w)
+            t = s * c if t is None else t + s * c
+            if t:
+                out[w] = (t.numerator if type(t) is Fraction
+                          and t.denominator == 1 else t)
+            elif w in out:
+                del out[w]
     tail = x[2:]
     if x[0] == 0:
         _add_term(out, (x[1] + 1,) + tail, sign)
     else:
-        for k, c in prod(x[0] - 1, x[1]).items():
+        for k, c in mul[x[0] - 1][x[1]]:
             _add_term(out, (k + 1,) + tail, sign * c)
 
 
@@ -109,10 +132,8 @@ def _left_mul_word(space, j, w):
     """e_j * w for a basis index j."""
     if w[0] == 0:
         return {(j + 1,) + w[1:]: ONE}, False
-    out = {}
-    for k, c in space.algebra.product_basis(j, w[0] - 1).items():
-        out[(k + 1,) + w[1:]] = c
-    return out, False
+    tail = w[1:]
+    return {(k + 1,) + tail: c for k, c in space.mul[j][w[0] - 1]}, False
 
 
 def _right_mul_word(space, w, j):
@@ -136,29 +157,47 @@ def _mul_words(space, w1, w2):
 
 
 def _image(space, fn, w):
-    """Value (vec, lossy) of the word operator fn on the word w, memoized in
-    the space.  vec is the memo's own dict: read it, never change it.  The
-    memo's key and the keys of vec are the space's one tuple per word."""
+    """Value (flat, lossy) of the word operator fn on the word w, memoized
+    in the space: flat is the memo's tuple (v1, c1, v2, c2, ...) of the
+    image's words and coefficients in the operator's order, () when it is
+    zero.  The memo's key and the words v are the space's one tuple per
+    word; lossy is read from the operator's set of lossy words."""
     memo = space._op_cache[fn]
-    hit = memo.get(w)
-    if hit is None:
+    img = memo.get(w)
+    if img is None:
         one = space._words.setdefault
         vec, lossy = fn(space, w)
-        hit = memo[one(w, w)] = {one(v, v): c for v, c in vec.items()}, lossy
-    return hit
+        w = one(w, w)
+        if lossy:
+            space._lossy[fn].add(w)
+        img = memo[w] = tuple([x for v, c in vec.items()
+                               for x in (one(v, v), c)])
+    return img, w in space._lossy[fn]
 
 
-def _extend(space, fn, vec):
-    """Linear extension of the word operator fn to the coefficient dict vec,
-    through the memoized values on its words: a new (dict, lossy).  The sums
-    follow vec_axpy's rules, as in _add_term."""
+def _pairs(flat):
+    """The (word, coefficient) pairs of a flat image."""
+    it = iter(flat)
+    return zip(it, it)
+
+
+def _extend(space, fn, pairs):
+    """Linear extension of the word operator fn to a form given by its
+    (word, coefficient) pairs, through the memoized values on its words: a
+    new (dict, lossy).  The sums follow vec_axpy's rules, as in
+    _add_term."""
     out = {}
     get = out.get
+    memo = space._op_cache[fn]
+    lossed = space._lossy[fn]
     lossy = False
-    for w, c in vec.items():
-        img, l = _image(space, fn, w)
-        lossy = lossy or l
-        for v, x in img.items():
+    for w, c in pairs:
+        img = memo.get(w)
+        if img is None:
+            img = _image(space, fn, w)[0]
+        lossy = lossy or w in lossed
+        it = iter(img)
+        for v, x in zip(it, it):
             s = get(v)
             s = c * x if s is None else s + c * x
             if s:
@@ -176,7 +215,7 @@ def _extend(space, fn, vec):
 
 def d(space, vec):
     """Differential: d(a0.da1...dan) = da0.da1...dan, d(1~ ...) = 0."""
-    return _extend(space, _d_word, vec)
+    return _extend(space, _d_word, vec.items())
 
 
 def _b_word(space, w):
@@ -194,7 +233,7 @@ def _b_word(space, w):
 
 def b(space, vec):
     """Hochschild boundary: b(w.da) = (-1)^{|w|}[w, a], zero in degree 0."""
-    return _extend(space, _b_word, vec)
+    return _extend(space, _b_word, vec.items())
 
 
 def _kappa_word(space, w):
@@ -218,7 +257,7 @@ def _kappa_word(space, w):
 
 def kappa(space, vec):
     """Karoubi operator, 1 - kappa = db + bd."""
-    return _extend(space, _kappa_word, vec)
+    return _extend(space, _kappa_word, vec.items())
 
 
 def _B_word(space, w):
@@ -239,7 +278,7 @@ def _B_word(space, w):
 
 def connes_B(space, vec):
     """Connes boundary (1 + kappa + ... + kappa^n) d on degree n."""
-    return _extend(space, _B_word, vec)
+    return _extend(space, _B_word, vec.items())
 
 
 def fedosov_words(space, w1, w2):

@@ -787,7 +787,7 @@ def hodge_filtration(space, m, xtensor=None):
     if 0 <= m and m <= top and m + 1 <= space.max_degree:
         side = even if m % 2 == 0 else odd
         for w in space.basis_words(m + 1):
-            img, _ = F.b(space, {w: ONE})
+            img, _ = F._b_word(space, w)
             if img:
                 side.add(img)
     if xtensor is None:

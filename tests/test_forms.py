@@ -195,11 +195,14 @@ def test_dga_memos_share_one_tuple_per_word(monkeypatch, m2):
     _, sp = _dga_run(monkeypatch, m2, 4)
     seen = {}
     keys = 0
-    for memo in sp._op_cache.values():
-        for w, (img, _) in memo.items():
-            for v in (w, *img):
+    for fn, memo in sp._op_cache.items():
+        for w, img in memo.items():
+            # a flat image alternates words and coefficients
+            for v in (w, *img[::2]):
                 assert seen.setdefault(v, v) is v, v
                 keys += 1
+        for w in sp._lossy[fn]:
+            assert seen.setdefault(w, w) is w, w
     assert keys > len(seen) > 0
 
 
@@ -209,6 +212,42 @@ def test_dga_b_memo_leaves_out_images_read_once(monkeypatch, m2):
     _, sp = _dga_run(monkeypatch, m2, 4)
     top = [w for w in sp._op_cache[F._b_word] if len(w) == 5]
     assert top and all(w[0] == 0 for w in top)
+
+
+@pytest.mark.parametrize("rebased", [False, True], ids=["m2", "rebased m2"])
+def test_memo_agrees_with_the_word_operators(m2, rebased):
+    """On every word of degree <= 3, the lossy top-degree words included:
+    the memo's flat image lists the word operator's own pairs in order,
+    with its loss flag; the lossy set holds exactly the lossy words; and
+    _extend sums the unmemoized images as vec_axpy does."""
+    alg = rational_rebasing(lambda: matrix_units(2), 7) if rebased else m2
+    rng = random.Random(5)
+    basis = FormSpace(alg, 3).basis_words
+    words = [w for n in range(4) for w in basis(n)]
+    coeffs = [ONE, -ONE, 2, Fraction(1, 2), Fraction(-3, 4)]
+    for fn in (F._d_word, F._b_word, F._kappa_word, F._B_word):
+        sp = FormSpace(alg, 3)
+        vec = {w: rng.choice(coeffs) for w in rng.sample(words, 40)}
+        want, want_lossy = {}, False
+        for w, c in vec.items():
+            img, lossy = fn(sp, w)
+            vec_axpy(want, c, img)
+            want_lossy = want_lossy or lossy
+        # a cold memo, then a warm one
+        assert F._extend(sp, fn, vec.items()) == (want, want_lossy)
+        assert F._extend(sp, fn, vec.items()) == (want, want_lossy)
+        lossy_words = set()
+        for w in words:
+            img, lossy = fn(sp, w)
+            flat, flag = F._image(sp, fn, w)
+            assert (list(F._pairs(flat)), flag) == (list(img.items()),
+                                                    lossy), (fn.__name__, w)
+            if lossy:
+                lossy_words.add(w)
+        assert sp._lossy[fn] == lossy_words
+        # d and B lose the top-degree words with a nonzero slot zero
+        assert bool(lossy_words) == (fn in (F._d_word, F._B_word))
+        assert all(len(w) == 4 and w[0] for w in lossy_words)
 
 
 def test_dga_suite_passes_on_m2_and_rebased_m2(monkeypatch, m2):

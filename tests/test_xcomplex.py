@@ -609,6 +609,33 @@ def test_the_symmetry_keeps_the_weaker_bound():
                if alg.degree(z) + alg.degree(r) == alg.window + 1)
 
 
+# at an odd window the sign of tau at deg z + deg r = window + 1 is +1, so
+# the two terms of each d-factor cancel and every such triple (z, X, r) is
+# empty, although relations() still builds it
+ODD_WINDOWS = {
+    "E(dual) w1": lambda: ZekriAlg(FormSpace(dual_numbers(), 1)),
+    "E(z2) w1": lambda: ZekriAlg(FormSpace(group_algebra_z2(), 1)),
+    "E(dual) w3": QUOTIENTS["E(dual) w3"],
+}
+
+
+@pytest.mark.parametrize("name", list(ODD_WINDOWS))
+def test_the_symmetry_is_empty_past_an_odd_window(name):
+    alg = ODD_WINDOWS[name]()
+    assert alg.window % 2
+    basis = alg.basis()
+
+    def deg(label):
+        return 0 if label is None else alg.degree(label)
+
+    ref = xreference._Reference(alg)
+    edge = [(r, z) for z in [None] + basis for r in basis
+            if deg(z) + deg(r) == alg.window + 1]
+    assert edge
+    for r, z in edge:
+        assert not ref.vector(r, z, ZekriAlg.SYMMETRY), (r, z)
+
+
 # the commutator quotient from its definition, R~ (x) R modulo the
 # relations of xreference.cuntz_quillen: its dimension, and (z, g) -> z (x)
 # g sends the generated basis odd_basis() to a basis of it
