@@ -28,7 +28,10 @@ generator, and it has no window.  xcomplex.FedosovAlg, ZekriAlg and
 TensorAlg are the truncated ones.
 """
 
-from .scalars import ONE
+import math
+from fractions import Fraction
+
+from .scalars import ONE, coerce
 from .linalg import vec_axpy
 
 
@@ -99,6 +102,40 @@ class Algebra:
             if (dict_product(self, self.unit, e)[0] != e
                     or dict_product(self, e, self.unit)[0] != e):
                 raise ValueError("declared unit is not a two-sided unit")
+
+
+def integral_rescaling(alg):
+    """alg on the basis f_i = D e_i, where D is the least common multiple
+    of the denominators of its rational structure constants; alg itself
+    when D = 1.
+
+    The constants of the copy are D m_ijk, so each rational one is an int
+    and each Scalar one stays a Scalar; its unit is the unit of alg over
+    D.  The verdicts of the form calculus cannot tell the two apart:
+
+    - phi(e_i) = f_i / D is an algebra isomorphism onto the copy, and it
+      extends to the unitalizations by phi(1) = 1.
+    - phi induces a degree-preserving DGA isomorphism of the truncated
+      form spaces: a word goes to D^-k times the same word, where k counts
+      its algebra letters (slot zero included unless it is the unit).
+    - That isomorphism commutes with d, b, B, kappa and the Fedosov
+      product, since these are natural in the algebra.
+    - So an identity's column on a word, or a triple of words, of the
+      copy is a power of D times phi of its column on the same label over
+      alg, and phi sends only zero to zero; every loss flag, a degree
+      test, is the same.  A column is zero, skipped or failing on both
+      algebras or on neither.
+    """
+    D = math.lcm(*(c.denominator for vec in alg.mul.values()
+                   for c in vec.values() if type(c) is Fraction))
+    if D == 1:
+        return alg
+    mul = {ij: {k: coerce(D * c) for k, c in vec.items()}
+           for ij, vec in alg.mul.items()}
+    unit = (None if alg.unit is None
+            else {k: coerce(c * Fraction(1, D)) for k, c in alg.unit.items()})
+    return Algebra(alg.basis_names, mul, unit=unit, grading=alg.grading,
+                   check=False, name=alg.name)
 
 
 def dict_product(alg, u, v):

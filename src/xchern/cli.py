@@ -24,8 +24,8 @@ from functools import partial
 from . import __version__
 from .scalars import ONE, parse as parse_scalar, bott_constant
 from .linalg import vec_axpy, check_columns
-from .algebra import (Algebra, dual_numbers, matrix_units,
-                      group_algebra_z2, split_pair, rationals)
+from .algebra import (Algebra, integral_rescaling, dual_numbers,
+                      matrix_units, group_algebra_z2, split_pair, rationals)
 from . import forms as F
 
 
@@ -336,9 +336,17 @@ class Report:
 
 
 def dga_suite(algebra, max_degree, report):
+    """Check the identities of d, b, B, kappa and the Fedosov product on
+    the forms of algebra up to max_degree, one report entry each.
+
+    The forms are built over integral_rescaling(algebra), an isomorphic
+    copy whose rational structure constants are ints, so a rational table
+    costs no Fraction arithmetic; that docstring says why each status,
+    checked and skipped count and first failing label is the algebra's
+    own."""
     import random
     rng = random.Random(11)
-    sp = F.FormSpace(algebra, max_degree)
+    sp = F.FormSpace(integral_rescaling(algebra), max_degree)
 
     def words_upto(n):
         return [w for k in range(n + 1) for w in sp.basis_words(k)]

@@ -12,8 +12,11 @@ import os
 import pytest
 
 from xchern import chern as C, forms as F, quasihom as QH, xcomplex as X
+from xchern.algebra import dual_numbers
 from xchern.cli import main
-from xchern.scalars import ONE
+from xchern.scalars import ONE, render
+
+from test_generated import rational_rebasing
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -153,14 +156,38 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_planted_defect_report(name, monkeypatch, capsys):
-    argv, plant, checks = CASES[name]
-    monkeypatch.chdir(ROOT)
-    plant(monkeypatch)
+def _assert_failing_report(argv, checks, capsys):
     code = main(argv + ["--emit", "json"])
     want = {"command": argv, "version": "0.1.0", "status": "fail",
             "checks": checks}
     assert capsys.readouterr().out == json.dumps(
         want, sort_keys=True, indent=1) + "\n"
     assert code == 2
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_planted_defect_report(name, monkeypatch, capsys):
+    argv, plant, checks = CASES[name]
+    monkeypatch.chdir(ROOT)
+    plant(monkeypatch)
+    _assert_failing_report(argv, checks, capsys)
+
+
+def test_planted_defect_report_on_a_rational_table(tmp_path, monkeypatch,
+                                                    capsys):
+    """verify-dga on a rational rebasing of dual, which the suite checks on
+    its integral rescaling, reports the defect at the same labels as the
+    Fraction arithmetic on the table itself did."""
+    alg = rational_rebasing(dual_numbers, 3)
+    names = alg.basis_names
+    spec = {"kind": "algebra", "name": "dual-rebased", "basis": names,
+            "unit": {names[k]: render(c) for k, c in alg.unit.items()},
+            "products": {"%s*%s" % (names[i], names[j]):
+                         {names[k]: render(c) for k, c in vec.items()}
+                         for (i, j), vec in alg.mul.items()}}
+    (tmp_path / "dual-rebased.json").write_text(json.dumps(spec))
+    monkeypatch.chdir(tmp_path)
+    negate_degree_two_b(monkeypatch)
+    _assert_failing_report(
+        ["verify-dga", "dual-rebased.json", "--max-degree", "4"],
+        _dga(bB=(FAIL, "(1, 0, 0)"), kappa=(FAIL, "(1, 0)")), capsys)

@@ -258,9 +258,30 @@ def test_dga_suite_passes_on_m2_and_rebased_m2(monkeypatch, m2):
         assert set(statuses.values()) == {"pass"}, (alg.name, statuses)
 
 
+def test_dga_suite_memos_hold_no_fraction(monkeypatch):
+    """dga_suite builds its forms over the integral rescaling: after a run
+    on rebased m2, no memoized image holds a Fraction coefficient, while
+    b on the rebased table itself gives some."""
+    rebased = rational_rebasing(lambda: matrix_units(2), 7)
+    _, sp = _dga_run(monkeypatch, rebased, 3)
+    coeffs = [c for memo in sp._op_cache.values() for img in memo.values()
+              for c in img[1::2]]
+    assert coeffs and not any(type(c) is Fraction for c in coeffs)
+    raw = FormSpace(rebased, 3)
+    assert any(type(c) is Fraction for w in raw.basis_words(1)
+               for c in F._b_word(raw, w)[0].values())
+
+
+def _with_a_rebasing(corpus_algebras):
+    """The corpus and a rational rebasing of dual, which dga_suite checks on
+    its integral rescaling."""
+    return corpus_algebras + [rational_rebasing(dual_numbers, 3)]
+
+
 def test_dga_suite_catches_a_flipped_wrap_term(monkeypatch, corpus_algebras):
     """Negative control: b with the sign of its wrap term
     (-1)^n (an.a0).da1...da_{n-1} flipped no longer squares to zero."""
+    algebras = _with_a_rebasing(corpus_algebras)
     good = F._b_word
 
     def flipped(space, w):
@@ -272,10 +293,10 @@ def test_dga_suite_catches_a_flipped_wrap_term(monkeypatch, corpus_algebras):
             vec_axpy(out, -2 if n % 2 == 0 else 2, wrap)
         return out, lossy
 
-    for alg in corpus_algebras:
+    for alg in algebras:
         assert set(_dga_statuses(alg, 4).values()) == {"pass"}, alg.name
     monkeypatch.setattr(F, "_b_word", flipped)
-    for alg in corpus_algebras:
+    for alg in algebras:
         assert _dga_statuses(alg, 4)["b.b = 0"] == "fail", alg.name
 
 
@@ -295,7 +316,7 @@ def test_dga_suite_catches_a_dropped_rotation(monkeypatch, corpus_algebras):
         return out, lossy
 
     monkeypatch.setattr(F, "_B_word", short)
-    for alg in corpus_algebras:
+    for alg in _with_a_rebasing(corpus_algebras):
         status = _dga_statuses(alg, 4)
         assert "fail" in (status["B.B = 0"], status["b.B + B.b = 0"]), (
             alg.name, status)

@@ -8,6 +8,7 @@ A rebasing is an isomorphism, so every quotient dimension must equal the
 one of the algebra it came from.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import pytest
 import xreference
 from xchern.scalars import Scalar, SQRT_PI, inv, is_rational
 from xchern.algebra import (Algebra, dual_numbers, group_algebra_z2,
-                            matrix_units, split_pair)
+                            integral_rescaling, matrix_units, split_pair)
 from xchern import forms as F
 from xchern.forms import FormSpace
 from xchern.xcomplex import (XGenerated, FedosovAlg, verify_dd,
@@ -99,6 +100,44 @@ GENERATED = {
                    lambda: rebase(group_algebra_z2(), [[1, 0], [0, SQRT_PI]],
                                   "z2-sqrt-pi")),
 }
+
+
+RESCALED = {
+    "m2-rebased": lambda: rational_rebasing(lambda: matrix_units(2), 7),
+    "dual-rebased": GENERATED["dual-rebased"][1],
+    "z2-gaussian": GENERATED["z2-gaussian"][1],
+    "z2-sqrt-pi": GENERATED["z2-sqrt-pi"][1],
+    # f0 f0 = f0 / 2 and f1 f1 = 4i f0: a Fraction and a Scalar in one table
+    "z2-half-gaussian": lambda: rebase(
+        group_algebra_z2(), [[Fraction(1, 2), 0], [0, Scalar.gaussian(1, 1)]],
+        "z2-half-gaussian"),
+}
+
+
+@pytest.mark.parametrize("name", list(RESCALED))
+def test_integral_rescaling(name):
+    """The copy on f_i = D e_i: its rational constants are ints, its Scalar
+    constants stay Scalars, e_i -> f_i / D multiplies on every pair of
+    basis elements, and an integer table comes back as it is."""
+    alg = RESCALED[name]()
+    D = math.lcm(*(c.denominator for vec in alg.mul.values()
+                   for c in vec.values() if type(c) is Fraction))
+    copy = integral_rescaling(alg)
+    assert (D == 1) == (name in ("z2-gaussian", "z2-sqrt-pi"))
+    if D == 1:
+        assert copy is alg
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            old, new = alg.product_basis(i, j), copy.product_basis(i, j)
+            # phi(e_i) phi(e_j) = f_i f_j / D^2 is phi(e_i e_j) =
+            # sum_k m_ijk f_k / D
+            assert {k: c * Fraction(1, D) for k, c in new.items()} == old
+            for k, c in new.items():
+                assert type(c) is (Scalar if type(old[k]) is Scalar
+                                   else int), (i, j, k, c)
+    assert copy.unit == {k: c * Fraction(1, D) for k, c in alg.unit.items()}
+    copy.check_associative()
+    copy.check_unit()
 
 
 def quotient_dims(alg, window):
