@@ -202,10 +202,9 @@ def test_index_pairing_toy(qq):
     zero = [[(ZERO, {})]]
     unit = [[(ZERO, {0: ONE, 1: ONE})]]
     for mat, expect in ((e1, 1), (e2, -1), (zero, 0), (unit, 0)):
-        # the level-zero pairing needs no calibration constant: it is the
-        # oracle's index
+        val = index_pairing(M, mat, 1)
+        assert val == Scalar.from_int(expect)
         assert fredholm_index_oracle(M, mat, 1) == expect
-        assert index_pairing(M, mat, 1) == Scalar.from_int(expect)
 
 
 def test_index_pairing_degenerate(qq):
@@ -238,3 +237,12 @@ def test_index_pairing_2x2_idempotent(qq):
     val = index_pairing(M, e, 2)
     orc = fredholm_index_oracle(M, e, 2)
     assert val == Scalar.from_int(orc)
+
+
+def test_pairing_constant_matches_oracle(qq):
+    # the level-zero pairing needs no calibration constant: it is the
+    # oracle's index
+    M = _toy_bimodule(qq)
+    e1 = [[(ZERO, {0: ONE})]]
+    raw = index_pairing(M, e1, 1)
+    assert raw == Scalar.from_int(fredholm_index_oracle(M, e1, 1))
