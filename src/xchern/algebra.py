@@ -2,10 +2,10 @@
 and the labelled-algebra protocol every exact complex is built over.
 
 The structure table is sparse: mul[(i, j)] is a dict {k: coefficient} with
-e_i * e_j = sum_k c * e_k.  Algebras are not assumed unital; a unit, when
-present, is stored as a coefficient vector and checked.  An optional
-grading assigns parity 0/1 to each basis element (used by super
-X-complexes).
+e_i * e_j = sum_k c * e_k, each c held as `scalars.coerce` gives it.
+Algebras are not assumed unital; a unit, when present, is stored as a
+coefficient vector (coerced alike) and checked.  An optional grading
+assigns parity 0/1 to each basis element (used by super X-complexes).
 
 A labelled algebra has hashable labels for a basis and provides:
   window             top filtration degree kept, or None when there is none
@@ -42,13 +42,13 @@ class Algebra:
         self.basis_names = list(basis_names)
         self.mul = {}
         for (i, j), vec in mul.items():
-            v = {k: c for k, c in vec.items() if c}
+            v = {k: coerce(c) for k, c in vec.items() if c}
             if v:
                 self.mul[(i, j)] = v
         # a declared unit is kept even when it is zero, so that check_unit
         # turns the zero vector away
         self.unit = (None if unit is None
-                     else {k: c for k, c in unit.items() if c})
+                     else {k: coerce(c) for k, c in unit.items() if c})
         self.grading = list(grading) if grading is not None else None
         self.name = name or "algebra"
         if check:
@@ -130,10 +130,10 @@ def integral_rescaling(alg):
                    for c in vec.values() if type(c) is Fraction))
     if D == 1:
         return alg
-    mul = {ij: {k: coerce(D * c) for k, c in vec.items()}
+    mul = {ij: {k: D * c for k, c in vec.items()}
            for ij, vec in alg.mul.items()}
     unit = (None if alg.unit is None
-            else {k: coerce(c * Fraction(1, D)) for k, c in alg.unit.items()})
+            else {k: c * Fraction(1, D) for k, c in alg.unit.items()})
     return Algebra(alg.basis_names, mul, unit=unit, grading=alg.grading,
                    check=False, name=alg.name)
 

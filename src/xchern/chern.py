@@ -125,12 +125,11 @@ class FredholmBimodule:
     algebra's own unit when it has one.
     """
 
-    def __init__(self, base, alg, parity, rho, fmat, nsize, name="bimodule"):
+    def __init__(self, base, alg, parity, rho, fmat, nsize):
         self.base = base          # source Algebra
         self.alg = alg            # target algebra protocol object
         self.parity = parity
         self.nsize = nsize        # N as above
-        self.name = name
         if parity:
             zero = mat_zero(nsize)
             rho = [_doubled(m, zero) for m in rho]

@@ -58,6 +58,7 @@ def _scalar(text):
 
 
 def _name(spec, default):
+    """The spec's name, which must be a string when it is given."""
     name = spec.get("name", default)
     if not isinstance(name, str):
         raise SpecError("name must be a string, got %r" % (name,))
@@ -186,9 +187,9 @@ def load_quasihom(spec):
     n = _positive(_field(spec, "nsize"), "nsize")
     rp = _matrices(spec, "rho_plus", base.dim, n, target.dim)
     rm = _matrices(spec, "rho_minus", base.dim, n, target.dim)
+    _name(spec, "phi")
     try:
-        return QH.Quasihomomorphism(base, target, n, rp, rm,
-                                    name=_name(spec, "phi"))
+        return QH.Quasihomomorphism(base, target, n, rp, rm)
     except ValueError as exc:
         raise SpecError("quasihomomorphism rejected: %s" % exc)
 
@@ -199,9 +200,9 @@ def load_extension(spec):
     target = load_algebra(_field(spec, "target"))
     n = _positive(_field(spec, "nsize"), "nsize")
     alpha = _matrices(spec, "alpha", base.dim, 2 * n, target.dim)
+    _name(spec, "ext")
     try:
-        return QH.InvertibleExtension(base, target, n, alpha,
-                                      name=_name(spec, "ext"))
+        return QH.invertible_extension(base, target, n, alpha)
     except ValueError as exc:
         raise SpecError("extension rejected: %s" % exc)
 
@@ -217,9 +218,9 @@ def load_fredholm(spec):
     size = 2 * n if parity == 0 else n
     rho = _matrices(spec, "rho", base.dim, size, target_alg.dim)
     fmat = load_matrix(_field(spec, "F"), size, target_alg.dim)
+    _name(spec, "module")
     try:
-        return C.FredholmBimodule(base, target_alg, parity, rho, fmat, n,
-                                  name=_name(spec, "module"))
+        return C.FredholmBimodule(base, target_alg, parity, rho, fmat, n)
     except ValueError as exc:
         raise SpecError("bimodule rejected: %s" % exc)
 

@@ -1,17 +1,18 @@
-"""Finite-matrix quasihomomorphisms and invertible extensions with their
-bivariant characters.
+"""Finite-matrix quasihomomorphisms and their bivariant characters.
 
 A quasihomomorphism is a pair of representations into N x N matrices over
 the unitalized target; at finite size every operator is summable to every
-order, so no ideal is declared for the difference.  The even character is
-the composite trace . X(lift) . gamma^{2n}; the odd one carries the
-supertrace and the Bott normalization.
+order, so no ideal is declared for the difference.  An invertible
+extension alpha: A -> M_2(M_N(B~)), graded by X = diag(1, -1), is the pair
+(alpha, X alpha X) of size 2N.  The even character is the composite
+trace . X(lift) . gamma^{2n}; the odd one, of an extension, carries the
+supertrace over the blocks of X and the Bott normalization.
 """
 
 from .scalars import ZERO, ONE, HALF, bott_constant, is_rational
 from .linalg import Span, vec_axpy
 from .xcomplex import ChainMap, XGenerated, TensorAlg, x_of_tensor_algebra
-from .chern import (gamma_even, gamma_odd, is_multiplicative, mat_mul,
+from .chern import (gamma_composite, is_multiplicative, mat_mul,
                     mat_sub, mat_unit, mat_is_zero, mat_zero, mat_axpy,
                     _trace, _trace_entries)
 
@@ -22,14 +23,12 @@ class Quasihomomorphism:
     Matrices are lists of lists of dicts keyed by None (the adjoined unit)
     or basis indices of B."""
 
-    def __init__(self, base, target, nsize, rho_plus, rho_minus, name="phi",
-                 check=True):
+    def __init__(self, base, target, nsize, rho_plus, rho_minus, check=True):
         self.base = base
         self.target = target
         self.nsize = nsize
         self.rho_plus = rho_plus
         self.rho_minus = rho_minus
-        self.name = name
         if check:
             self._check()
 
@@ -37,7 +36,6 @@ class Quasihomomorphism:
         for rho in (self.rho_plus, self.rho_minus):
             if len(rho) != self.base.dim:
                 raise ValueError("one matrix per basis element required")
-        for rho in (self.rho_plus, self.rho_minus):
             if not is_multiplicative(self.base, self.target, rho):
                 raise ValueError("representation is not multiplicative")
 
@@ -77,37 +75,18 @@ def hom_quasi(base, target, nsize, rho):
     return Quasihomomorphism(base, target, nsize, rho, zero)
 
 
-class InvertibleExtension:
-    """alpha: A -> M_2(M_N(B~)), multiplicative, graded by the symmetry
-    X = diag(1, -1); stored as 2N x 2N matrices.  At finite size the
-    off-diagonal blocks are summable to every order."""
+def invertible_extension(base, target, nsize, alpha):
+    """The invertible extension alpha: A -> M_2(M_N(B~)), stored as 2N x 2N
+    matrices, as the quasihomomorphism (alpha, X alpha X) of size 2N.
 
-    def __init__(self, base, target, nsize, alpha, name="ext"):
-        self.base = base
-        self.target = target
-        self.nsize = nsize       # block size N; matrices are 2N x 2N
-        self.alpha = alpha
-        self.name = name
-        if not is_multiplicative(base, target, alpha):
-            raise ValueError("alpha is not multiplicative")
-
-    def conjugate_by_x(self, mat):
-        two = 2 * self.nsize
-        out = [[dict(mat[r][c]) for c in range(two)] for r in range(two)]
-        for r in range(two):
-            for c in range(two):
-                if (r < self.nsize) != (c < self.nsize):
-                    out[r][c] = {k: -v for k, v in out[r][c].items()}
-        return out
-
-    def is_degenerate(self):
-        for i in range(self.base.dim):
-            for r in range(2 * self.nsize):
-                for c in range(2 * self.nsize):
-                    if (r < self.nsize) != (c < self.nsize):
-                        if self.alpha[i][r][c]:
-                            return False
-        return True
+    Conjugating by X = diag(1, -1) negates the off-diagonal blocks, so
+    alpha - X alpha X is twice the odd part of alpha: the pair is
+    degenerate exactly when alpha is even."""
+    xax = [[[{k: -v for k, v in entry.items()}
+             if (r < nsize) != (c < nsize) else entry
+             for c, entry in enumerate(row)] for r, row in enumerate(mat)]
+           for mat in alpha]
+    return Quasihomomorphism(base, target, 2 * nsize, alpha, xax)
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +183,30 @@ def _traced_lift(src_cx, letters, nsize, target, out_len, half=None):
     return ChainMap(src_cx, xtb, 0, efn, ofn)
 
 
-def ch_even(quasi, n, windows):
-    """Bivariant even character: trace . X(lift) . gamma^{2n}."""
-    W = windows
-    gamma, _ = gamma_even(quasi.base, n, W)
+def _character(quasi, n, windows, odd):
+    """trace . X(lift) . gamma^{2n} of the pair; when odd, gamma^{2n+1},
+    the supertrace over the two halves and the Bott scale sqrt(2 pi i)."""
+    gamma, _ = gamma_composite(quasi.base, n, windows, odd)
 
     def rep(word):
         return _rep_on_window_word(quasi.rho_plus, quasi.rho_minus, word,
                                    quasi.target, quasi.nsize)
 
     trlift = _traced_lift(gamma.target, rep, quasi.nsize, quasi.target,
-                          W.out_len)
-    return ChainMap.compose(trlift, gamma)
+                          windows.out_len, quasi.nsize // 2 if odd else None)
+    ch = ChainMap.compose(trlift, gamma)
+    return ch.scale(bott_constant()) if odd else ch
+
+
+def ch_even(quasi, n, windows):
+    """Bivariant even character: trace . X(lift) . gamma^{2n}."""
+    return _character(quasi, n, windows, odd=False)
+
+
+def ch_odd(ext, n, windows):
+    """Bivariant odd character of an extension (alpha, X alpha X):
+    sqrt(2 pi i) supertrace . X(lift) . gamma^{2n+1}."""
+    return _character(ext, n, windows, odd=True)
 
 
 def x_of_t_rho(quasi, windows):
@@ -225,23 +216,6 @@ def x_of_t_rho(quasi, windows):
     return _traced_lift(x_of_tensor_algebra(quasi.base, W.src_len),
                         quasi.rho_plus.__getitem__, quasi.nsize, quasi.target,
                         W.out_len)
-
-
-def ch_odd(ext, n, windows):
-    """Bivariant odd character: sqrt(2 pi i) supertrace . X(lift) .
-    gamma^{2n+1}."""
-    W = windows
-    gamma, _ = gamma_odd(ext.base, n, W)
-    two = 2 * ext.nsize
-    xax = [ext.conjugate_by_x(al) for al in ext.alpha]
-
-    def rep(word):
-        """phi^s on a window form word: iota -> alpha, bar -> X alpha X."""
-        return _rep_on_window_word(ext.alpha, xax, word, ext.target, two)
-
-    trlift = _traced_lift(gamma.target, rep, two, ext.target, W.out_len,
-                          half=ext.nsize)
-    return ChainMap.compose(trlift, gamma).scale(bott_constant())
 
 
 # ---------------------------------------------------------------------------

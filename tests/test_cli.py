@@ -166,6 +166,18 @@ def test_chern_extension(tmp_path, capsys):
     assert code == 0 and "overall: PASS" in out
 
 
+def test_chern_degenerate_extension(tmp_path, capsys):
+    # an even alpha equals X alpha X, so the pair (alpha, X alpha X) is
+    # degenerate; an extension has no swap check
+    diag = [[[{str(i): "1"}, {}], [{}, {str(i): "1"}]] for i in (0, 1)]
+    path = _write(tmp_path, "even.json", dict(EXT_SPEC, alpha=diag))
+    assert main(["chern", path, "--n", "0", "--emit", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("chain map: bivariant character", "pass"),
+        ("degenerate vanishing", "pass")]
+
+
 def test_jlo_command_and_determinism(tmp_path, capsys):
     path = _write(tmp_path, "triple.json", TRIPLE_SPEC)
     args = ["jlo", path, "--n", "2", "--quad-order", "8", "--emit", "json"]

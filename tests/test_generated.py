@@ -140,6 +140,20 @@ def test_integral_rescaling(name):
     copy.check_unit()
 
 
+def test_integer_constants_are_stored_as_ints():
+    """A table built in code holds each integer constant and unit entry as
+    an int, whether it was passed as a Fraction or as a rational Scalar."""
+    alg = rational_rebasing(lambda: matrix_units(2), 7)
+    entries = [c for vec in alg.mul.values() for c in vec.values()]
+    entries += list(alg.unit.values())
+    assert [c for c in entries if type(c) is Fraction
+            and c.denominator == 1] == []
+    assert type(alg.mul[(0, 0)][3]) is int
+    one = Algebra(["1"], {(0, 0): {0: Scalar.from_int(1)}},
+                  unit={0: Fraction(2, 2)})
+    assert type(one.mul[(0, 0)][0]) is int and type(one.unit[0]) is int
+
+
 def quotient_dims(alg, window):
     """Dimensions of the level-1 Hodge quotient of the forms up to window."""
     sp = FormSpace(alg, window)

@@ -11,7 +11,7 @@ from xchern.xcomplex import (x_of_tensor_algebra, verify_chain_map,
                              TensorIdealFiltration, hodge_filtration,
                              order_certificate)
 from xchern.chern import GammaWindows, FredholmBimodule
-from xchern.quasihom import (Quasihomomorphism, InvertibleExtension,
+from xchern.quasihom import (Quasihomomorphism, invertible_extension,
                              hom_quasi, ch_even, ch_odd, x_of_t_rho,
                              index_pairing, fredholm_index_oracle)
 from xchern.cli import load_spec, load_quasihom, load_extension
@@ -133,7 +133,7 @@ def _full_extension(qq):
     b1, b2 = {0: ONE}, {1: ONE}
     al_e1 = [[dict(b1), dict(b1)], [dict(b2), dict(b2)]]
     al_e2 = [[dict(b2), {0: -ONE}], [{1: -ONE}, dict(b1)]]
-    return InvertibleExtension(qq, qq, 1, [al_e1, al_e2], name="full")
+    return invertible_extension(qq, qq, 1, [al_e1, al_e2])
 
 
 def test_ch_odd_extension(qq):
@@ -152,7 +152,7 @@ def test_ch_odd_extension(qq):
 
 
 def test_ch_odd_degenerate_vanishes(qq):
-    degen = InvertibleExtension(
+    degen = invertible_extension(
         qq, qq, 1,
         [[[dict({0: ONE}), {}], [{}, dict({0: ONE})]],
          [[dict({1: ONE}), {}], [{}, dict({1: ONE})]]])
@@ -167,19 +167,25 @@ def test_ch_odd_degenerate_vanishes(qq):
         assert ch1.odd_col(lab)[0] == {}
 
 
-def test_conjugate_extension_sum_is_coboundary():
-    # adding the conjugate by the flip symmetry yields a character that is
-    # a coboundary on a toy window over the one-dimensional algebra
-    Q = rationals()
-    b1 = {0: ONE}
-    alpha = [[[dict(b1), {}], [{}, dict(b1)]]]
-    # conjugating by offdiag(1,1) swaps the diagonal and negates off-diag
-    ext = InvertibleExtension(Q, Q, 1, alpha, name="triv")
-    conj = InvertibleExtension(Q, Q, 1, alpha, name="conj")
+def test_conjugate_extension_sum_is_coboundary(qq):
+    # the full extension alpha and its conjugate P alpha P by the flip
+    # P = offdiag(1, 1): the two characters cancel on every column, so
+    # their sum is the zero cocycle and has a primitive, while ch(alpha)
+    # alone is nonzero
+    alpha = _full_extension(qq).rho_plus
+    flipped = [[row[::-1] for row in mat[::-1]] for mat in alpha]
+    ext = invertible_extension(qq, qq, 1, alpha)
+    conj = invertible_extension(qq, qq, 1, flipped)
     W = GammaWindows(src_len=2, mid_len=2, q_inner_deg=2, q_letter_deg=1,
                      out_len=4)
     ch1 = ch_odd(ext, 0, W)
     ch2 = ch_odd(conj, 0, W)
+    xt = ch1.source
+    cols = [(ch1.even_col, ch2.even_col, lab) for lab in xt.even_basis()]
+    cols += [(ch1.odd_col, ch2.odd_col, lab) for lab in xt.odd_basis()]
+    assert sum(1 for col, _, lab in cols if col(lab)[0]) == 14
+    for col1, col2, lab in cols:
+        assert vec_axpy(dict(col1(lab)[0]), ONE, col2(lab)[0]) == {}, lab
     total = ch1.add(ch2)
     h, witness = homotopy_solve(total)
     assert h is not None
@@ -191,8 +197,7 @@ def _toy_bimodule(qq):
         [[{}, {}], [{}, {0: ONE}]],
     ]
     fm = [[{}, {None: ONE}], [{None: ONE}, {}]]
-    return FredholmBimodule(qq, rationals(), 0, rho, fm, 1,
-                            name="toy")
+    return FredholmBimodule(qq, rationals(), 0, rho, fm, 1)
 
 
 def test_index_pairing_toy(qq):
