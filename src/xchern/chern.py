@@ -536,9 +536,8 @@ class GammaWindows:
 
 
 def gamma_composite(algebra, n, windows, odd=False):
-    """X(T A) -> X(T Q A) through the lifted universal cocycle.
-
-    Returns (chain map, {"xt": its source, "xtq": its target})."""
+    """The chain map X(T A) -> X(T Q A) through the lifted universal
+    cocycle."""
     W = windows
     U = T.truncated_tensor_algebra(algebra, W.src_len)
     _, _, uindex, uwords = U.tensor_info
@@ -587,13 +586,10 @@ def gamma_composite(algebra, n, windows, odd=False):
         return out, loss
 
     Xphi = x_of_hom(xqu, xtq, phi_img)
-    gamma = ChainMap.compose(Xphi, ChainMap.compose(ch, Xv))
-    return gamma, {"xt": xt, "xtq": xtq}
+    return ChainMap.compose(Xphi, ChainMap.compose(ch, Xv))
 
 
 def gamma_even(algebra, n, windows):
-    return gamma_composite(algebra, n, windows, odd=False)
-
-
-def gamma_odd(algebra, n, windows):
-    return gamma_composite(algebra, n, windows, odd=True)
+    """(gamma^{2n}, {"xt": its source, "xtq": its target})."""
+    gamma = gamma_composite(algebra, n, windows)
+    return gamma, {"xt": gamma.source, "xtq": gamma.target}

@@ -556,14 +556,14 @@ def cmd_chern(args):
     spec = load_spec(args.spec)
     kind = spec["kind"]
     if kind == "quasihom":
-        phi, character = load_quasihom(spec), QH.ch_even
+        phi = load_quasihom(spec)
     elif kind == "extension":
-        phi, character = load_extension(spec), QH.ch_odd
+        phi = load_extension(spec)
     else:
         raise SpecError("chern expects a quasihom or extension spec")
     W = C.GammaWindows(args.src_len, args.src_len, 2 * args.n + 2, 1,
                        2 * args.src_len + 2 * args.n + 2)
-    ch = character(phi, args.n, W)
+    ch = QH.character(phi, args.n, W, kind == "extension")
     even, odd = ch.source.even_basis(), ch.source.odd_basis()
     sides = (("even", even), ("odd", odd))
     report.run("chain map: bivariant character",
@@ -579,7 +579,7 @@ def cmd_chern(args):
                    "element is zero",
                    lambda: _verdict(check_columns(sides, vanishing)))
     if kind == "quasihom":
-        ch_swap = QH.ch_even(phi.swap(), args.n, W)
+        ch_swap = QH.character(phi.swap(), args.n, W, False)
 
         def antisymmetry(_, lab):
             v1, l1 = ch.even_col(lab)
@@ -658,7 +658,7 @@ def cmd_jlo(args):
         Fop = J.interpolate_Du(triple, 1.0)
         n = args.n if args.n % 2 == 0 else args.n - 1
         tup = tuple_of(n)
-        vT = J.chi_hat_T(triple, algebra, n, args.T, tup, t_order=20)
+        vT = J.chi_hat_T(triple, n, args.T, tup, t_order=20)
         vI = J.chi_hat_infty_exact(Fop, n, tup)
         return _within([abs(vT - vI)], max(tol, 1e-6))
 

@@ -266,7 +266,7 @@ def tuple_B(tup):
 # ---------------------------------------------------------------------------
 
 
-def chi_hat_T(triple, algebra, n, t_big, tup, t_order=40):
+def chi_hat_T(triple, n, t_big, tup, t_order=40):
     """The degree-n retraction at finite time on a tuple of degree <= n+1."""
     k = len(tup) - 1
     if k > n + 1:

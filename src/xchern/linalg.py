@@ -36,15 +36,7 @@ def label_key(label):
 
 
 def vec_add(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
+    return vec_axpy(dict(u), ONE, v)
 
 
 def vec_scale(u, c):

@@ -4,7 +4,8 @@ A quasihomomorphism is a pair of representations into N x N matrices over
 the unitalized target; at finite size every operator is summable to every
 order, so no ideal is declared for the difference.  An invertible
 extension alpha: A -> M_2(M_N(B~)), graded by X = diag(1, -1), is the pair
-(alpha, X alpha X) of size 2N.  The even character is the composite
+(alpha, X alpha X) of size 2N.  One call, character(pair, n, windows,
+odd), gives both bivariant characters: the even one is the composite
 trace . X(lift) . gamma^{2n}; the odd one, of an extension, carries the
 supertrace over the blocks of X and the Bott normalization.
 """
@@ -23,17 +24,13 @@ class Quasihomomorphism:
     Matrices are lists of lists of dicts keyed by None (the adjoined unit)
     or basis indices of B."""
 
-    def __init__(self, base, target, nsize, rho_plus, rho_minus, check=True):
+    def __init__(self, base, target, nsize, rho_plus, rho_minus):
         self.base = base
         self.target = target
         self.nsize = nsize
         self.rho_plus = rho_plus
         self.rho_minus = rho_minus
-        if check:
-            self._check()
-
-    def _check(self):
-        for rho in (self.rho_plus, self.rho_minus):
+        for rho in (rho_plus, rho_minus):
             if len(rho) != self.base.dim:
                 raise ValueError("one matrix per basis element required")
             if not is_multiplicative(self.base, self.target, rho):
@@ -47,7 +44,7 @@ class Quasihomomorphism:
 
     def swap(self):
         return Quasihomomorphism(self.base, self.target, self.nsize,
-                                 self.rho_minus, self.rho_plus, check=False)
+                                 self.rho_minus, self.rho_plus)
 
     def direct_sum(self, other):
         assert self.base is other.base and self.target is other.target
@@ -65,8 +62,7 @@ class Quasihomomorphism:
               for i in range(self.base.dim)]
         rm = [block(self.rho_minus[i], other.rho_minus[i])
               for i in range(self.base.dim)]
-        return Quasihomomorphism(self.base, self.target, n1 + n2, rp, rm,
-                                 check=False)
+        return Quasihomomorphism(self.base, self.target, n1 + n2, rp, rm)
 
 
 def hom_quasi(base, target, nsize, rho):
@@ -183,10 +179,11 @@ def _traced_lift(src_cx, letters, nsize, target, out_len, half=None):
     return ChainMap(src_cx, xtb, 0, efn, ofn)
 
 
-def _character(quasi, n, windows, odd):
-    """trace . X(lift) . gamma^{2n} of the pair; when odd, gamma^{2n+1},
-    the supertrace over the two halves and the Bott scale sqrt(2 pi i)."""
-    gamma, _ = gamma_composite(quasi.base, n, windows, odd)
+def character(quasi, n, windows, odd):
+    """Bivariant character trace . X(lift) . gamma^{2n} of the pair; when
+    odd, of an extension (alpha, X alpha X): gamma^{2n+1}, the supertrace
+    over the two halves and the Bott scale sqrt(2 pi i)."""
+    gamma = gamma_composite(quasi.base, n, windows, odd)
 
     def rep(word):
         return _rep_on_window_word(quasi.rho_plus, quasi.rho_minus, word,
@@ -198,20 +195,9 @@ def _character(quasi, n, windows, odd):
     return ch.scale(bott_constant()) if odd else ch
 
 
-def ch_even(quasi, n, windows):
-    """Bivariant even character: trace . X(lift) . gamma^{2n}."""
-    return _character(quasi, n, windows, odd=False)
-
-
-def ch_odd(ext, n, windows):
-    """Bivariant odd character of an extension (alpha, X alpha X):
-    sqrt(2 pi i) supertrace . X(lift) . gamma^{2n+1}."""
-    return _character(ext, n, windows, odd=True)
-
-
 def x_of_t_rho(quasi, windows):
-    """X(T rho_plus), in the same target complex conventions as ch_even
-    (unit letters merge)."""
+    """X(T rho_plus), in the same target complex conventions as the even
+    character (unit letters merge)."""
     W = windows
     return _traced_lift(x_of_tensor_algebra(quasi.base, W.src_len),
                         quasi.rho_plus.__getitem__, quasi.nsize, quasi.target,

@@ -28,7 +28,7 @@ from xchern.chern import (universal_ch_even, universal_ch_odd,
                           gamma_even, GammaWindows, x_of_t_branch,
                           FredholmBimodule)
 from xchern.tensoralg import ideal_power
-from xchern.quasihom import (hom_quasi, Quasihomomorphism, ch_even,
+from xchern.quasihom import (hom_quasi, Quasihomomorphism, character,
                              x_of_t_rho, index_pairing,
                              fredholm_index_oracle)
 from xchern import jlo as J
@@ -232,19 +232,19 @@ def test_criterion_8_quasihom_characters():
                      out_len=4)
     rho = [[[{i: ONE}]] for i in range(alg.dim)]
     phi = hom_quasi(alg, alg, 1, rho)
-    ch = ch_even(phi, 0, W)
+    ch = character(phi, 0, W, False)
     xr = x_of_t_rho(phi, W)
     xt = x_of_tensor_algebra(alg, W.src_len)
     rep = maps_equal(ch, xr, xt.even_basis(), xt.odd_basis())
     assert rep["ok"] and rep["skipped"] == 0
-    degen = Quasihomomorphism(alg, alg, 1, rho, rho, check=False)
-    chd = ch_even(degen, 0, W)
+    degen = Quasihomomorphism(alg, alg, 1, rho, rho)
+    chd = character(degen, 0, W, False)
     assert all(chd.even_col(l)[0] == {} for l in xt.even_basis())
     assert all(chd.odd_col(l)[0] == {} for l in xt.odd_basis())
-    chs = ch_even(phi.swap(), 0, W)
+    chs = character(phi.swap(), 0, W, False)
     rep2 = maps_equal(ch, chs.scale(-ONE), xt.even_basis(), xt.odd_basis())
     assert rep2["ok"]
-    chsum = ch_even(phi.direct_sum(phi), 0, W)
+    chsum = character(phi.direct_sum(phi), 0, W, False)
     rep3 = maps_equal(chsum, ch.add(ch), xt.even_basis(), xt.odd_basis())
     assert rep3["ok"]
     announce("criterion 8 PASS: character of a plain homomorphism, "
@@ -298,7 +298,7 @@ def test_criterion_9_jlo(corpus_triple):
     Fop = J.interpolate_Du(T, 1.0)
     worst_d = 0.0
     for tup in (((0.0, 0), 0, 1), ((0.0, 1), 1, 0), ((0.0, 0), 0, 1, 0)):
-        vT = J.chi_hat_T(T, alg, 2, 8.0, tup, t_order=20)
+        vT = J.chi_hat_T(T, 2, 8.0, tup, t_order=20)
         vI = J.chi_hat_infty_exact(Fop, 2, tup)
         worst_d = max(worst_d, abs(vT - vI))
     td = time.monotonic() - t0

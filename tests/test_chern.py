@@ -13,7 +13,7 @@ from xchern.xcomplex import (XGenerated, FedosovAlg, ZekriAlg, OmegaComplex,
 from xchern.chern import (universal_ch_even, universal_ch_odd,
                           universal_bimodule_even, universal_bimodule_odd,
                           retracted_cocycle, kappa_power_sum, d_chain_map,
-                          eta_chain_map, gamma_even, gamma_odd,
+                          eta_chain_map, gamma_even, gamma_composite,
                           GammaWindows, x_of_t_branch, FredholmBimodule,
                           mat_unit)
 from xchern.tensoralg import ideal_power
@@ -364,9 +364,9 @@ def test_gamma_chain_maps(dual):
     rep = verify_chain_map(g2, even_labels=parts["xt"].even_basis(),
                            odd_labels=parts["xt"].odd_basis())
     assert rep["ok"], rep["failures"][:2]
-    g1, parts1 = gamma_odd(dual, 0, W)
-    rep1 = verify_chain_map(g1, even_labels=parts1["xt"].even_basis(),
-                            odd_labels=parts1["xt"].odd_basis())
+    g1 = gamma_composite(dual, 0, W, odd=True)
+    rep1 = verify_chain_map(g1, even_labels=g1.source.even_basis(),
+                            odd_labels=g1.source.odd_basis())
     assert rep1["ok"], rep1["failures"][:2]
 
 

@@ -163,12 +163,12 @@ def test_cs_batched_consistent(toy4):
                 transgression, m)
 
 
-def test_retraction_limit(toy, toy4, alg):
+def test_retraction_limit(toy, toy4):
     for T in (toy, toy4):
         F = interpolate_Du(T, 1.0)
         assert np.allclose(F.D @ F.D, np.eye(T.dim), atol=1e-12)
         for tup in (((0.0, 0), 0, 1), ((0.0, 1), 1, 0)):
-            vT = chi_hat_T(T, alg, 2, 8.0, tup, t_order=20)
+            vT = chi_hat_T(T, 2, 8.0, tup, t_order=20)
             vI = chi_hat_infty_exact(F, 2, tup)
             assert abs(vT - vI) <= 1e-6
 
@@ -202,11 +202,11 @@ def test_float_retraction_equals_exact_formula(n):
         assert abs(to_complex(vec[0]) - want) <= 1e-12, word
 
 
-def test_retraction_degenerate(alg):
+def test_retraction_degenerate():
     rho = [np.eye(2), np.eye(2)]
     D = np.array([[0.0, 2.0], [2.0, 0.0]])
     T = SpectralTriple(rho, D)
-    assert abs(chi_hat_T(T, alg, 2, 4.0, ((0.0, 0), 0, 1),
+    assert abs(chi_hat_T(T, 2, 4.0, ((0.0, 0), 0, 1),
                          t_order=12)) == 0.0
 
 
@@ -215,8 +215,8 @@ def test_T_dependence_is_coboundary_shape(toy, alg):
     # against the stated sum of cs-values
     n, t0, h = 2, 2.0, 1e-4
     tup = ((0.0, 0), 0, 1)
-    dT = (chi_hat_T(toy, alg, n, t0 + h, tup, t_order=24)
-          - chi_hat_T(toy, alg, n, t0 - h, tup, t_order=24)) / (2 * h)
+    dT = (chi_hat_T(toy, n, t0 + h, tup, t_order=24)
+          - chi_hat_T(toy, n, t0 - h, tup, t_order=24)) / (2 * h)
     # at degree k = n the derivative reduces to the cs-terms of levels <= n
     rhs = 0.0
     for c, tt in tuple_b(alg, tup):
@@ -250,8 +250,8 @@ def test_homotopy_invariance_shadow(toy, alg):
     Dp = interpolate_Du(toy, 0.5 + h)
     g = {}
     for tup in tuples:
-        g[tup] = (chi_hat_T(Dp, alg, n, 8.0, tup, t_order=12)
-                  - chi_hat_T(Dm, alg, n, 8.0, tup, t_order=12)) \
+        g[tup] = (chi_hat_T(Dp, n, 8.0, tup, t_order=12)
+                  - chi_hat_T(Dm, n, 8.0, tup, t_order=12)) \
             / (2 * h)
     deg1 = [((0.0, i), j) for i in range(2) for j in range(2)] \
         + [((1.0, None), j) for j in range(2)]
@@ -276,9 +276,9 @@ def test_homotopy_invariance_shadow(toy, alg):
     assert np.linalg.norm(A @ sol - bvec) <= 1e-6
 
 
-def test_retract_table(toy, alg):
+def test_retract_table(toy):
     tuples = [((0.0, 0),), ((0.0, 0), 0), ((0.0, 0), 0, 1)]
-    table = {tup: chi_hat_T(toy, alg, 2, 6.0, tup, t_order=16)
+    table = {tup: chi_hat_T(toy, 2, 6.0, tup, t_order=16)
              for tup in tuples}
     assert abs(table[((0.0, 0), 0)]) < 1e-12   # odd degree vanishes
 
@@ -313,14 +313,14 @@ def test_jlo_command_evaluates_each_table_once(simplex_calls, capsys):
     assert set(simplex_calls.values()) == {1}
 
 
-def test_warm_and_fresh_triples_agree_bitwise(alg):
+def test_warm_and_fresh_triples_agree_bitwise():
     calls = []
     for n in range(4):
         for tup in (((0.0, 0),) + tuple(i % 2 for i in range(n)),
                     ((0.5, 1),) + tuple((i + 1) % 2 for i in range(n))):
             calls += [(jlo_component, (n, 0.9, tup), {}),
                       (cs_component, (n, 0.8, tup), {}),
-                      (chi_hat_T, (alg, 2, 8.0, tup), {"t_order": 20})]
+                      (chi_hat_T, (2, 8.0, tup), {"t_order": 20})]
     warm = _toy4()
     first = [f(warm, *args, **kw) for f, args, kw in calls]
     again = [f(warm, *args, **kw) for f, args, kw in calls]

@@ -120,3 +120,10 @@ def test_vec_axpy_stores_integer_valued_fractions_as_ints():
     assert all(type(c) is int for c in out.values())
     vec_axpy(out, -2, {"a": 1})
     assert out == {"b": 2}
+
+
+def test_vec_add_stores_integer_valued_fractions_as_ints():
+    half = Fraction(1, 2)
+    out = vec_add({"a": half, "b": 1}, {"a": half, "b": -1, "c": 3})
+    assert out == {"a": 1, "c": 3}
+    assert type(out["a"]) is int

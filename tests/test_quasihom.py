@@ -12,7 +12,7 @@ from xchern.xcomplex import (x_of_tensor_algebra, verify_chain_map,
                              order_certificate)
 from xchern.chern import GammaWindows, FredholmBimodule
 from xchern.quasihom import (Quasihomomorphism, invertible_extension,
-                             hom_quasi, ch_even, ch_odd, x_of_t_rho,
+                             hom_quasi, character, x_of_t_rho,
                              index_pairing, fredholm_index_oracle)
 from xchern.cli import load_spec, load_quasihom, load_extension
 
@@ -30,7 +30,7 @@ def _identity_quasihom(algebra):
 
 def test_ch0_of_hom_is_x_of_lift(dual):
     phi = _identity_quasihom(dual)
-    ch = ch_even(phi, 0, W2)
+    ch = character(phi, 0, W2, False)
     xr = x_of_t_rho(phi, W2)
     xt = ch.source
     rep = maps_equal(ch, xr, xt.even_basis(), xt.odd_basis())
@@ -39,7 +39,7 @@ def test_ch0_of_hom_is_x_of_lift(dual):
 
 def test_ch0_chain_map_and_order(dual):
     phi = _identity_quasihom(dual)
-    ch = ch_even(phi, 0, W2)
+    ch = character(phi, 0, W2, False)
     xt = ch.source
     rep = verify_chain_map(ch, even_labels=xt.even_basis(),
                            odd_labels=xt.odd_basis())
@@ -59,9 +59,9 @@ def test_ch0_chain_map_and_order(dual):
 
 def test_degenerate_quasihom_vanishes(dual):
     rho = [[[{i: ONE}]] for i in range(dual.dim)]
-    phi = Quasihomomorphism(dual, dual, 1, rho, rho, check=False)
+    phi = Quasihomomorphism(dual, dual, 1, rho, rho)
     assert phi.is_degenerate()
-    ch = ch_even(phi, 0, W2)
+    ch = character(phi, 0, W2, False)
     xt = ch.source
     for lab in xt.even_basis():
         assert ch.even_col(lab)[0] == {}
@@ -71,8 +71,8 @@ def test_degenerate_quasihom_vanishes(dual):
 
 def test_swap_antisymmetry(dual):
     phi = _identity_quasihom(dual)
-    ch = ch_even(phi, 0, W2)
-    chs = ch_even(phi.swap(), 0, W2)
+    ch = character(phi, 0, W2, False)
+    chs = character(phi.swap(), 0, W2, False)
     xt = x_of_tensor_algebra(dual, W2.src_len)
     neg = chs.scale(-ONE)
     rep = maps_equal(ch, neg, xt.even_basis(), xt.odd_basis())
@@ -82,8 +82,8 @@ def test_swap_antisymmetry(dual):
 def test_direct_sum_additivity(dual):
     phi = _identity_quasihom(dual)
     both = phi.direct_sum(phi)
-    ch1 = ch_even(phi, 0, W2)
-    ch2 = ch_even(both, 0, W2)
+    ch1 = character(phi, 0, W2, False)
+    ch2 = character(both, 0, W2, False)
     xt = x_of_tensor_algebra(dual, W2.src_len)
     doubled = ch1.add(ch1)
     rep = maps_equal(ch2, doubled, xt.even_basis(), xt.odd_basis())
@@ -109,7 +109,7 @@ def test_character_columns_lie_in_the_target_basis(dual):
     unit = [[{None: ONE}, {}], [{}, {None: ONE}]]
     e12 = [[{}, {None: ONE}], [{}, {}]]
     phi = hom_quasi(dual, dual, 2, [unit, e12])
-    ch = ch_even(phi, 0, W2)
+    ch = character(phi, 0, W2, False)
     assert _labels_off_the_target_basis(ch, ch.source) == []
     # the characters that chern builds from the spec files, at the windows
     # of its default --src-len 2
@@ -117,9 +117,9 @@ def test_character_columns_lie_in_the_target_basis(dual):
         spec = load_spec(os.path.join(SPECS, name + ".json"))
         W = GammaWindows(2, 2, 2 * n + 2, 1, 2 * 2 + 2 * n + 2)
         if spec["kind"] == "quasihom":
-            ch = ch_even(load_quasihom(spec), n, W)
+            ch = character(load_quasihom(spec), n, W, False)
         else:
-            ch = ch_odd(load_extension(spec), n, W)
+            ch = character(load_extension(spec), n, W, True)
         assert _labels_off_the_target_basis(ch, ch.source) == [], name
 
 
@@ -141,7 +141,7 @@ def test_ch_odd_extension(qq):
     assert not ext.is_degenerate()
     W = GammaWindows(src_len=2, mid_len=2, q_inner_deg=2, q_letter_deg=1,
                      out_len=4)
-    ch1 = ch_odd(ext, 0, W)
+    ch1 = character(ext, 0, W, True)
     xt = ch1.source
     rep = verify_chain_map(ch1, even_labels=xt.even_basis(),
                            odd_labels=xt.odd_basis())
@@ -159,7 +159,7 @@ def test_ch_odd_degenerate_vanishes(qq):
     assert degen.is_degenerate()
     W = GammaWindows(src_len=2, mid_len=2, q_inner_deg=2, q_letter_deg=1,
                      out_len=4)
-    ch1 = ch_odd(degen, 0, W)
+    ch1 = character(degen, 0, W, True)
     xt = ch1.source
     for lab in xt.even_basis():
         assert ch1.even_col(lab)[0] == {}
@@ -178,8 +178,8 @@ def test_conjugate_extension_sum_is_coboundary(qq):
     conj = invertible_extension(qq, qq, 1, flipped)
     W = GammaWindows(src_len=2, mid_len=2, q_inner_deg=2, q_letter_deg=1,
                      out_len=4)
-    ch1 = ch_odd(ext, 0, W)
-    ch2 = ch_odd(conj, 0, W)
+    ch1 = character(ext, 0, W, True)
+    ch2 = character(conj, 0, W, True)
     xt = ch1.source
     cols = [(ch1.even_col, ch2.even_col, lab) for lab in xt.even_basis()]
     cols += [(ch1.odd_col, ch2.odd_col, lab) for lab in xt.odd_basis()]
