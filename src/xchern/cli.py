@@ -180,6 +180,16 @@ def load_spec(path):
     return spec
 
 
+def _spec_of_kind(args, *kinds):
+    """The spec file of a command's args, whose kind must be one of the
+    kinds that command takes."""
+    spec = load_spec(args.spec)
+    if spec["kind"] not in kinds:
+        raise SpecError("%s expects a spec of kind %s, got %r"
+                        % (args.command, " or ".join(kinds), spec["kind"]))
+    return spec
+
+
 def load_quasihom(spec):
     from . import quasihom as QH
     base = load_algebra(_field(spec, "base"))
@@ -344,7 +354,15 @@ def dga_suite(algebra, max_degree, report):
     copy whose rational structure constants are ints, so a rational table
     costs no Fraction arithmetic; that docstring says why each status,
     checked and skipped count and first failing label is the algebra's
-    own."""
+    own.
+
+    The checks read b, B and kappa through the space's memos, and each
+    memo is released after the last check that reads it: b's after the
+    karoubi identity, B's and kappa's after B.kappa.  d is never memoized,
+    and kappa(f) is computed where it is read, once in the karoubi
+    identity and once in B.kappa, so kappa's memo holds only kappa on the
+    words of B's images, filled by B.kappa.  At most two memos are alive
+    at once."""
     import random
     rng = random.Random(11)
     sp = F.FormSpace(integral_rescaling(algebra), max_degree)
@@ -377,24 +395,28 @@ def dga_suite(algebra, max_degree, report):
         return vec_axpy(extend(b, pairs(Bf))[0], ONE, Bbf), False
 
     def kappa_identity(_, w):
-        df, lossy = image(d, w)
+        # each image of d is one word, and kappa(f) is read once here, so
+        # neither is memoized
+        df, lossy = d(sp, w)
         if lossy:
             return None, True
         # f - kappa(f) - d(b(f)) - b(df)
         out = {w: ONE}
-        vec_axpy(out, -ONE, dict(pairs(image(kappa, w)[0])))
-        vec_axpy(out, -ONE, extend(d, pairs(image(b, w)[0]))[0])
-        vec_axpy(out, -ONE, extend(b, pairs(df))[0])
+        vec_axpy(out, -ONE, kappa(sp, w)[0])
+        for v, c in pairs(image(b, w)[0]):
+            vec_axpy(out, -c, d(sp, v)[0])
+        vec_axpy(out, -ONE, extend(b, df.items())[0])
         return out, False
 
     def B_kappa(_, w):
         # the first nonzero of B(kappa f) - B f and kappa(B f) - B f; the
-        # sides are compared first, so a passing word subtracts nothing
+        # sides are compared first, so a passing word subtracts nothing.
+        # kappa(f) is read once, and kappa on the words of B f repeatedly
         flat, lossy = image(B, w)
         if lossy:
             return None, True
         Bf = dict(pairs(flat))
-        other = extend(B, pairs(image(kappa, w)[0]))[0]
+        other = extend(B, kappa(sp, w)[0].items())[0]
         if other == Bf:
             other = extend(kappa, pairs(flat))[0]
         return ({} if other == Bf else vec_axpy(other, -ONE, Bf)), False
@@ -414,21 +436,23 @@ def dga_suite(algebra, max_degree, report):
         return [tuple(rng.choice(low) for _ in range(3))
                 for _ in range(200)]
 
-    for name, anchor, column, labels in (
+    for name, anchor, column, labels, last_read in (
             ("b.b = 0", "hochschild boundary squares to zero", b_b,
-             partial(words_upto, max_degree)),
+             partial(words_upto, max_degree), ()),
             ("B.B = 0", "cyclic boundary squares to zero", B_B,
-             partial(words_upto, max_degree - 2)),
+             partial(words_upto, max_degree - 2), ()),
             ("b.B + B.b = 0", "boundaries anticommute", bB,
-             partial(words_upto, max_degree - 1)),
+             partial(words_upto, max_degree - 1), ()),
             ("1 - kappa = d.b + b.d", "karoubi operator identity",
-             kappa_identity, partial(words_upto, max_degree - 1)),
+             kappa_identity, partial(words_upto, max_degree - 1), (b,)),
             ("B.kappa = kappa.B = B", "cyclic invariance of B", B_kappa,
-             partial(words_upto, max_degree - 1)),
+             partial(words_upto, max_degree - 1), (B, kappa)),
             ("fedosov associativity", "deformed product is associative",
-             fedosov_assoc, triples)):
+             fedosov_assoc, triples, ())):
         report.run(name, anchor, lambda: _verdict(
             check_columns([(name, labels())], column)))
+        for fn in last_read:
+            sp.release(fn)
 
 
 def _verdict(rep, prefix=None, tagged=False):
@@ -454,7 +478,7 @@ def cmd_verify_dga(args):
                      str(args.max_degree)], timings=args.timings)
     if args.max_degree < 0:
         raise SpecError("--max-degree must be at least 0")
-    algebra = load_algebra(load_spec(args.spec))
+    algebra = load_algebra(_spec_of_kind(args, "algebra"))
     dga_suite(algebra, args.max_degree, report)
     print(report.emit(args.emit))
     return 0 if report.ok else 2
@@ -535,7 +559,7 @@ def cmd_universal(args):
         command.append("--solve")
     report = Report(command, timings=args.timings)
     _check_degrees(args)
-    algebra = load_algebra(load_spec(args.spec))
+    algebra = load_algebra(_spec_of_kind(args, "algebra"))
     parity = {"even": 0, "odd": 1}[args.parity]
     needed = 2 * args.n + parity + 2
     if args.window < needed:
@@ -553,14 +577,9 @@ def cmd_chern(args):
     report = Report(["chern", args.spec, "--n", str(args.n), "--src-len",
                      str(args.src_len)], timings=args.timings)
     _check_degrees(args)
-    spec = load_spec(args.spec)
+    spec = _spec_of_kind(args, "quasihom", "extension")
     kind = spec["kind"]
-    if kind == "quasihom":
-        phi = load_quasihom(spec)
-    elif kind == "extension":
-        phi = load_extension(spec)
-    else:
-        raise SpecError("chern expects a quasihom or extension spec")
+    phi = (load_quasihom if kind == "quasihom" else load_extension)(spec)
     W = C.GammaWindows(args.src_len, args.src_len, 2 * args.n + 2, 1,
                        2 * args.src_len + 2 * args.n + 2)
     ch = QH.character(phi, args.n, W, kind == "extension")
@@ -611,7 +630,8 @@ def cmd_jlo(args):
         raise SpecError("--n must be at least 0 and --T finite and positive")
     if not 0 <= args.tolerance < math.inf:
         raise SpecError("--tolerance must be finite and at least 0")
-    algebra, triple = load_spectral_triple(load_spec(args.spec))
+    algebra, triple = load_spectral_triple(
+        _spec_of_kind(args, "spectral_triple"))
     # the retraction folds cs on the n + 1 letters of its B terms (n is --n
     # rounded down to even): n + 2 insertions, the largest word any check
     # folds
@@ -675,9 +695,7 @@ def cmd_jlo(args):
 def cmd_pair(args):
     from . import quasihom as QH
     report = Report(["pair", args.spec], timings=args.timings)
-    spec = load_spec(args.spec)
-    if spec["kind"] != "fredholm":
-        raise SpecError("pair expects a fredholm spec")
+    spec = _spec_of_kind(args, "fredholm")
     if spec.get("target", "q") != "q":
         # fredholm_index_oracle reads basis 0 of the target as its unit
         raise SpecError("pair needs the target q, got %r" % (spec["target"],))

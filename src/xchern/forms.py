@@ -22,7 +22,10 @@ maps the word to the flat tuple (v1, c1, v2, c2, ...) of its image's words
 and coefficients, () when the image is zero, and one set per operator
 holds the words whose image is lossy (only d and B lose terms, on
 top-degree words).  A caller that reads a value only once calls the word
-operator itself.  The memos share one tuple per word: every memo key,
+operator itself, and release drops an operator's memo and lossy set once
+no later reader needs them: cli.dga_suite memoizes b, B and kappa (on
+the words of B's images only), never d, whose images are single words,
+and releases each memo after the last check that reads it.  The memos share one tuple per word: every memo key,
 lossy word and image word is the tuple that the space's word table holds
 for it.  The product of the free-product algebra (the Fedosov product) is
 fedosov_words on two words and its bilinear extension fedosov_full on two
@@ -69,6 +72,13 @@ class FormSpace:
         if n == 0:
             return d
         return (d + 1) * d ** n
+
+    def release(self, fn):
+        """Drop the memo and the lossy set of the word operator fn, once no
+        later reader needs them; the word table stays with the other
+        memos."""
+        self._op_cache.pop(fn, None)
+        self._lossy.pop(fn, None)
 
 
 # ---------------------------------------------------------------------------

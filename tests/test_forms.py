@@ -168,40 +168,58 @@ def test_dga_identities(corpus_algebras):
                 assert op(kappa, op(b, f)) == op(b, op(kappa, f))
 
 
-def _dga_statuses(alg, degree):
-    report = Report(["verify-dga"])
+def _dga_statuses(alg, degree, report=None):
+    report = report or Report(["verify-dga"])
     dga_suite(alg, degree, report)
     return {c["name"]: c["status"] for c in report.checks}
 
 
-def _dga_run(monkeypatch, alg, degree):
-    """Statuses of one dga_suite run and the FormSpace whose memos it
-    filled."""
-    spaces = []
+def _dga_run(monkeypatch, alg, degree, report=None):
+    """Statuses of one dga_suite run, into report if one is given, and the
+    FormSpace whose memos it filled.  While the suite runs, that space is
+    F.FormSpace.spaces[0]; it keeps each memo the suite releases in
+    released, as (memo, lossy set) at the moment of release."""
 
     class Recorded(FormSpace):
+        spaces = []
+
         def __init__(self, *args):
             super().__init__(*args)
-            spaces.append(self)
+            self.released = {}
+            self.spaces.append(self)
+
+        def release(self, fn):
+            self.released[fn] = (self._op_cache.get(fn, {}),
+                                 self._lossy.get(fn, set()))
+            super().release(fn)
 
     monkeypatch.setattr(F, "FormSpace", Recorded)
-    statuses = _dga_statuses(alg, degree)
+    statuses = _dga_statuses(alg, degree, report)
     monkeypatch.undo()
-    (sp,) = spaces
+    (sp,) = Recorded.spaces
     return statuses, sp
+
+
+def _memos(sp):
+    """{word operator: (memo, lossy set)} of every memo a dga_suite run
+    filled, the released ones as they were when released."""
+    memos = {fn: (memo, sp._lossy.get(fn, set()))
+             for fn, memo in sp._op_cache.items()}
+    memos.update(sp.released)
+    return memos
 
 
 def test_dga_memos_share_one_tuple_per_word(monkeypatch, m2):
     _, sp = _dga_run(monkeypatch, m2, 4)
     seen = {}
     keys = 0
-    for fn, memo in sp._op_cache.items():
+    for memo, lossy in _memos(sp).values():
         for w, img in memo.items():
             # a flat image alternates words and coefficients
             for v in (w, *img[::2]):
                 assert seen.setdefault(v, v) is v, v
                 keys += 1
-        for w in sp._lossy[fn]:
+        for w in lossy:
             assert seen.setdefault(w, w) is w, w
     assert keys > len(seen) > 0
 
@@ -210,8 +228,43 @@ def test_dga_b_memo_leaves_out_images_read_once(monkeypatch, m2):
     """b.b = 0 reads b on a top-degree word with a nonzero slot zero once;
     b on a top-degree exact word is read again by later columns."""
     _, sp = _dga_run(monkeypatch, m2, 4)
-    top = [w for w in sp._op_cache[F._b_word] if len(w) == 5]
+    top = [w for w in _memos(sp)[F._b_word][0] if len(w) == 5]
     assert top and all(w[0] == 0 for w in top)
+
+
+def test_dga_memo_lifetimes(monkeypatch, m2):
+    """d is never memoized, since each of its images is one word; kappa's
+    memo is first filled by B.kappa = kappa.B = B, the one check that reads
+    kappa images more than once; b's memo is dropped after the karoubi
+    identity, its last reader, before B.kappa runs."""
+    memoized = {}
+
+    def live():
+        (sp,) = F.FormSpace.spaces
+        return {fn for fn, memo in sp._op_cache.items() if memo}
+
+    class Watched(Report):
+        def run(self, name, anchor, fn):
+            before = live()
+            ok = super().run(name, anchor, fn)
+            memoized[name] = before, live()
+            return ok
+
+    statuses, sp = _dga_run(monkeypatch, m2, 4, Watched(["verify-dga"]))
+    assert set(statuses.values()) == {"pass"}
+    names = list(memoized)
+    karoubi = names.index("1 - kappa = d.b + b.d")
+    cyclic = names.index("B.kappa = kappa.B = B")
+    assert cyclic == karoubi + 1
+    assert not any(F._d_word in before | after
+                   for before, after in memoized.values())
+    assert F._d_word not in _memos(sp)
+    assert not any(F._kappa_word in after
+                   for _, after in list(memoized.values())[:cyclic])
+    assert F._kappa_word in memoized[names[cyclic]][1]
+    assert F._b_word in memoized[names[karoubi]][1]
+    assert F._b_word not in memoized[names[cyclic]][0]
+    assert F._b_word in sp.released and _memos(sp)[F._b_word][0]
 
 
 @pytest.mark.parametrize("rebased", [False, True], ids=["m2", "rebased m2"])
@@ -264,7 +317,7 @@ def test_dga_suite_memos_hold_no_fraction(monkeypatch):
     b on the rebased table itself gives some."""
     rebased = rational_rebasing(lambda: matrix_units(2), 7)
     _, sp = _dga_run(monkeypatch, rebased, 3)
-    coeffs = [c for memo in sp._op_cache.values() for img in memo.values()
+    coeffs = [c for memo, _ in _memos(sp).values() for img in memo.values()
               for c in img[1::2]]
     assert coeffs and not any(type(c) is Fraction for c in coeffs)
     raw = FormSpace(rebased, 3)

@@ -173,6 +173,20 @@ def test_retraction_limit(toy, toy4):
             assert abs(vT - vI) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_retraction_limit_on_every_tuple(toy, toy4, n):
+    # the finite-time retraction at T = 8 against the closed formula on
+    # every tuple ((0, a0), a1, ..., an) over the base basis, within the
+    # bound of the retraction-limit check
+    for T in (toy, toy4):
+        F = interpolate_Du(T, 1.0)
+        for letters in itertools.product(range(len(T.rho)), repeat=n + 1):
+            tup = ((0.0, letters[0]),) + letters[1:]
+            vT = chi_hat_T(T, n, 8.0, tup, t_order=20)
+            vI = chi_hat_infty_exact(F, n, tup)
+            assert abs(vT - vI) <= 1e-6, (T.dim, tup)
+
+
 @pytest.mark.parametrize("n", [0, 2, 4])
 def test_float_retraction_equals_exact_formula(n):
     # chern.retracted_cocycle of triple2x2 read as a Fredholm bimodule over
