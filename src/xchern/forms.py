@@ -25,11 +25,11 @@ top-degree words).  A caller that reads a value only once calls the word
 operator itself, and release drops an operator's memo and lossy set once
 no later reader needs them: cli.dga_suite memoizes b, B and kappa (on
 the words of B's images only), never d, whose images are single words,
-and releases each memo after the last check that reads it.  The memos share one tuple per word: every memo key,
-lossy word and image word is the tuple that the space's word table holds
-for it.  The product of the free-product algebra (the Fedosov product) is
-fedosov_words on two words and its bilinear extension fedosov_full on two
-forms.
+and releases each memo after the last check that reads it.  The memos
+share one tuple per word: every memo key, lossy word and image word is
+the tuple that the space's word table holds for it.  The product of the
+free-product algebra (the Fedosov product) is fedosov_words on two words
+and its bilinear extension fedosov_full on two forms.
 """
 
 import itertools
